@@ -155,9 +155,7 @@ def canonical_order(g: Graph) -> tuple[int, ...]:
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    """Canonical form of g. Cached on the graph instance."""
-    if g._canon is not None:
-        return g._canon
+    """Canonical form of g."""
     order = canonical_order(g)
     n = len(order)
     bits = []
@@ -177,9 +175,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
             filled = 0
     if filled:
         payload.append(acc << (8 - filled))
-    form = CanonicalForm(bytes(payload))
-    g._canon = form
-    return form
+    return CanonicalForm(bytes(payload))
 
 
 def graph_from_canonical(form: CanonicalForm) -> Graph:

@@ -31,7 +31,7 @@ from .contract import (
     is_strong_contractible,
     is_strong_contractible_any_order,
 )
-from .errors import GraphFormatError, InternalInconsistencyError
+from .errors import GraphFormatError, InternalInconsistencyError, check_jobs
 from .graphs import Graph
 
 __all__ = [
@@ -62,8 +62,7 @@ class CensusConfig:
     def __post_init__(self):
         if not 1 <= self.max_n <= MAX_CENSUS_N:
             raise ValueError(f"max_n must be between 1 and {MAX_CENSUS_N}, got {self.max_n}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be positive, got {self.jobs}")
+        check_jobs(self.jobs)
         if self.collapse_budget < 1:
             raise ValueError(f"collapse_budget must be positive, got {self.collapse_budget}")
 

@@ -25,7 +25,7 @@ from .contract import (
     is_strong_contractible,
     is_strong_contractible_any_order,
 )
-from .errors import BudgetExceededError, GraphFormatError
+from .errors import BudgetExceededError, GraphFormatError, check_jobs
 from .graphs import load_graph, to_edge_list_text
 from .homology import Coefficients, homology
 from .persistence import (
@@ -104,6 +104,13 @@ def _parse_threshold_list(text: str) -> list[Fraction]:
         return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad threshold list {text!r}: {exc}")
+
+
+def _jobs(text: str) -> int:
+    try:
+        return check_jobs(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cmd_vr(args) -> int:
@@ -186,13 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dim", type=int, default=1)
     p.add_argument("--thresholds", help="comma-separated scales (0 is prepended if missing)")
     p.add_argument("--oracle", action="store_true", help="cross-check against direct matrix reduction")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for stage reduction")
+    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes for stage reduction")
     p.set_defaults(func=_cmd_vr)
 
     p = sub.add_parser("census", help="classify all small connected graphs and check the implication")
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--budget", type=int, default=DEFAULT_COLLAPSE_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes for classification")
     p.add_argument("--out", metavar="DIR", help="save/resume census files here")
     p.add_argument("--check-order", action="store_true", help="also compare greedy vs any-order deletion")
     p.set_defaults(func=_cmd_census)

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .contract import ReductionTrace, VERTEX_STEP, is_strong_contractible
-from .errors import BudgetExceededError, InternalInconsistencyError
-from .graphs import Graph
+from .contract import ReductionTrace, VERTEX_STEP, contractible_reduction
+from .errors import BudgetExceededError
+from .graphs import Graph, iter_bits
 
 __all__ = [
     "Simplex",
@@ -48,18 +48,7 @@ def _mask_of(simplex: Iterable[int]) -> int:
 
 
 def _tuple_of(mask: int) -> Simplex:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+    return tuple(iter_bits(mask))
 
 
 @dataclass(frozen=True)
@@ -152,7 +141,7 @@ class SimplicialComplex:
     def dim(self) -> int:
         if not self._masks:
             return -1
-        return max(_popcount(m) for m in self._masks) - 1
+        return max(m.bit_count() for m in self._masks) - 1
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -172,15 +161,15 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         chi = 0
         for m in self._masks:
-            chi += 1 if (_popcount(m) - 1) % 2 == 0 else -1
+            chi += 1 if (m.bit_count() - 1) % 2 == 0 else -1
         return chi
 
     def has_face(self, simplex: Iterable[int]) -> bool:
         return _mask_of(simplex) in self._masks
 
     def one_skeleton(self) -> Graph:
-        vertices = [m.bit_length() - 1 for m in self._masks if _popcount(m) == 1]
-        edges = [_tuple_of(m) for m in self._masks if _popcount(m) == 2]
+        vertices = [m.bit_length() - 1 for m in self._masks if m.bit_count() == 1]
+        edges = [_tuple_of(m) for m in self._masks if m.bit_count() == 2]
         return Graph(vertices, edges)
 
     # -- free pairs and collapses -------------------------------------------
@@ -329,7 +318,7 @@ def _elementary_candidates(cx: SimplicialComplex) -> list[tuple[int, int, Simple
     cands = []
     for sm in cx._masks:
         tm = cx._free_tau_mask(sm)
-        if tm is not None and _popcount(tm) == _popcount(sm) + 1:
+        if tm is not None and tm.bit_count() == sm.bit_count() + 1:
             cands.append((sm, tm, _tuple_of(sm), _tuple_of(tm)))
     # Highest-dimensional tau first, then lexicographic.
     cands.sort(key=lambda c: (-len(c[3]), c[3], c[2]))
@@ -383,38 +372,17 @@ def is_collapsible(cx: SimplicialComplex, budget: int = DEFAULT_COLLAPSE_BUDGET)
 # -- trace-guided collapse -------------------------------------------------------
 
 
-def _point_witness(g: Graph) -> tuple[list[tuple[Simplex, Simplex]], int]:
-    """Collapse witness for the clique complex of a strongly contractible
-    graph, built from the deletion recursion itself.
-
-    Deleting a vertex a with contractible neighborhood corresponds to
-    collapsing the cone a * link(a): each elementary pair of the link
-    collapse lifts to the cone by joining a, after which (a, {a, w})
-    removes what is left of the cone, where w is the final link vertex.
-    """
-    if g.n == 1:
-        return [], g.vertices[0]
-    for v in g.vertices:
-        nb = g.neighborhood(v)
-        if is_strong_contractible(nb):
-            link_pairs, w = _point_witness(nb)
-            pairs = [
-                (tuple(sorted((v,) + s)), tuple(sorted((v,) + t)))
-                for s, t in link_pairs
-            ]
-            pairs.append(((v,), tuple(sorted((v, w)))))
-            rest, last = _point_witness(g.delete_vertex(v))
-            return pairs + rest, last
-    raise InternalInconsistencyError("graph claimed contractible has no deletable vertex")
-
-
 def collapse_via_trace(g: Graph, trace: ReductionTrace) -> tuple[FreePair, ...]:
     """Elementary collapse sequence taking the clique complex of g to the
     clique complex of the reduced graph, lifted step by step from the
     reduction trace.
 
     Works for vertex and edge deletions alike: the deleted element plays
-    the role of the cone apex over its (common) neighborhood.
+    the role of the cone apex over its (common) neighborhood. Deleting an
+    apex whose link reduces to a point w collapses the cone apex * link:
+    each pair of the link's own collapse, lifted here from the link's
+    reduction trace, joins the apex, after which (apex, apex + w) removes
+    what is left of the cone.
     """
     pairs: list[FreePair] = []
     cur = g
@@ -431,14 +399,12 @@ def collapse_via_trace(g: Graph, trace: ReductionTrace) -> tuple[FreePair, ...]:
                 f"trace does not match graph: link of {apex} is {sorted(link.vertices)}, "
                 f"recorded {sorted(step.link)}"
             )
-        if not is_strong_contractible(link):
+        point, link_trace = contractible_reduction(link)
+        if point.n != 1:
             raise ValueError(f"link of {apex} is not strongly contractible; trace is invalid")
-        link_pairs, w = _point_witness(link)
-        for s, t in link_pairs:
-            pairs.append(
-                FreePair(tuple(sorted(apex + s)), tuple(sorted(apex + t)))
-            )
-        pairs.append(FreePair(apex, tuple(sorted(apex + (w,)))))
+        for p in collapse_via_trace(link, link_trace):
+            pairs.append(FreePair(tuple(sorted(apex + p.sigma)), tuple(sorted(apex + p.tau))))
+        pairs.append(FreePair(apex, tuple(sorted(apex + point.vertices))))
         if step.kind == VERTEX_STEP:
             cur = cur.delete_vertex(step.element)
         else:

@@ -4,33 +4,36 @@ A graph is *strongly contractible* when it can be shrunk to a single
 vertex by repeatedly deleting a vertex whose open neighborhood is itself
 strongly contractible. The membership test scans vertices in ascending id
 order and commits to the first vertex whose neighborhood passes, then
-recurses on the remaining graph; it never backtracks over that choice.
+scans the remaining graph again; it never backtracks over that choice.
 An exhaustive any-order variant is provided separately so negative
 answers can be certified independently of the greedy scan order.
 
-The reduction routine applies the same test destructively: it deletes the
+The reduction routine applies the same scan destructively: it deletes the
 first qualifying vertex, restarts the scan, and stops when a full pass
 deletes nothing. The edge-extended variant additionally deletes an edge
 whose common neighborhood passes the test whenever no vertex qualifies.
+
+Every graph one test visits is an induced subgraph of its input, since
+the recursion only enters neighborhoods and vertex deletions. Within a
+call, a graph is therefore named exactly by its vertex mask over the
+input's adjacency, and verdicts are memoized by mask for that call only.
+Nothing is shared between calls.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .canon import canonical_form
 from .errors import GraphFormatError
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 
 __all__ = [
     "Step",
     "ReductionTrace",
     "TransformKind",
-    "ContractibilityCache",
     "is_strong_contractible",
     "is_strong_contractible_any_order",
     "contractible_reduction",
@@ -39,105 +42,90 @@ __all__ = [
     "clear_caches",
 ]
 
-DEFAULT_CACHE_ENTRIES = 1 << 20
-
-
-class ContractibilityCache:
-    """Bounded FIFO map from canonical form bytes to a boolean verdict.
-
-    Reads are lock-free; writes take a lock so the cache can be shared by
-    census worker threads.
-    """
-
-    def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES):
-        self.max_entries = max_entries
-        self._data: dict[bytes, bool] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key: bytes) -> Optional[bool]:
-        return self._data.get(key)
-
-    def put(self, key: bytes, value: bool) -> None:
-        with self._lock:
-            if key not in self._data and len(self._data) >= self.max_entries:
-                self._data.pop(next(iter(self._data)))
-            self._data[key] = value
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-
-_GREEDY_CACHE = ContractibilityCache()
-_ANY_ORDER_CACHE = ContractibilityCache()
-
 
 def clear_caches() -> None:
-    _GREEDY_CACHE.clear()
-    _ANY_ORDER_CACHE.clear()
+    """Nothing to clear: every test memoizes within one call only. Kept
+    in the public API for existing callers."""
 
 
-def is_strong_contractible(g: Graph, cache: Optional[ContractibilityCache] = _GREEDY_CACHE) -> bool:
+def _adjacency(g: Graph) -> tuple[dict[int, int], int]:
+    """Adjacency masks of g by vertex id, and the mask of all its vertices."""
+    adj = {v: g.adjacency_mask(v) for v in g.vertices}
+    mask = 0
+    for v in adj:
+        mask |= 1 << v
+    return adj, mask
+
+
+def _first_hit_deletions(adj: dict[int, int], mask: int, memo: dict[int, bool]) -> tuple[list[int], int]:
+    """The greedy scan on the subgraph induced by mask.
+
+    Deletes the lowest vertex whose neighborhood is strongly contractible
+    and rescans from the lowest vertex, until no vertex qualifies. Returns
+    the deleted vertices in order and the mask that is left.
+    """
+    deleted = []
+    while True:
+        for v in iter_bits(mask):
+            if _contractible(adj, adj[v] & mask, memo):
+                deleted.append(v)
+                mask ^= 1 << v
+                break
+        else:
+            return deleted, mask
+
+
+def _contractible(adj: dict[int, int], mask: int, memo: dict[int, bool]) -> bool:
+    """Greedy verdict for the subgraph induced by mask: no for the empty
+    graph, yes for a single vertex, otherwise whether the scan leaves one
+    vertex."""
+    if mask & (mask - 1) == 0:
+        return mask != 0
+    verdict = memo.get(mask)
+    if verdict is None:
+        rest = _first_hit_deletions(adj, mask, memo)[1]
+        verdict = memo[mask] = rest & (rest - 1) == 0
+    return verdict
+
+
+def _contractible_any_order(adj: dict[int, int], mask: int, memo: dict[int, bool]) -> bool:
+    """Whether some deletion order takes the subgraph induced by mask to
+    a single vertex."""
+    if mask & (mask - 1) == 0:
+        return mask != 0
+    verdict = memo.get(mask)
+    if verdict is None:
+        verdict = memo[mask] = any(
+            _contractible_any_order(adj, adj[v] & mask, memo)
+            and _contractible_any_order(adj, mask ^ (1 << v), memo)
+            for v in iter_bits(mask)
+        )
+    return verdict
+
+
+def is_strong_contractible(g: Graph) -> bool:
     """Greedy first-hit membership test.
 
     Empty graph: no. Single vertex: yes. Otherwise scan vertices in
     ascending id order; at the first vertex whose neighborhood passes
-    recursively, the answer is the recursive answer for the graph minus
-    that vertex. Pass cache=None to disable memoization.
+    recursively, the answer is the answer for the graph minus that
+    vertex. The deletions run as a loop, so the recursion depth follows
+    how deeply neighborhoods nest (at most the clique number), not n.
     """
-    n = g.n
-    if n == 0:
-        return False
-    if n == 1:
-        return True
-    key = None
-    if cache is not None:
-        key = canonical_form(g).data
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    result = False
-    for v in g.vertices:
-        if is_strong_contractible(g.neighborhood(v), cache):
-            result = is_strong_contractible(g.delete_vertex(v), cache)
-            break
-    if cache is not None:
-        cache.put(key, result)
-    return result
+    adj, mask = _adjacency(g)
+    return _contractible(adj, mask, {})
 
 
-def is_strong_contractible_any_order(
-    g: Graph, cache: Optional[ContractibilityCache] = _ANY_ORDER_CACHE
-) -> bool:
+def is_strong_contractible_any_order(g: Graph) -> bool:
     """Backtracking variant: true when *some* deletion order reaches K(1).
 
     Used by the census harness to certify that a greedy rejection was not
-    an artifact of the fixed scan order.
+    an artifact of the fixed scan order. Each deletion is one level of
+    recursion, so a graph on n vertices needs a recursion depth of about
+    n; this variant is meant for small graphs.
     """
-    n = g.n
-    if n == 0:
-        return False
-    if n == 1:
-        return True
-    key = None
-    if cache is not None:
-        key = canonical_form(g).data
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    result = False
-    for v in g.vertices:
-        if is_strong_contractible_any_order(g.neighborhood(v), cache) and is_strong_contractible_any_order(
-            g.delete_vertex(v), cache
-        ):
-            result = True
-            break
-    if cache is not None:
-        cache.put(key, result)
-    return result
+    adj, mask = _adjacency(g)
+    return _contractible_any_order(adj, mask, {})
 
 
 # -- reduction traces ----------------------------------------------------------
@@ -272,13 +260,15 @@ class ReductionTrace:
 # -- reductions ------------------------------------------------------------------
 
 
-def _delete_one_vertex(g: Graph) -> Optional[tuple[Graph, Step]]:
-    for v in g.vertices:
-        nb = g.neighborhood(v)
-        if is_strong_contractible(nb):
-            step = Step(VERTEX_STEP, v, frozenset(nb.vertices))
-            return g.delete_vertex(v), step
-    return None
+def _delete_vertices(g: Graph, memo: dict[int, bool], steps: list[Step]) -> Graph:
+    """Run the greedy scan on g, append one step per deleted vertex, and
+    return what is left."""
+    adj, mask = _adjacency(g)
+    deleted, rest = _first_hit_deletions(adj, mask, memo)
+    for v in deleted:
+        steps.append(Step(VERTEX_STEP, v, frozenset(iter_bits(adj[v] & mask))))
+        mask ^= 1 << v
+    return g.induced(iter_bits(rest)) if deleted else g
 
 
 def contractible_reduction(g: Graph) -> tuple[Graph, ReductionTrace]:
@@ -287,13 +277,8 @@ def contractible_reduction(g: Graph) -> tuple[Graph, ReductionTrace]:
     Each pass scans ascending vertex ids, deletes the first vertex whose
     neighborhood is strongly contractible, and restarts. Deterministic.
     """
-    steps = []
-    while True:
-        hit = _delete_one_vertex(g)
-        if hit is None:
-            break
-        g, step = hit
-        steps.append(step)
+    steps: list[Step] = []
+    g = _delete_vertices(g, {}, steps)
     return g, ReductionTrace(tuple(steps))
 
 
@@ -304,22 +289,21 @@ def edge_extended_reduction(g: Graph) -> tuple[Graph, ReductionTrace]:
     order; the first edge whose common neighborhood is strongly
     contractible is deleted, after which vertex deletions are retried.
     """
-    steps = []
+    steps: list[Step] = []
     while True:
-        hit = _delete_one_vertex(g)
-        if hit is not None:
-            g, step = hit
-            steps.append(step)
-            continue
+        # Verdicts are keyed by vertex mask, so they hold only until an
+        # edge deletion changes the adjacency.
+        memo: dict[int, bool] = {}
+        g = _delete_vertices(g, memo, steps)
+        adj = _adjacency(g)[0]
         for u, v in g.edges:
-            cn = g.common_neighborhood(u, v)
-            if is_strong_contractible(cn):
-                steps.append(Step(EDGE_STEP, (u, v), frozenset(cn.vertices)))
+            link = adj[u] & adj[v]
+            if _contractible(adj, link, memo):
+                steps.append(Step(EDGE_STEP, (u, v), frozenset(iter_bits(link))))
                 g = g.delete_edge(u, v)
                 break
         else:
-            break
-    return g, ReductionTrace(tuple(steps))
+            return g, ReductionTrace(tuple(steps))
 
 
 # -- legal transformation listing -------------------------------------------------

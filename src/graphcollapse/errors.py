@@ -1,6 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types and argument checks shared across the package."""
 
 from __future__ import annotations
+
+import os
+
+
+def check_jobs(jobs: int) -> int:
+    """Return jobs if it is a worker-process count between 1 and the CPU
+    count; raise ValueError otherwise."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise ValueError(f"jobs must be between 1 and the CPU count {cpus}, got {jobs}")
+    return jobs
 
 
 class GraphFormatError(ValueError):

@@ -32,7 +32,7 @@ class Graph:
     vertex; labels ride along for display and are ignored by equality.
     """
 
-    __slots__ = ("_vertices", "_vmask", "_adj", "_labels", "_edges", "_hash", "_canon")
+    __slots__ = ("_vertices", "_vmask", "_adj", "_labels", "_edges", "_hash")
 
     def __init__(
         self,
@@ -64,7 +64,6 @@ class Graph:
         self._labels = dict(labels) if labels else None
         self._edges = None
         self._hash = None
-        self._canon = None
 
     @classmethod
     def _from_masks(
@@ -84,7 +83,6 @@ class Graph:
         g._labels = labels
         g._edges = None
         g._hash = None
-        g._canon = None
         return g
 
     # -- basic accessors ---------------------------------------------------
@@ -105,17 +103,9 @@ class Graph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted tuple of (u, v) pairs with u < v."""
         if self._edges is None:
-            out = []
-            for v in self._vertices:
-                mask = self._adj[v]
-                w_bits = mask >> (v + 1)
-                w = v + 1
-                while w_bits:
-                    if w_bits & 1:
-                        out.append((v, w))
-                    w_bits >>= 1
-                    w += 1
-            self._edges = tuple(out)
+            self._edges = tuple(
+                (v, w) for v in self._vertices for w in iter_bits(self._adj[v] >> (v + 1) << (v + 1))
+            )
         return self._edges
 
     @property
@@ -144,7 +134,7 @@ class Graph:
     def degree(self, v: int) -> int:
         if v not in self._adj:
             raise ValueError(f"vertex {v} is not in the graph")
-        return _popcount(self._adj[v])
+        return self._adj[v].bit_count()
 
     # -- subgraphs ----------------------------------------------------------
 
@@ -218,13 +208,8 @@ class Graph:
             nmask |= 1 << u
         adj = dict(self._adj)
         adj[v] = nmask
-        u = 0
-        bits = nmask
-        while bits:
-            if bits & 1:
-                adj[u] = adj[u] | (1 << v)
-            bits >>= 1
-            u += 1
+        for u in iter_bits(nmask):
+            adj[u] |= 1 << v
         vs = tuple(sorted(self._vertices + (v,)))
         return Graph._from_masks(vs, adj, self._labels)
 
@@ -303,19 +288,20 @@ class Graph:
         return iter(self._vertices)
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+def iter_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, ascending.
+
+    Takes the lowest set bit each time, so the cost follows the number of
+    set bits, not the highest vertex id.
+    """
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
+    return tuple(iter_bits(mask))
 
 
 # -- file formats -------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 from . import exactla
 from .complexes import DEFAULT_FACE_BUDGET, enumerate_cliques
 from .contract import ReductionTrace, contractible_reduction, edge_extended_reduction
-from .errors import GraphFormatError, InternalInconsistencyError
+from .errors import GraphFormatError, InternalInconsistencyError, check_jobs
 from .graphs import Graph
 from .homology import (
     ChainVector,
@@ -264,7 +264,9 @@ def reduce_filtration(
 ) -> tuple[ReducedStage, ...]:
     """Reduce every stage graph independently. Results are cached on the
     filtration; jobs > 1 farms stages out to worker processes (the output
-    does not depend on the worker count)."""
+    does not depend on the worker count). jobs may not exceed the CPU
+    count."""
+    check_jobs(jobs)
     cache_key = ("stages", edge_extended)
     if cache_key not in filt._cache:
         reducer = edge_extended_reduction if edge_extended else contractible_reduction

@@ -296,6 +296,47 @@ def inclusion_rank_gf2(g_small: Graph, g_big: Graph, dim: int) -> int:
     return gf2_rank(z_small + b_big) - gf2_rank(b_big)
 
 
+# -- the greedy deletion rule, memo-free -----------------------------------------
+
+
+def greedy_contractible(g: Graph) -> bool:
+    """The greedy first-hit test as defined: no for the empty graph, yes
+    for a point, otherwise delete the lowest vertex whose neighborhood
+    passes and ask again; no if none passes."""
+    if g.n <= 1:
+        return g.n == 1
+    for v in g.vertices:
+        if greedy_contractible(g.neighborhood(v)):
+            return greedy_contractible(g.delete_vertex(v))
+    return False
+
+
+def greedy_reduction(g: Graph, edges: bool = False) -> tuple[Graph, list[tuple[str, object, frozenset]]]:
+    """Both reductions as defined: delete the lowest qualifying vertex and
+    rescan; when none qualifies and edges is set, delete the first
+    qualifying edge in lexicographic order and rescan. Returns the reduced
+    graph and (kind, element, link vertices) per deletion."""
+    steps = []
+    while True:
+        for v in g.vertices:
+            link = g.neighborhood(v)
+            if greedy_contractible(link):
+                steps.append(("vertex", v, frozenset(link.vertices)))
+                g = g.delete_vertex(v)
+                break
+        else:
+            if not edges:
+                return g, steps
+            for u, v in g.edges:
+                link = g.common_neighborhood(u, v)
+                if greedy_contractible(link):
+                    steps.append(("edge", (u, v), frozenset(link.vertices)))
+                    g = g.delete_edge(u, v)
+                    break
+            else:
+                return g, steps
+
+
 # -- shared fixtures ------------------------------------------------------------
 
 
@@ -369,3 +410,12 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 7):
         if a != b and a < n and b < n:
             edges.add((min(a, b), max(a, b)))
     return Graph(range(n), edges)
+
+
+@st.composite
+def sparse_connected_graphs(draw, min_n: int = 1, max_n: int = 7):
+    """Connected graphs relabelled onto distinct ids drawn from a wide
+    range, in an order unrelated to the original one."""
+    g = draw(connected_graphs(min_n, max_n))
+    ids = draw(st.lists(st.integers(0, 5000), min_size=g.n, max_size=g.n, unique=True))
+    return g.relabeled(dict(zip(g.vertices, ids)))

@@ -1,5 +1,7 @@
 """Exhaustive small-graph catalogue and the implication survey built on it."""
 
+import os
+
 import pytest
 
 from graphcollapse.canon import canonical_form, graph_from_canonical
@@ -149,6 +151,10 @@ class TestConfig:
             build_census(CensusConfig(max_n=MAX_CENSUS_N + 1))
         with pytest.raises(ValueError, match="collapse_budget"):
             build_census(CensusConfig(max_n=2, collapse_budget=0))
+
+    def test_jobs_above_cpu_count_rejected(self):
+        with pytest.raises(ValueError, match="CPU count"):
+            CensusConfig(jobs=(os.cpu_count() or 1) + 1)
 
     def test_parallel_build_matches_serial(self):
         serial = build_census(CensusConfig(max_n=5))

@@ -1,5 +1,7 @@
 """End-to-end command line behaviour, run in process through main()."""
 
+import os
+
 import pytest
 
 from graphcollapse.cli import main
@@ -238,6 +240,13 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["vr"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [["census"], ["vr", "--points", "pts.txt"]])
+    def test_jobs_above_cpu_count_is_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--jobs", str((os.cpu_count() or 1) + 1)])
+        assert exc.value.code == 2
+        assert "CPU count" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         rc = main(["check", "/nonexistent/graph.txt"])

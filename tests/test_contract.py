@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from graphcollapse import (
@@ -12,10 +12,19 @@ from graphcollapse import (
     is_strong_contractible_any_order,
     legal_transformations,
 )
-from graphcollapse.contract import ContractibilityCache, Step, TransformKind
+from graphcollapse import clique_complex, collapse_via_trace
+from graphcollapse.contract import Step, TransformKind
 from graphcollapse.factories import complete, cycle, edgeless, octahedron, path
 
-from helpers import brute_betti_gf2, connected_graphs, g8, gstar
+from helpers import (
+    brute_betti_gf2,
+    connected_graphs,
+    g8,
+    greedy_contractible,
+    greedy_reduction,
+    gstar,
+    sparse_connected_graphs,
+)
 
 
 class TestVerdicts:
@@ -189,12 +198,68 @@ class TestTraceFormat:
             Step("face", 0)
 
 
-class TestCaches:
-    def test_shared_cache_is_transparent(self):
-        private = ContractibilityCache()
-        for g in (gstar(), cycle(5), complete(4), octahedron()):
-            assert is_strong_contractible(g, cache=private) == is_strong_contractible(g)
+class TestAgainstTranscription:
+    """The memoized scan against a memo-free transcription of the rule."""
 
+    @staticmethod
+    def check(g):
+        assert is_strong_contractible(g) == greedy_contractible(g)
+        for reduce, edges in ((contractible_reduction, False), (edge_extended_reduction, True)):
+            reduced, trace = reduce(g)
+            want_reduced, want_steps = greedy_reduction(g, edges)
+            assert reduced == want_reduced
+            assert [(s.kind, s.element, s.link) for s in trace] == want_steps
+
+    # After the edge step (1, 4), a verdict memoized before it would be
+    # stale and change the rest of this trace.
+    @example(
+        Graph(
+            range(8),
+            [(0, 1), (0, 3), (0, 4), (0, 7), (1, 2), (1, 4), (1, 6), (1, 7), (2, 3),
+             (2, 5), (2, 6), (3, 4), (3, 6), (3, 7), (4, 5), (5, 6), (5, 7)],
+        )
+    )
+    @given(connected_graphs(max_n=8))
+    @settings(max_examples=150)
+    def test_dense_ids(self, g):
+        self.check(g)
+
+    @given(sparse_connected_graphs(max_n=8))
+    @settings(max_examples=150)
+    def test_sparse_ids(self, g):
+        self.check(g)
+
+    def test_generated_cases_include_edge_steps(self):
+        # An edge step followed by more steps runs the scan again on a
+        # changed adjacency, where verdicts memoized before it may not hold.
+        def edge_step_then_more(g):
+            kinds = [s.kind for s in edge_extended_reduction(g)[1]]
+            return "edge" in kinds[:-1]
+
+        quick = settings(database=None, derandomize=True, max_examples=2000, phases=[Phase.generate])
+        g = find(sparse_connected_graphs(max_n=8), edge_step_then_more, settings=quick)
+        self.check(g)
+
+
+class TestLargeInputs:
+    def test_long_path_is_reduced_without_deep_recursion(self):
+        g = path(1200)
+        assert is_strong_contractible(g)
+        reduced, trace = contractible_reduction(g)
+        assert reduced.n == 1
+        assert len(trace) == 1199
+        assert len(collapse_via_trace(g, trace)) == 1199
+
+    def test_far_apart_ids(self):
+        g = Graph([0, 10**7], [(0, 10**7)])
+        assert g.edges == ((0, 10**7),)
+        reduced, trace = contractible_reduction(g)
+        assert reduced == Graph([10**7])
+        assert trace.deleted_vertices == (0,)
+        assert clique_complex(g).faces == ((0,), (10**7,), (0, 10**7))
+
+
+class TestCaches:
     def test_clear_caches_keeps_answers(self):
         before = is_strong_contractible(gstar())
         clear_caches()

@@ -1,5 +1,6 @@
 """Point clouds, distance filtrations, reduced stages, and barcodes."""
 
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -214,6 +215,13 @@ class TestReduceFiltration:
     def test_result_is_cached(self):
         filt = vr_filtration(PointCloud.from_points([(0, 0), (1, 0), (0, 1)]))
         assert reduce_filtration(filt) is reduce_filtration(filt)
+
+    def test_jobs_above_cpu_count_rejected(self):
+        # Three stages: too few for a pool at any jobs value.
+        filt = vr_filtration(PointCloud.from_points([(0, 0), (1, 0), (0, 1)]))
+        assert filt.stage_count == 3
+        with pytest.raises(ValueError, match="CPU count"):
+            reduce_filtration(filt, jobs=(os.cpu_count() or 1) + 1)
 
     def test_parallel_jobs_agree_with_serial(self):
         rng = random.Random(99)
