@@ -1,0 +1,183 @@
+#!/usr/bin/env python3
+"""Print one deterministic JSON document of graphcollapse's observable
+outputs on seeded inputs, for checking that a change to the internals
+leaves them byte-identical:
+
+    PYTHONPATH=src python3 scripts/compare_outputs.py > after.json
+
+Run it the same way in a checkout of the parent commit and diff the two
+files. It covers the prime-field wrappers (ranks, free-variables-zero
+solutions, kernel bases), homology over GF(2), GF(3) and the integers
+with representatives, pushed cycles and induced-map matrices, both
+reductions' traces with their collapse pairs, and the barcodes of the
+50 acceptance clouds. It uses only the standard library, numpy and
+long-standing public API, and runs in well under a minute.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import sys
+
+import numpy as np
+
+from graphcollapse import exactla
+from graphcollapse.complexes import collapse_via_trace
+from graphcollapse.contract import contractible_reduction, edge_extended_reduction
+from graphcollapse.graphs import Graph
+from graphcollapse.homology import (
+    ChainVector,
+    Coefficients,
+    boundary,
+    clique_basis,
+    homology,
+    induced_map,
+    push_cycle_sequence,
+)
+from graphcollapse.persistence import PointCloud, barcode, vr_filtration
+
+PRIMES = (2, 3, 5, 7, 2**31 - 1)
+FIELDS = (Coefficients(2), Coefficients(3))
+REDUCTIONS = (("vertex", contractible_reduction), ("edge", edge_extended_reduction))
+
+
+def chain(c: ChainVector) -> list:
+    return [[list(s), coeff] for s, coeff in c.items()]
+
+
+def linear_algebra(rng: random.Random) -> list:
+    out = []
+    for _ in range(150):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        a = np.array([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
+        p = rng.choice(PRIMES)
+        if rng.random() < 0.5:
+            b = a @ np.array([rng.randint(-3, 3) for _ in range(cols)], dtype=np.int64)
+        else:
+            b = np.array([rng.randint(-9, 9) for _ in range(rows)], dtype=np.int64)
+        x = exactla.solve_mod_p(a, b, p)
+        out.append({
+            "p": p,
+            "a": a.tolist(),
+            "b": b.tolist(),
+            "rank": exactla.rank_mod_p(a, p),
+            "solve": None if x is None else x.tolist(),
+            "nullspace": exactla.nullspace_mod_p(a, p).tolist(),
+        })
+    return out
+
+
+def random_graph(rng: random.Random) -> Graph:
+    n = rng.randint(4, 11)
+    p = rng.uniform(0.3, 0.7)
+    return Graph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+def geometric_graph(rng: random.Random) -> Graph:
+    n = rng.randint(12, 24)
+    pts = [(rng.random(), rng.random()) for _ in range(n)]
+    r2 = rng.uniform(0.08, 0.15)
+    return Graph(range(n), [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2 < r2
+    ])
+
+
+def integer_cycle(g: Graph, dim: int, rng: random.Random):
+    """A signed sum of boundaries of (dim+1)-cliques: an integer
+    dim-cycle, or None if g has no such cliques."""
+    cofaces = clique_basis(g, dim + 1)
+    if not cofaces:
+        return None
+    picked = rng.sample(cofaces, min(3, len(cofaces)))
+    return boundary(ChainVector(dim + 1, {t: rng.choice((-2, -1, 1, 3)) for t in picked}))
+
+
+def pushable(name: str, dim: int) -> bool:
+    # push_cycle_edge rejects 1-cycles that meet a deleted edge (its final
+    # check splits at the edge, which needs dimension >= 2), so 1-cycles
+    # go through vertex traces only
+    return name == "vertex" or dim != 1
+
+
+def graph_outputs(g: Graph, rng: random.Random) -> dict:
+    out = {"edges": [list(e) for e in g.edges], "integers": homology(g, Coefficients.integers()).to_text()}
+    traces = {}
+    for name, reduce in REDUCTIONS:
+        reduced, trace = reduce(g)
+        traces[name] = trace
+        out[name] = {
+            "trace": trace.to_text(),
+            "reduced": [list(e) for e in reduced.edges],
+            "collapse": [[list(fp.sigma), list(fp.tau)] for fp in collapse_via_trace(g, trace)],
+        }
+    for coeffs in FIELDS:
+        h = homology(g, coeffs)
+        field = out[str(coeffs)] = {"text": h.to_text(), "groups": []}
+        for grp in h.groups:
+            pushed = {
+                name: [chain(push_cycle_sequence(z, g, trace, coeffs)) for z in grp.representatives]
+                for name, trace in traces.items()
+                if pushable(name, grp.dim)
+            }
+            field["groups"].append({"reps": [chain(z) for z in grp.representatives], "pushed": pushed})
+    out["integer_pushes"] = pushes = []
+    for dim in (1, 2):
+        z = integer_cycle(g, dim, rng)
+        if z is None:
+            continue
+        for name, trace in traces.items():
+            if pushable(name, dim):
+                pushes.append([dim, name, chain(push_cycle_sequence(z, g, trace, Coefficients.integers()))])
+    # an induced map from a spanning subgraph missing a few edges
+    kept = [e for e in g.edges if rng.random() < 0.8]
+    g0 = Graph(g.vertices, kept)
+    trace0 = contractible_reduction(g0)[1]
+    maps = []
+    for coeffs in FIELDS:
+        for dim in (0, 1, 2):
+            m = induced_map(g0, g, trace0, traces["vertex"], dim, coeffs)
+            maps.append({
+                "coeffs": str(coeffs),
+                "dim": dim,
+                "domain": [chain(c) for c in m.domain_basis],
+                "codomain": [chain(c) for c in m.codomain_basis],
+                "matrix": m.matrix.tolist(),
+            })
+    out["induced"] = {"subgraph_edges": [list(e) for e in kept], "maps": maps}
+    return out
+
+
+def barcodes() -> list:
+    rng = random.Random(441202)
+    out = []
+    for k in range(50):
+        count = rng.randint(3, 12)
+        pts = set()
+        while len(pts) < count:
+            pts.add((rng.randint(0, 20), rng.randint(0, 20)))
+        filt = vr_filtration(PointCloud.from_points(sorted(pts)))
+        entry = {"points": sorted(pts), "gf2": barcode(filt, max_dim=2).to_csv()}
+        if k < 10:
+            entry["gf3"] = barcode(filt, max_dim=1, coeffs=Coefficients(3)).to_csv()
+        out.append(entry)
+    return out
+
+
+def main() -> None:
+    rng = random.Random(20181)
+    graphs = [random_graph(rng) for _ in range(40)] + [geometric_graph(rng) for _ in range(20)]
+    doc = {
+        "linear_algebra": linear_algebra(rng),
+        "graphs": [graph_outputs(g, rng) for g in graphs],
+        "barcodes": barcodes(),
+    }
+    json.dump(doc, sys.stdout, sort_keys=True, indent=1)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()

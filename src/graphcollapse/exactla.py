@@ -1,21 +1,25 @@
 """Exact linear algebra over prime fields and over the integers.
 
-Prime-field elimination runs vectorized on int64 arrays; the modulus is
-capped below 2**31 so products never overflow. Integer Smith normal form
-is plain row/column reduction on Python ints with smallest-magnitude
-pivoting, which keeps intermediate entries small on the sparse boundary
-matrices this package produces.
+All prime-field elimination runs in one sparse kernel, `Echelon`, on
+`{row: coeff}` columns of Python ints; the ndarray wrappers read ranks,
+free-variables-zero solutions and standard kernel bases off it, and cap
+the modulus below 2**31 so every residue fits their int64 results.
+Integer Smith normal form is plain row/column reduction on Python ints
+with smallest-magnitude pivoting, which keeps intermediate entries small
+on the sparse boundary matrices this package produces.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Hashable, Mapping, Optional
 
 import numpy as np
 
 __all__ = [
     "check_prime",
-    "rref_mod_p",
+    "Echelon",
+    "solve_columns",
+    "dense",
     "rank_mod_p",
     "solve_mod_p",
     "nullspace_mod_p",
@@ -46,34 +50,76 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def rref_mod_p(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form mod p and the pivot column indices."""
-    check_prime(p)
-    m = _as_matrix(a) % p
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m = (m - np.outer(col, m[r])) % p
-        pivots.append(c)
-        r += 1
-    return m, tuple(pivots)
+class Echelon:
+    """Span over GF(p) of the sparse `{row: coeff}` columns added so far.
+
+    Each stored vector is keyed by its highest row, where its coefficient
+    is 1, and carries the combination `{tag: coeff}` of added columns it
+    equals. The columns given to the constructor are added under tags
+    0, 1, ...; `relations` holds, in order, the relations of those that
+    depend on earlier ones, which is the standard kernel basis. The
+    modulus is trusted to be prime: callers check it where it enters.
+    """
+
+    def __init__(self, p: int, cols=()):
+        self.p = p
+        self._pivots: dict[int, tuple[dict[int, int], dict[Hashable, int]]] = {}
+        self.relations = [rel for j, col in enumerate(cols) if (rel := self.add(col, j)) is not None]
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def add(self, col: Mapping[int, int], tag: Hashable) -> Optional[dict[Hashable, int]]:
+        """Add a column under a new tag. Returns None if it enlarges the
+        span, else its relation `{tag: 1, ...}`: the one zero combination
+        of it and earlier columns that enlarged the span."""
+        p = self.p
+        vec = {r: c % p for r, c in col.items() if c % p}
+        combo: dict[Hashable, int] = {tag: 1}
+        while vec:
+            top = max(vec)
+            if top not in self._pivots:
+                inv = pow(vec[top], -1, p)
+                self._pivots[top] = (
+                    {r: c * inv % p for r, c in vec.items()},
+                    {t: c * inv % p for t, c in combo.items()},
+                )
+                return None
+            f = p - vec[top]
+            for target, source in zip((vec, combo), self._pivots[top]):
+                for k, c in source.items():
+                    v = (target.get(k, 0) + f * c) % p
+                    if v:
+                        target[k] = v
+                    else:
+                        del target[k]
+        return combo
+
+
+def solve_columns(cols, rhs: Mapping[int, int], p: int) -> Optional[dict[int, int]]:
+    """Sparse x with sum(x[j] * cols[j]) = rhs mod p and nonzero only on
+    columns independent of the ones before them, or None."""
+    rel = Echelon(p, cols).add(rhs, -1)
+    return None if rel is None else {j: p - c for j, c in rel.items() if j != -1}
+
+
+def _columns(a) -> list[dict[int, int]]:
+    return [{i: c for i, c in enumerate(col) if c} for col in _as_matrix(a).T.tolist()]
+
+
+def dense(cols, rows: int) -> np.ndarray:
+    """The int64 matrix with the given sparse columns."""
+    mat = np.zeros((rows, len(cols)), dtype=np.int64)
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            mat[i, j] = c
+    return mat
 
 
 def rank_mod_p(a, p: int) -> int:
-    return len(rref_mod_p(a, p)[1])
+    check_prime(p)
+    return Echelon(p, _columns(a)).rank
 
 
 def solve_mod_p(a, b, p: int) -> Optional[np.ndarray]:
@@ -82,32 +128,21 @@ def solve_mod_p(a, b, p: int) -> Optional[np.ndarray]:
     rhs = np.array(b, dtype=np.int64).reshape(-1)
     if rhs.shape[0] != m.shape[0]:
         raise ValueError(f"shape mismatch: {m.shape} vs rhs of length {rhs.shape[0]}")
-    aug = np.concatenate([m, rhs.reshape(-1, 1)], axis=1)
-    red, pivots = rref_mod_p(aug, p)
-    if m.shape[1] in pivots:
-        return None
-    x = np.zeros(m.shape[1], dtype=np.int64)
-    for row, c in enumerate(pivots):
-        x[c] = red[row, -1]
-    return x
+    check_prime(p)
+    sol = solve_columns(_columns(m), dict(enumerate(rhs.tolist())), p)
+    return None if sol is None else dense([sol], m.shape[1]).reshape(-1)
 
 
 def nullspace_mod_p(a, p: int) -> np.ndarray:
     """Matrix whose columns are a basis of the kernel mod p.
 
     Shape (ncols, nullity); the basis is the standard one read off the
-    reduced echelon form, one column per free variable.
+    reduced echelon form, one column per free variable: the relation of
+    each column that depends on the ones before it.
     """
     m = _as_matrix(a)
-    red, pivots = rref_mod_p(m, p)
-    cols = m.shape[1]
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[f, k] = 1
-        for row, c in enumerate(pivots):
-            basis[c, k] = (-red[row, f]) % p
-    return basis
+    check_prime(p)
+    return dense(Echelon(p, _columns(m)).relations, m.shape[1])
 
 
 # -- integer Smith normal form ---------------------------------------------

@@ -287,32 +287,35 @@ class BoundaryMatrix:
     matrix: np.ndarray
 
 
-def _boundary_matrix_from_bases(
-    dim: int, domain: tuple[Simplex, ...], codomain: tuple[Simplex, ...]
-) -> BoundaryMatrix:
-    mat = np.zeros((len(codomain), len(domain)), dtype=np.int64)
+def _boundary_columns(
+    domain: tuple[Simplex, ...], codomain: tuple[Simplex, ...]
+) -> list[dict[int, int]]:
+    """Sparse columns {codomain index: sign} of the boundary map."""
     index = {s: i for i, s in enumerate(codomain)}
-    for j, simplex in enumerate(domain):
+    cols = []
+    for simplex in domain:
+        col = {}
         for k in range(len(simplex)):
             face = simplex[:k] + simplex[k + 1:]
             i = index.get(face)
             if i is None:
                 raise InternalInconsistencyError(f"face {face} of {simplex} missing from basis")
-            mat[i, j] = 1 if k % 2 == 0 else -1
-    return BoundaryMatrix(dim, domain, codomain, mat)
+            col[i] = 1 if k % 2 == 0 else -1
+        cols.append(col)
+    return cols
 
 
 def boundary_matrix(g: Graph, dim: int, max_faces: int = DEFAULT_FACE_BUDGET) -> BoundaryMatrix:
     if dim < 1:
         raise ValueError(f"boundary matrices start at dimension 1, got {dim}")
-    return _boundary_matrix_from_bases(
-        dim, clique_basis(g, dim, max_faces), clique_basis(g, dim - 1, max_faces)
-    )
+    domain = clique_basis(g, dim, max_faces)
+    codomain = clique_basis(g, dim - 1, max_faces)
+    return BoundaryMatrix(dim, domain, codomain, exactla.dense(_boundary_columns(domain, codomain), len(codomain)))
 
 
-def _chain_to_column(chain: ChainVector, basis: tuple[Simplex, ...], coeffs: Coefficients) -> np.ndarray:
+def _chain_to_column(chain: ChainVector, basis: tuple[Simplex, ...], coeffs: Coefficients) -> dict[int, int]:
     index = {s: i for i, s in enumerate(basis)}
-    col = np.zeros(len(basis), dtype=np.int64)
+    col = {}
     for s, c in chain._terms.items():
         if s not in index:
             raise ValueError(f"simplex {s} is outside the basis")
@@ -320,8 +323,8 @@ def _chain_to_column(chain: ChainVector, basis: tuple[Simplex, ...], coeffs: Coe
     return col
 
 
-def _column_to_chain(col, dim: int, basis: tuple[Simplex, ...]) -> ChainVector:
-    return ChainVector(dim, {basis[i]: int(col[i]) for i in range(len(basis)) if col[i]})
+def _column_to_chain(col: Mapping[int, int], dim: int, basis: tuple[Simplex, ...]) -> ChainVector:
+    return ChainVector(dim, {basis[i]: c for i, c in col.items()})
 
 
 # -- homology ----------------------------------------------------------------
@@ -364,31 +367,6 @@ class Homology:
         return "\n".join(lines) + "\n" if lines else ""
 
 
-def _field_representatives(
-    kernel: np.ndarray, bnd_next: np.ndarray, betti: int, p: int
-) -> list[np.ndarray]:
-    """Columns of the kernel that extend the column space of the next
-    boundary matrix to a basis of the cycle space, greedily."""
-    if betti == 0:
-        return []
-    current = bnd_next % p
-    rank = exactla.rank_mod_p(current, p)
-    reps = []
-    for j in range(kernel.shape[1]):
-        col = kernel[:, j].reshape(-1, 1)
-        aug = np.concatenate([current, col], axis=1)
-        r = exactla.rank_mod_p(aug, p)
-        if r > rank:
-            reps.append(kernel[:, j].copy())
-            current = aug
-            rank = r
-            if len(reps) == betti:
-                return reps
-    raise InternalInconsistencyError(
-        f"found {len(reps)} independent cycles, expected {betti}"
-    )
-
-
 def homology(
     g: Graph,
     coeffs: Coefficients = Coefficients(2),
@@ -412,41 +390,40 @@ def homology(
     top = max(by_size) - 1
     hi = top if max_dim is None else min(top, max_dim)
     bases = {n: tuple(sorted(by_size.get(n + 1, ()))) for n in range(hi + 2)}
-    mats = {
-        n: _boundary_matrix_from_bases(n, bases[n], bases[n - 1]).matrix
-        for n in range(1, hi + 2)
-    }
+    cols = {n: _boundary_columns(bases[n], bases[n - 1]) for n in range(1, hi + 2)}
 
-    groups = []
     if coeffs.is_field:
-        p = coeffs.modulus
-        ranks = {n: exactla.rank_mod_p(m, p) for n, m in mats.items()}
-        ranks[0] = 0
-        for n in range(hi + 1):
-            betti = len(bases[n]) - ranks[n] - ranks.get(n + 1, 0)
-            reps: tuple[ChainVector, ...] = ()
-            if with_representatives:
-                if n == 0:
-                    kernel = np.eye(len(bases[0]), dtype=np.int64)
-                else:
-                    kernel = exactla.nullspace_mod_p(mats[n], p)
-                bnd_next = mats.get(n + 1)
-                if bnd_next is None:
-                    bnd_next = np.zeros((len(bases[n]), 0), dtype=np.int64)
-                cols = _field_representatives(kernel, bnd_next, betti, p)
-                reps = tuple(_column_to_chain(col, n, bases[n]) for col in cols)
-            groups.append(HomologyGroup(n, betti, (), reps))
+        # images[n] spans the image of the boundary from dimension n, and
+        # the relations among its columns are a basis of the n-cycles
+        images = {n: exactla.Echelon(coeffs.modulus, c) for n, c in cols.items()}
+        ranks = {n: ech.rank for n, ech in images.items()}
+        cycles = {n: ech.relations for n, ech in images.items()}
+        cycles[0] = [{i: 1} for i in range(len(bases[0]))]
     else:
-        ranks = {0: 0}
-        factors = {}
-        for n, m in mats.items():
-            f = exactla.invariant_factors(m.tolist()) if m.size else []
-            ranks[n] = len(f)
-            factors[n] = f
-        for n in range(hi + 1):
-            betti = len(bases[n]) - ranks[n] - ranks.get(n + 1, 0)
-            torsion = tuple(d for d in factors.get(n + 1, []) if d > 1)
-            groups.append(HomologyGroup(n, betti, torsion, ()))
+        factors = {
+            n: exactla.invariant_factors(exactla.dense(c, len(bases[n - 1]))) if c else ()
+            for n, c in cols.items()
+        }
+        ranks = {n: len(f) for n, f in factors.items()}
+    ranks[0] = 0
+    groups = []
+    for n in range(hi + 1):
+        betti = len(bases[n]) - ranks[n] - ranks[n + 1]
+        reps = []
+        if coeffs.is_field and with_representatives:
+            # the cycles, in order, that the boundaries and earlier picks
+            # do not span
+            for k, z in enumerate(cycles[n]):
+                if len(reps) == betti:
+                    break
+                if images[n + 1].add(z, len(bases[n + 1]) + k) is None:
+                    reps.append(_column_to_chain(z, n, bases[n]))
+            if len(reps) != betti:
+                raise InternalInconsistencyError(
+                    f"found {len(reps)} independent cycles, expected {betti}"
+                )
+        torsion = () if coeffs.is_field else tuple(d for d in factors[n + 1] if d > 1)
+        groups.append(HomologyGroup(n, betti, torsion, tuple(reps)))
     return Homology(coeffs, tuple(groups))
 
 
@@ -467,12 +444,13 @@ def _solve_in_link(
     and b is a cycle (with zero coefficient sum in dimension 0)."""
     domain = clique_basis(link, target_dim)
     codomain = clique_basis(link, target_dim - 1)
-    mat = _boundary_matrix_from_bases(target_dim, domain, codomain).matrix
+    cols = _boundary_columns(domain, codomain)
     rhs = _chain_to_column(b, codomain, coeffs)
     if coeffs.is_field:
-        sol = exactla.solve_mod_p(mat, rhs, coeffs.modulus)
+        sol = exactla.solve_columns(cols, rhs, coeffs.modulus)
     else:
-        sol = exactla.solve_integer(mat.tolist(), [int(v) for v in rhs])
+        sol = exactla.solve_integer(exactla.dense(cols, len(codomain)), exactla.dense([rhs], len(codomain)))
+        sol = None if sol is None else dict(enumerate(sol))
     if sol is None:
         raise InternalInconsistencyError(
             "no preimage under the boundary in a contractible link"
@@ -587,17 +565,12 @@ def express_in_homology_basis(
     if not coeffs.is_field:
         raise ValueError("homology coordinates need field coefficients")
     basis = clique_basis(g, dim)
-    bnd = _boundary_matrix_from_bases(
-        dim + 1, clique_basis(g, dim + 1), basis
-    ).matrix
-    cols = [_chain_to_column(r, basis, coeffs).reshape(-1, 1) for r in reps]
-    cols.append(bnd % coeffs.modulus if bnd.size else np.zeros((len(basis), 0), dtype=np.int64))
-    system = np.concatenate(cols, axis=1) if cols else np.zeros((len(basis), 0), dtype=np.int64)
-    rhs = _chain_to_column(z, basis, coeffs)
-    sol = exactla.solve_mod_p(system, rhs, coeffs.modulus)
+    cols = [_chain_to_column(r, basis, coeffs) for r in reps]
+    cols += _boundary_columns(clique_basis(g, dim + 1), basis)
+    sol = exactla.solve_columns(cols, _chain_to_column(z, basis, coeffs), coeffs.modulus)
     if sol is None:
         return None
-    return sol[: len(reps)]
+    return np.array([sol.get(j, 0) for j in range(len(reps))], dtype=np.int64)
 
 
 @dataclass(frozen=True)

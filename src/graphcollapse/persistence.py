@@ -333,7 +333,7 @@ def _rank_table(filt: Filtration, dim: int, coeffs: Coefficients) -> list[list[i
         prod = None
         for j in range(i + 1, m):
             prod = mats[i] % p if prod is None else (mats[j - 1] @ prod) % p
-            r[i][j] = exactla.rank_mod_p(prod, p)
+            r[i][j] = exactla.Echelon(p, [dict(enumerate(c)) for c in prod.T.tolist()]).rank
     filt._cache[cache_key] = r
     return r
 

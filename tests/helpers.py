@@ -3,9 +3,10 @@
 Everything here recomputes answers from first principles with the
 dumbest approach that fits in the time budget: permutation-minimum
 encodings for isomorphism, pure-python GF(2) elimination on bitmask
-rows for ranks and Betti numbers, exhaustive coface scans for free
-pairs. None of it calls into the package's own linear algebra, canonical
-form, or complex machinery, so agreement is meaningful.
+rows for ranks and Betti numbers, Gauss-Jordan elimination mod p on
+lists, exhaustive coface scans for free pairs. None of it calls into
+the package's own linear algebra, canonical form, or complex machinery,
+so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -184,6 +185,60 @@ def rational_rank(matrix: list[list[Fraction]]) -> int:
         rank += 1
         col += 1
     return rank
+
+
+# -- Gauss-Jordan elimination mod p on lists -----------------------------------
+
+
+def reference_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form mod p of a matrix with at least one row,
+    and its pivot columns, by textbook Gauss-Jordan elimination on lists
+    of Python ints."""
+    rows = [[x % p for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def reference_nullspace(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Standard kernel basis read off the reduced form: one vector per
+    free column f, with 1 at f and minus the RREF entries at the pivots."""
+    red, pivots = reference_rref(rows, p)
+    basis = []
+    for f in range(len(rows[0])):
+        if f in pivots:
+            continue
+        vec = [0] * len(rows[0])
+        vec[f] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = -red[r][f] % p
+        basis.append(vec)
+    return basis
+
+
+def reference_solve(rows: list[list[int]], rhs: list[int], p: int) -> list[int] | None:
+    """The solution of rows x = rhs mod p with every free variable zero,
+    or None."""
+    ncols = len(rows[0])
+    red, pivots = reference_rref([row + [b] for row, b in zip(rows, rhs)], p)
+    if ncols in pivots:
+        return None
+    x = [0] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][-1]
+    return x
 
 
 # -- cliques and Betti numbers from scratch ------------------------------------

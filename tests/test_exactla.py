@@ -5,7 +5,16 @@ from hypothesis import strategies as st
 
 from graphcollapse import exactla
 
-from helpers import gf2_rank, rational_det, rational_rank
+from helpers import (
+    gf2_rank,
+    rational_det,
+    rational_rank,
+    reference_nullspace,
+    reference_rref,
+    reference_solve,
+)
+
+PRIMES = st.sampled_from([2, 3, 5, 7, 2**31 - 1])
 
 
 def int_matrices(max_dim=5, lo=-9, hi=9):
@@ -31,27 +40,15 @@ class TestPrimes:
 
 
 class TestRref:
-    def test_known(self):
-        a = np.array([[1, 2], [2, 4]])
-        r, pivots = exactla.rref_mod_p(a, 5)
-        assert pivots == (0,)
-        assert (r == np.array([[1, 2], [0, 0]])).all()
-
     @given(int_matrices())
     def test_rank_mod_2_matches_bitmask_elimination(self, a):
         rows = [int("".join(str(x % 2) for x in row), 2) if a.shape[1] else 0 for row in a]
         assert exactla.rank_mod_p(a, 2) == gf2_rank(rows)
 
     @given(int_matrices(), st.sampled_from([2, 3, 5, 7]))
-    def test_rank_equals_pivot_count_and_bounds(self, a, p):
-        r, pivots = exactla.rref_mod_p(a, p)
-        assert exactla.rank_mod_p(a, p) == len(pivots)
-        assert len(pivots) <= min(a.shape)
-
-    @given(int_matrices(), st.sampled_from([2, 3, 5, 7]))
     def test_rank_at_least_rational_rank(self, a, p):
         # ranks can only drop when reducing mod p
-        assert exactla.rank_mod_p(a, p) <= rational_rank(a.tolist())
+        assert exactla.rank_mod_p(a, p) <= rational_rank(a.tolist()) <= min(a.shape)
 
 
 class TestSolveModP:
@@ -81,6 +78,59 @@ class TestSolveModP:
         if ns.shape[1]:
             assert ((a @ ns) % p == 0).all()
             assert exactla.rank_mod_p(ns, p) == ns.shape[1]
+
+
+class TestAgainstReferenceElimination:
+    """The wrappers must return exactly what Gauss-Jordan elimination
+    reads off: the pivot count, the free-variables-zero solution and the
+    standard kernel basis, column for column."""
+
+    @given(int_matrices(max_dim=6), PRIMES)
+    def test_rank(self, a, p):
+        assert exactla.rank_mod_p(a, p) == len(reference_rref(a.tolist(), p)[1])
+
+    @given(int_matrices(max_dim=6), PRIMES, st.data())
+    def test_solve(self, a, p, data):
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(st.integers(-3, 3), min_size=a.shape[1], max_size=a.shape[1]))
+            b = (a @ np.array(x, dtype=np.int64)).tolist()
+        else:
+            b = data.draw(st.lists(st.integers(-9, 9), min_size=a.shape[0], max_size=a.shape[0]))
+        got = exactla.solve_mod_p(a, b, p)
+        want = reference_solve(a.tolist(), b, p)
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+
+    @given(int_matrices(max_dim=6), PRIMES)
+    def test_nullspace(self, a, p):
+        got = exactla.nullspace_mod_p(a, p)
+        want = reference_nullspace(a.tolist(), p)
+        assert got.shape == (a.shape[1], len(want))
+        assert got.T.tolist() == want
+
+    def test_modulus_checked(self):
+        a = np.array([[1, 2], [3, 4]])
+        for call in (
+            lambda: exactla.rank_mod_p(a, 4),
+            lambda: exactla.solve_mod_p(a, [1, 1], 2**31),
+            lambda: exactla.nullspace_mod_p(a, 1),
+        ):
+            with pytest.raises(ValueError, match="modulus"):
+                call()
+
+
+class TestEchelon:
+    def test_relation_of_dependent_column(self):
+        ech = exactla.Echelon(5)
+        assert ech.add({0: 1, 1: 2}, "a") is None
+        assert ech.add({1: 1}, "b") is None
+        # 3a + 4b = (3, 6 + 4) = (3, 0) mod 5, so c - 3a - 4b = 0
+        assert ech.add({0: 3}, "c") == {"c": 1, "a": 2, "b": 1}
+        assert ech.add({}, "d") == {"d": 1}
+        assert ech.rank == 2
 
 
 class TestSmith:

@@ -38,6 +38,8 @@ from helpers import (
     gstar,
     inclusion_rank_gf2,
     rational_rank,
+    reference_nullspace,
+    reference_rref,
 )
 
 GF2 = Coefficients(2)
@@ -352,6 +354,31 @@ class TestHomologyGroups:
                     z, grp.representatives, g, dim, GF2
                 )
                 assert coords is not None
+
+    @given(arbitrary_graphs(max_n=7), st.sampled_from([2, 3]))
+    def test_representatives_are_the_reference_greedy_pick(self, g, p):
+        # kernel columns of the boundary from dimension n (standard basis
+        # of the reference RREF), kept in order when independent of the
+        # image of the next boundary and of the earlier picks
+        h = homology(g, Coefficients(p))
+        for n in range(len(h.groups)):
+            up = boundary_matrix(g, n + 1)
+            basis = up.codomain
+            if n == 0:
+                kernel = [[int(i == j) for i in range(len(basis))] for j in range(len(basis))]
+            else:
+                kernel = reference_nullspace(boundary_matrix(g, n).matrix.tolist(), p)
+            span = up.matrix.T.tolist()
+
+            def rank(cols):
+                return len(reference_rref([list(r) for r in zip(*cols)], p)[1]) if cols else 0
+
+            want = []
+            for z in kernel:
+                if rank(span + [z]) > rank(span):
+                    span.append(z)
+                    want.append(ChainVector(n, dict(zip(basis, z))))
+            assert h.group(n).representatives == tuple(want)
 
     def test_octahedron_fundamental_class(self):
         reps = homology(octahedron()).group(2).representatives

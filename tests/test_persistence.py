@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from graphcollapse import exactla
 from graphcollapse.errors import GraphFormatError
 from graphcollapse.homology import Coefficients
 from graphcollapse.persistence import (
@@ -320,6 +321,18 @@ class TestBarcode:
         h1 = [iv for iv in bc.in_dim(1) if iv.death_index is not None]
         assert len(h1) == 1
         assert (h1[0].birth_index, h1[0].death_index) == (2, 4)
+
+    def test_large_prime_checks_the_modulus_once(self, monkeypatch):
+        rng = random.Random(4)
+        pts = sorted({(rng.randint(0, 20), rng.randint(0, 20)) for _ in range(10)})
+        coeffs = Coefficients(2**31 - 1)
+        calls = []
+        real = exactla.check_prime
+        monkeypatch.setattr(exactla, "check_prime", lambda p: calls.append(p) or real(p))
+        bc = barcode(vr_filtration(PointCloud.from_points(pts)), max_dim=1, coeffs=coeffs)
+        assert calls == []
+        monkeypatch.undo()
+        assert bc == barcode(vr_filtration(PointCloud.from_points(pts)), max_dim=1, coeffs=Coefficients(101))
 
     def test_oracle_rejects_integer_coefficients(self):
         filt = vr_filtration(PointCloud.from_points([(0, 0), (1, 0)]))
