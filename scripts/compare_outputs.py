@@ -97,9 +97,9 @@ def integer_cycle(g: Graph, dim: int, rng: random.Random):
 
 
 def pushable(name: str, dim: int) -> bool:
-    # push_cycle_edge rejects 1-cycles that meet a deleted edge (its final
-    # check splits at the edge, which needs dimension >= 2), so 1-cycles
-    # go through vertex traces only
+    # 1-cycles go through vertex traces only: older checkouts' push_cycle_edge
+    # raised on 1-cycles that meet a deleted edge, and leaving them out keeps
+    # this document comparable with those checkouts
     return name == "vertex" or dim != 1
 
 

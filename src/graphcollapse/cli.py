@@ -33,7 +33,6 @@ from .persistence import (
     oracle_persistence,
     parse_distance_matrix,
     parse_points,
-    reduce_filtration,
     vr_filtration,
 )
 
@@ -122,7 +121,6 @@ def _cmd_vr(args) -> int:
             cloud = parse_distance_matrix(fh.read(), source=args.matrix)
     thresholds = _parse_threshold_list(args.thresholds) if args.thresholds else None
     filt = vr_filtration(cloud, thresholds)
-    reduce_filtration(filt, jobs=args.jobs)
     bc = barcode(filt, max_dim=args.max_dim)
     sys.stdout.write(bc.to_csv())
     if args.oracle:
@@ -156,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphcollapse",
         description="Contractible graph reductions, clique-complex collapses, "
-        "homology, and reduced Vietoris-Rips persistence.",
+        "homology, and Vietoris-Rips persistence on collapsed filtrations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -186,14 +184,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dim", type=int, default=None)
     p.set_defaults(func=_cmd_homology)
 
-    p = sub.add_parser("vr", help="barcode of a Vietoris-Rips filtration, stages reduced first")
+    vr_help = "barcode of a Vietoris-Rips filtration: edges collapsed across all stages, then one column reduction"
+    p = sub.add_parser("vr", help=vr_help, description=vr_help)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--points", metavar="FILE", help="coordinates, one point per line (scale = squared distance)")
     src.add_argument("--matrix", metavar="FILE", help="symmetric dissimilarity matrix")
     p.add_argument("--max-dim", type=int, default=1)
     p.add_argument("--thresholds", help="comma-separated scales (0 is prepended if missing)")
     p.add_argument("--oracle", action="store_true", help="cross-check against direct matrix reduction")
-    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes for stage reduction")
+    p.add_argument("--jobs", type=_jobs, default=1, help="accepted, at most the CPU count; vr runs in one process")
     p.set_defaults(func=_cmd_vr)
 
     p = sub.add_parser("census", help="classify all small connected graphs and check the implication")

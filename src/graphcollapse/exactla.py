@@ -57,13 +57,15 @@ class Echelon:
     is 1, and carries the combination `{tag: coeff}` of added columns it
     equals. The columns given to the constructor are added under tags
     0, 1, ...; `relations` holds, in order, the relations of those that
-    depend on earlier ones, which is the standard kernel basis. The
-    modulus is trusted to be prime: callers check it where it enters.
+    depend on earlier ones, which is the standard kernel basis, and
+    `last_pivot` is the row of the latest stored vector. The modulus is
+    trusted to be prime: callers check it where it enters.
     """
 
     def __init__(self, p: int, cols=()):
         self.p = p
         self._pivots: dict[int, tuple[dict[int, int], dict[Hashable, int]]] = {}
+        self.last_pivot: Optional[int] = None
         self.relations = [rel for j, col in enumerate(cols) if (rel := self.add(col, j)) is not None]
 
     @property
@@ -85,6 +87,7 @@ class Echelon:
                     {r: c * inv % p for r, c in vec.items()},
                     {t: c * inv % p for t, c in combo.items()},
                 )
+                self.last_pivot = top
                 return None
             f = p - vec[top]
             for target, source in zip((vec, combo), self._pivots[top]):

@@ -526,7 +526,8 @@ def push_cycle_edge(
             return c
         bprime = _solve_in_link(b.reduce(coeffs), link, c.dim - 1, coeffs)
     out = (c - boundary(join_edge(u, v, bprime))).reduce(coeffs)
-    if not split_at_edge(out, u, v)[1].is_zero:
+    touches = out.coefficient((u, v)) != 0 if c.dim == 1 else not split_at_edge(out, u, v)[1].is_zero
+    if touches:
         raise InternalInconsistencyError(f"push failed to eliminate edge ({u}, {v})")
     return out
 

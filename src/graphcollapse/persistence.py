@@ -1,4 +1,4 @@
-"""Vietoris-Rips filtrations, reduced stagewise, with exact arithmetic.
+"""Vietoris-Rips filtrations and their barcodes, with exact arithmetic.
 
 Scale parameters are kept as Fractions end to end. A cloud built from
 coordinates uses squared Euclidean distances as its pair keys (exact, no
@@ -6,11 +6,14 @@ square roots); a cloud built from an explicit dissimilarity matrix uses
 the entries as given. Filtration stages are the distinct pair keys with
 0 always included.
 
-Each stage graph is reduced independently; persistent Betti numbers are
-ranks of composed stage-to-stage maps computed entirely on the reduced
-complexes by pushing representative cycles along the reduction traces.
-A direct column-reduction of the full filtered boundary matrix is
-provided as an oracle for cross-checking barcodes.
+A barcode is one column reduction of a collapsed filtration: an edge is
+dropped from every stage from its entry on when its common neighborhood
+is strongly contractible at each of them (the edge collapse of
+Boissonnat and Pritam, with cones widened to strongly contractible
+neighborhoods), which leaves the persistence module unchanged over any
+field. `reduce_filtration` reduces each stage graph on its own, with
+traces. A direct column reduction of the full filtered boundary matrix
+is the oracle for cross-checking barcodes.
 """
 
 from __future__ import annotations
@@ -18,22 +21,15 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
-
-import numpy as np
 
 from . import exactla
 from .complexes import DEFAULT_FACE_BUDGET, enumerate_cliques
-from .contract import ReductionTrace, contractible_reduction, edge_extended_reduction
-from .errors import GraphFormatError, InternalInconsistencyError, check_jobs
+from .contract import ReductionTrace, _contractible, contractible_reduction, edge_extended_reduction
+from .errors import GraphFormatError, check_jobs
 from .graphs import Graph
-from .homology import (
-    ChainVector,
-    Coefficients,
-    express_in_homology_basis,
-    homology,
-    push_cycle_sequence,
-)
+from .homology import Coefficients
 
 __all__ = [
     "PointCloud",
@@ -237,16 +233,19 @@ def vr_filtration(
         if given[0] != 0:
             given = [Fraction(0)] + given
         ts = tuple(given)
-    vertices = range(cloud.n)
+    entering: list[list[tuple[int, int]]] = [[] for _ in ts]
+    for pair, key in cloud._keys.items():
+        stage = bisect.bisect_left(ts, key)
+        if stage < len(ts):
+            entering[stage].append(pair)
+    vertices = tuple(range(cloud.n))
+    adj = dict.fromkeys(vertices, 0)
     graphs = []
-    for t in ts:
-        edges = [
-            (i, j)
-            for i in vertices
-            for j in range(i + 1, cloud.n)
-            if cloud.pair_key(i, j) <= t
-        ]
-        graphs.append(Graph(vertices, edges))
+    for edges in entering:
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        graphs.append(Graph._from_masks(vertices, dict(adj)))
     return Filtration(cloud, ts, tuple(graphs))
 
 
@@ -262,10 +261,10 @@ class ReducedStage:
 def reduce_filtration(
     filt: Filtration, edge_extended: bool = False, jobs: int = 1
 ) -> tuple[ReducedStage, ...]:
-    """Reduce every stage graph independently. Results are cached on the
-    filtration; jobs > 1 farms stages out to worker processes (the output
-    does not depend on the worker count). jobs may not exceed the CPU
-    count."""
+    """Reduce every stage graph independently, with traces; `barcode`
+    does not need this. Results are cached on the filtration; jobs > 1
+    farms stages out to worker processes (the output does not depend on
+    the worker count). jobs may not exceed the CPU count."""
     check_jobs(jobs)
     cache_key = ("stages", edge_extended)
     if cache_key not in filt._cache:
@@ -282,71 +281,6 @@ def reduce_filtration(
             stages.append(ReducedStage(i, filt.thresholds[i], filt.graphs[i], reduced, trace))
         filt._cache[cache_key] = tuple(stages)
     return filt._cache[cache_key]
-
-
-def _pipeline(
-    filt: Filtration, dim: int, coeffs: Coefficients
-) -> tuple[tuple[ReducedStage, ...], list[tuple[ChainVector, ...]], list[np.ndarray]]:
-    """Per-stage homology bases of the reduced graphs and the matrices
-    of the maps between consecutive stages, all in those bases."""
-    if not coeffs.is_field:
-        raise ValueError("persistence ranks need field coefficients")
-    cache_key = ("pipeline", dim, coeffs.modulus)
-    if cache_key in filt._cache:
-        return filt._cache[cache_key]
-    stages = reduce_filtration(filt)
-    reps: list[tuple[ChainVector, ...]] = []
-    for st in stages:
-        h = homology(st.reduced, coeffs, max_dim=dim)
-        grp = h.group(dim)
-        reps.append(grp.representatives if grp is not None else ())
-    mats: list[np.ndarray] = []
-    for k in range(len(stages) - 1):
-        nxt = stages[k + 1]
-        mat = np.zeros((len(reps[k + 1]), len(reps[k])), dtype=np.int64)
-        for j, z in enumerate(reps[k]):
-            pushed = push_cycle_sequence(z, nxt.graph, nxt.trace, coeffs)
-            coords = express_in_homology_basis(pushed, reps[k + 1], nxt.reduced, dim, coeffs)
-            if coords is None:
-                raise InternalInconsistencyError(
-                    f"stage {k} cycle not expressible in stage {k + 1} homology basis"
-                )
-            mat[:, j] = coords
-        mats.append(mat)
-    filt._cache[cache_key] = (stages, reps, mats)
-    return filt._cache[cache_key]
-
-
-def _rank_table(filt: Filtration, dim: int, coeffs: Coefficients) -> list[list[int]]:
-    """Table r[i][j] of persistent ranks for all stage pairs i <= j,
-    built with prefix products so the whole table costs O(m^2) small
-    matrix multiplications. Cached on the filtration."""
-    cache_key = ("ranks", dim, coeffs.modulus)
-    if cache_key in filt._cache:
-        return filt._cache[cache_key]
-    _, reps, mats = _pipeline(filt, dim, coeffs)
-    p = coeffs.modulus
-    m = filt.stage_count
-    r = [[0] * m for _ in range(m)]
-    for i in range(m):
-        r[i][i] = len(reps[i])
-        prod = None
-        for j in range(i + 1, m):
-            prod = mats[i] % p if prod is None else (mats[j - 1] @ prod) % p
-            r[i][j] = exactla.Echelon(p, [dict(enumerate(c)) for c in prod.T.tolist()]).rank
-    filt._cache[cache_key] = r
-    return r
-
-
-def persistent_betti(
-    filt: Filtration, i: int, j: int, dim: int, coeffs: Coefficients = Coefficients(2)
-) -> int:
-    """Rank of the map on dimension-dim homology from stage i to stage
-    j, both inclusive."""
-    m = filt.stage_count
-    if not (0 <= i <= j < m):
-        raise ValueError(f"need 0 <= i <= j < {m}, got i={i}, j={j}")
-    return _rank_table(filt, dim, coeffs)[i][j]
 
 
 # -- barcodes -----------------------------------------------------------------
@@ -389,47 +323,104 @@ class Barcode:
         return format_barcode_csv(self)
 
 
+def _link_stays_contractible(nbrs: dict[int, dict[int, int]], u: int, v: int, s: int) -> bool:
+    """Whether the common neighborhood of u and v is strongly contractible
+    at every stage from s on, where nbrs maps each vertex to its
+    neighbors' entry stages. That neighborhood changes only at stages
+    where one of its vertices or edges enters, so only those are tested."""
+    nu, nv = nbrs[u], nbrs[v]
+    joins = {w: max(nu[w], nv[w], s) for w in nu.keys() & nv.keys()}
+    tests = {s, *joins.values()}
+    for w, t in joins.items():
+        tests.update(max(e, t, joins[x]) for x, e in nbrs[w].items() if x in joins)
+    for j in sorted(tests):
+        adj, mask = {}, 0
+        for w, t in joins.items():
+            if t <= j:
+                mask |= 1 << w
+                adj[w] = sum(1 << x for x, e in nbrs[w].items() if e <= j)
+        if not _contractible(adj, mask, {}):
+            return False
+    return True
+
+
+def _collapsed_stages(filt: Filtration) -> dict[tuple[int, int], int]:
+    """Entry stages of the final graph's edges that survive the collapse,
+    visiting edges latest entry first and testing each in the filtration
+    left so far; every vertex enters at stage 0. Cached on the
+    filtration, for every dimension and field."""
+    stages = filt._cache.get("collapsed")
+    if stages is None:
+        stages = {e: filt.stage_of_key(filt.cloud.pair_key(*e)) for e in filt.graphs[-1].edges}
+        nbrs: dict[int, dict[int, int]] = {v: {} for v in range(filt.cloud.n)}
+        for (u, v), s in stages.items():
+            nbrs[u][v] = nbrs[v][u] = s
+        for u, v in sorted(stages, key=lambda e: (stages[e], e), reverse=True):
+            if _link_stays_contractible(nbrs, u, v, stages[u, v]):
+                del stages[u, v], nbrs[u][v], nbrs[v][u]
+        filt._cache["collapsed"] = stages
+    return stages
+
+
 def barcode(
     filt: Filtration, max_dim: int = 1, coeffs: Coefficients = Coefficients(2)
 ) -> Barcode:
-    """Stage-indexed barcode from the table of persistent ranks.
+    """Stage-indexed barcode, by one column reduction of the collapsed
+    filtration.
 
-    Interval multiplicity in dimension p between stages i < j is the
-    alternating second difference of the rank table; classes alive at
-    the last stage become essential intervals.
+    The cliques of the collapsed final graph with at most max_dim + 2
+    vertices enter at the stage of their latest edge and are reduced in
+    the oracle's order in one `exactla.Echelon`. A column that stores a
+    new pivot kills the class born at that row; pairs within one stage
+    are invisible at stage granularity and are dropped, and classes
+    never killed become essential intervals.
     """
     if max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
-    m = filt.stage_count
+    if not coeffs.is_field:
+        raise ValueError("persistence needs field coefficients")
+    stages = _collapsed_stages(filt)
+    by_size = enumerate_cliques(Graph(range(filt.cloud.n), stages), max_size=max_dim + 2)
+    entries = sorted(
+        (max((stages[e] for e in combinations(c, 2)), default=0), size, c)
+        for size, cliques in by_size.items()
+        for c in cliques
+    )
+    index = {c: k for k, (_, _, c) in enumerate(entries)}
+    ech = exactla.Echelon(coeffs.modulus)
+    ts = filt.thresholds
     intervals: list[Interval] = []
-    for dim in range(max_dim + 1):
-        r = _rank_table(filt, dim, coeffs)
-
-        def rank(a: int, b: int) -> int:
-            if a < 0:
-                return 0
-            return r[a][b]
-
-        for i in range(m):
-            for j in range(i + 1, m):
-                mult = (rank(i, j - 1) - rank(i, j)) - (rank(i - 1, j - 1) - rank(i - 1, j))
-                if mult < 0:
-                    raise InternalInconsistencyError(
-                        f"negative multiplicity at dim {dim}, stages ({i}, {j})"
-                    )
-                for _ in range(mult):
-                    intervals.append(
-                        Interval(dim, i, j, filt.thresholds[i], filt.thresholds[j])
-                    )
-            essential = rank(i, m - 1) - rank(i - 1, m - 1)
-            if essential < 0:
-                raise InternalInconsistencyError(
-                    f"negative essential count at dim {dim}, stage {i}"
-                )
-            for _ in range(essential):
-                intervals.append(Interval(dim, i, None, filt.thresholds[i], None))
+    unpaired: set[int] = set()
+    for k, (stage, size, c) in enumerate(entries):
+        faces = {index[c[:i] + c[i + 1:]]: (-1) ** i for i in range(size)} if size > 1 else {}
+        if ech.add(faces, k) is not None:
+            unpaired.add(k)
+            continue
+        birth, b_size, _ = entries[ech.last_pivot]
+        unpaired.remove(ech.last_pivot)
+        if b_size <= max_dim + 1 and birth < stage:
+            intervals.append(Interval(b_size - 1, birth, stage, ts[birth], ts[stage]))
+    for k in unpaired:
+        stage, size, _ = entries[k]
+        if size <= max_dim + 1:
+            intervals.append(Interval(size - 1, stage, None, ts[stage], None))
     intervals.sort(key=_interval_sort_key)
-    return Barcode(max_dim, filt.thresholds, tuple(intervals))
+    return Barcode(max_dim, ts, tuple(intervals))
+
+
+def persistent_betti(
+    filt: Filtration, i: int, j: int, dim: int, coeffs: Coefficients = Coefficients(2)
+) -> int:
+    """Rank of the map on dimension-dim homology from stage i to stage
+    j, both inclusive: the number of bars alive at both."""
+    m = filt.stage_count
+    if not (0 <= i <= j < m):
+        raise ValueError(f"need 0 <= i <= j < {m}, got i={i}, j={j}")
+    return sum(
+        1
+        for iv in barcode(filt, dim, coeffs).in_dim(dim)
+        if iv.birth_index <= i and (iv.death_index is None or iv.death_index > j)
+    )
 
 
 CSV_HEADER = "dim,birth_index,death_index,birth_eps,death_eps"

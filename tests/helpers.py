@@ -351,6 +351,36 @@ def inclusion_rank_gf2(g_small: Graph, g_big: Graph, dim: int) -> int:
     return gf2_rank(z_small + b_big) - gf2_rank(b_big)
 
 
+def inclusion_rank_mod_p(g_small: Graph, g_big: Graph, dim: int, p: int) -> int:
+    """The same rank over GF(p), with signed boundaries and every rank
+    read off `reference_rref`: dim(Z_small + B_big) - dim(B_big), as
+    spans of vectors over the dim-cells of the big clique complex."""
+    big = brute_cliques(g_big, max_size=dim + 2)
+    cells = big.get(dim + 1, [])
+    small = brute_cliques(g_small, max_size=dim + 1).get(dim + 1, [])
+    if not small:
+        return 0
+    index = {c: k for k, c in enumerate(cells)}
+
+    def signed_faces(c: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        return {c[:i] + c[i + 1 :]: (-1) ** i for i in range(len(c))} if len(c) > 1 else {}
+
+    def rank(vectors: list[list[int]]) -> int:
+        return len(reference_rref(vectors, p)[1]) if vectors else 0
+
+    faces = sorted({f for c in small for f in signed_faces(c)})
+    # a zero row when there are no faces: every 0-chain is a cycle
+    rows = [[signed_faces(c).get(f, 0) for c in small] for f in faces] or [[0] * len(small)]
+    z_small = []
+    for kernel_vector in reference_nullspace(rows, p):
+        vec = [0] * len(cells)
+        for c, x in zip(small, kernel_vector):
+            vec[index[c]] = x
+        z_small.append(vec)
+    b_big = [[signed_faces(t).get(c, 0) for c in cells] for t in big.get(dim + 2, [])]
+    return rank(z_small + b_big) - rank(b_big)
+
+
 # -- the greedy deletion rule, memo-free -----------------------------------------
 
 

@@ -132,6 +132,18 @@ class TestEchelon:
         assert ech.add({}, "d") == {"d": 1}
         assert ech.rank == 2
 
+    def test_last_pivot_is_the_row_stored(self):
+        ech = exactla.Echelon(3)
+        assert ech.last_pivot is None
+        assert ech.add({0: 1, 2: 1}, "a") is None
+        assert ech.last_pivot == 2
+        # reduced by the vector at row 2, the column stores row 1
+        assert ech.add({1: 2, 2: 1}, "b") is None
+        assert ech.last_pivot == 1
+        # a dependent column stores nothing
+        assert ech.add({0: 1, 1: 2, 2: 2}, "c") is not None
+        assert ech.last_pivot == 1
+
 
 class TestSmith:
     @given(int_matrices(max_dim=4))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from graphcollapse.contract import ReductionTrace, contractible_reduction
+from graphcollapse.contract import ReductionTrace, contractible_reduction, edge_extended_reduction
 from graphcollapse.factories import complete, cycle, octahedron, path
 from graphcollapse.graphs import Graph
 from graphcollapse.homology import (
@@ -23,6 +23,7 @@ from graphcollapse.homology import (
     join_edge,
     join_vertex,
     push_cycle,
+    push_cycle_edge,
     push_cycle_sequence,
     split_at_edge,
     split_at_vertex,
@@ -34,6 +35,7 @@ from helpers import (
     brute_betti_gf2,
     brute_cliques,
     connected_graphs,
+    g8,
     gf2_rank,
     gstar,
     inclusion_rank_gf2,
@@ -489,6 +491,35 @@ class TestPushCycle:
                 assert coords is not None
                 rows.append([int(x) % 2 for x in coords])
             assert exactla.rank_mod_p(np.array(rows), 2) == len(reps_up)
+
+    @pytest.mark.parametrize("coeffs", [GF2, GF3, ZZ], ids=str)
+    def test_one_cycle_pushed_off_an_edge(self, coeffs):
+        triangle = complete(3)
+        z = ChainVector(1, {(0, 1): 1, (1, 2): 1, (0, 2): -1})
+        assert push_cycle_edge(z, 0, 2, triangle, coeffs).is_zero
+        # the triangle with a path 2-3-4-0 closing a hole through the edge {0, 2}
+        g = Graph(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (0, 4)])
+        hole = ChainVector(1, {(0, 2): 1, (2, 3): 1, (3, 4): 1, (0, 4): -1})
+        out = push_cycle_edge(hole, 0, 2, g, coeffs)
+        want = ChainVector(1, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (0, 4): -1})
+        assert out == want.reduce(coeffs)
+
+    @pytest.mark.parametrize("coeffs", [GF2, GF3], ids=str)
+    def test_one_cycles_along_an_edge_trace(self, coeffs):
+        g = g8()
+        reduced, trace = edge_extended_reduction(g)
+        assert [s.kind for s in trace.steps] == ["edge"] * 3
+        reps_up = homology(g, coeffs).group(1).representatives
+        assert any(z.coefficient(s.element) for z in reps_up for s in trace.steps)
+        reps_down = homology(reduced, coeffs).group(1).representatives
+        rows = []
+        for z in reps_up:
+            pushed = push_cycle_sequence(z, g, trace, coeffs)
+            assert pushed.supported_on_cliques(reduced)
+            coords = express_in_homology_basis(pushed, reps_down, reduced, 1, coeffs)
+            assert coords is not None
+            rows.append(coords.tolist())
+        assert exactla.rank_mod_p(np.array(rows), coeffs.modulus) == len(reps_up) == 2
 
 
 class TestExpress:

@@ -8,9 +8,12 @@ from fractions import Fraction
 import pytest
 
 from graphcollapse import exactla
+from graphcollapse.contract import is_strong_contractible
 from graphcollapse.errors import GraphFormatError
+from graphcollapse.graphs import Graph
 from graphcollapse.homology import Coefficients
 from graphcollapse.persistence import (
+    _collapsed_stages,
     Barcode,
     Interval,
     PointCloud,
@@ -25,9 +28,15 @@ from graphcollapse.persistence import (
     vr_filtration,
 )
 
-from helpers import SIX_POINT_ROWS, brute_betti_gf2, inclusion_rank_gf2
+from helpers import (
+    SIX_POINT_ROWS,
+    brute_betti_gf2,
+    inclusion_rank_gf2,
+    inclusion_rank_mod_p,
+)
 
 GF2 = Coefficients(2)
+GF3 = Coefficients(3)
 
 
 def random_cloud(rng, max_points=8):
@@ -153,6 +162,21 @@ class TestVrFiltration:
         with pytest.raises(ValueError, match="negative threshold"):
             vr_filtration(pc, [-1])
 
+    def test_stages_match_all_pairs_definition(self):
+        rng = random.Random(2024)
+        for k in range(8):
+            # a 4x4 lattice gives duplicate points and tied distances
+            side = 3 if k % 2 else 9
+            pts = [(rng.randint(0, side), rng.randint(0, side)) for _ in range(rng.randint(2, 12))]
+            pc = PointCloud.from_points(pts)
+            for ts in (None, [0, 1, 5, 9], [2, 13, 40, 200]):
+                filt = vr_filtration(pc, ts)
+                for t, g in zip(filt.thresholds, filt.graphs):
+                    edges = [
+                        (i, j) for i in range(pc.n) for j in range(i + 1, pc.n) if pc.pair_key(i, j) <= t
+                    ]
+                    assert g == Graph(range(pc.n), edges)
+
     def test_stage_of_key(self):
         pc = PointCloud.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
         filt = vr_filtration(pc)
@@ -254,6 +278,18 @@ class TestPersistentBetti:
                             )
                         )
 
+    def test_gf3_matches_reference_elimination(self):
+        rng = random.Random(3303)
+        for _ in range(4):
+            filt = vr_filtration(random_cloud(rng, max_points=7))
+            m = filt.stage_count
+            for dim in (0, 1):
+                for i in range(m):
+                    for j in range(i, m):
+                        assert persistent_betti(filt, i, j, dim, GF3) == (
+                            inclusion_rank_mod_p(filt.graphs[i], filt.graphs[j], dim, 3)
+                        )
+
     def test_diagonal_is_stage_betti(self):
         rng = random.Random(41)
         filt = vr_filtration(random_cloud(rng))
@@ -338,6 +374,8 @@ class TestBarcode:
         filt = vr_filtration(PointCloud.from_points([(0, 0), (1, 0)]))
         with pytest.raises(ValueError, match="GF\\(2\\)"):
             oracle_persistence(filt, coeffs=Coefficients.integers())
+        with pytest.raises(ValueError, match="field coefficients"):
+            barcode(filt, coeffs=Coefficients.integers())
 
     def test_interval_eps_values_follow_thresholds(self):
         rng = random.Random(4)
@@ -348,6 +386,115 @@ class TestBarcode:
                 assert iv.death is None
             else:
                 assert iv.death == filt.thresholds[iv.death_index]
+
+
+# ------------------------------------------------------------------ collapse
+
+
+def replay_collapse(filt):
+    """The collapse of the filtration recomputed with the public API: the
+    final graph's edges, latest entry first and then in descending order,
+    each dropped when its common neighborhood passes the deletion test at
+    every stage from its entry on, in the filtration left so far. Returns
+    the surviving edges' entry stages."""
+    final = filt.graphs[-1]
+    left = {e: filt.stage_of_key(filt.cloud.pair_key(*e)) for e in final.edges}
+    for e in sorted(left, key=lambda e: (left[e], e), reverse=True):
+        stages = range(left[e], filt.stage_count)
+        if all(
+            is_strong_contractible(
+                Graph(final.vertices, [f for f, t in left.items() if t <= j]).common_neighborhood(*e)
+            )
+            for j in stages
+        ):
+            del left[e]
+    return left
+
+
+def uniform_cloud(rng, n, side=10_000):
+    pts = set()
+    while len(pts) < n:
+        pts.add((rng.randrange(side), rng.randrange(side)))
+    return PointCloud.from_points(sorted(pts))
+
+
+def degree_thresholds(cloud, degrees):
+    """Thresholds at which the stage graph has the given mean degrees."""
+    ranked = sorted(cloud.pair_key(i, j) for i in range(cloud.n) for j in range(i + 1, cloud.n))
+    return sorted({ranked[cloud.n * deg // 2 - 1] for deg in degrees})
+
+
+def tied_clouds():
+    """Clouds with duplicate points, and dissimilarity matrices with many
+    tied entries."""
+    rng = random.Random(6060)
+    clouds = [
+        PointCloud.from_points([(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(4, 12))])
+        for _ in range(8)
+    ]
+    clouds.append(PointCloud.from_points([(0, 0)] * 3 + [(1, 0), (1, 0), (0, 1)]))
+    clouds.append(PointCloud.from_distance_matrix([[0 if i == j else 1 for j in range(6)] for i in range(6)]))
+    for _ in range(30):
+        n = rng.randint(5, 9)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.choice((1, 1, 2, 2, 3))
+        clouds.append(PointCloud.from_distance_matrix(rows))
+    return clouds
+
+
+# Random search found this matrix: at thresholds (1, 2), an edge's common
+# neighborhood stays strongly contractible while its vertices join but not
+# once an edge between two of them enters, so that stage must be tested.
+LATE_LINK_EDGE_ROWS = [
+    [0, 3, 2, 3, 2, 3, 2, 2, 2],
+    [3, 0, 1, 3, 2, 1, 1, 2, 1],
+    [2, 1, 0, 1, 2, 1, 1, 2, 2],
+    [3, 3, 1, 0, 1, 1, 1, 3, 1],
+    [2, 2, 2, 1, 0, 1, 1, 1, 2],
+    [3, 1, 1, 1, 1, 0, 1, 2, 1],
+    [2, 1, 1, 1, 1, 1, 0, 2, 3],
+    [2, 2, 2, 3, 1, 2, 2, 0, 1],
+    [2, 1, 2, 1, 2, 1, 3, 1, 0],
+]
+
+
+class TestCollapse:
+    def test_dropped_edges_replay_with_public_deletion_test(self):
+        rng = random.Random(8128)
+        filts = [vr_filtration(random_cloud(rng, max_points=10)) for _ in range(6)]
+        filts += [vr_filtration(pc, ts) for pc in tied_clouds() for ts in (None, [1, 2])]
+        filts.append(vr_filtration(PointCloud.from_distance_matrix(LATE_LINK_EDGE_ROWS), [1, 2]))
+        cloud = uniform_cloud(rng, 30)
+        filts.append(vr_filtration(cloud, degree_thresholds(cloud, (2, 4, 6))))
+        dropped = 0
+        for filt in filts:
+            survivors = _collapsed_stages(filt)
+            assert survivors == replay_collapse(filt)
+            dropped += filt.graphs[-1].m - len(survivors)
+        assert dropped > 0
+
+    def test_cached_across_dimensions_and_fields(self):
+        filt = vr_filtration(random_cloud(random.Random(12)))
+        survivors = _collapsed_stages(filt)
+        barcode(filt, max_dim=2, coeffs=GF3)
+        assert _collapsed_stages(filt) is survivors
+
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    def test_large_clouds_at_explicit_thresholds_match_oracle(self, n):
+        rng = random.Random(4400 + n)
+        cloud = uniform_cloud(rng, n)
+        filt = vr_filtration(cloud, degree_thresholds(cloud, (1, 2, 3, 4, 6, 8)))
+        assert barcode(filt, max_dim=2) == oracle_persistence(filt, max_dim=2)
+
+    def test_ties_and_duplicates_match_oracle(self):
+        for pc in tied_clouds():
+            for ts in (None, [1, 2], [0, 1, 2, 5]):
+                filt = vr_filtration(pc, ts)
+                assert barcode(filt, max_dim=2) == oracle_persistence(filt, max_dim=2)
+        filt = vr_filtration(PointCloud.from_distance_matrix(LATE_LINK_EDGE_ROWS), [1, 2])
+        assert barcode(filt, max_dim=2) == oracle_persistence(filt, max_dim=2)
 
 
 # ------------------------------------------------------------------------ csv
