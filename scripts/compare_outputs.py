@@ -9,9 +9,11 @@ Run it the same way in a checkout of the parent commit and diff the two
 files. It covers the prime-field wrappers (ranks, free-variables-zero
 solutions, kernel bases), homology over GF(2), GF(3) and the integers
 with representatives, pushed cycles and induced-map matrices, both
-reductions' traces with their collapse pairs, and the barcodes of the
-50 acceptance clouds. It uses only the standard library, numpy and
-long-standing public API, and runs in well under a minute.
+reductions' traces with their collapse pairs, the barcodes of the
+50 acceptance clouds, the squared-distance keys of seeded integer,
+rational and float point clouds, and the text of every census level
+through n=7. It uses only the standard library, numpy and long-standing
+public API, and runs in well under a minute.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from __future__ import annotations
 import json
 import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 
 from graphcollapse import exactla
+from graphcollapse.census import CensusConfig, build_census, format_level
 from graphcollapse.complexes import collapse_via_trace
 from graphcollapse.contract import contractible_reduction, edge_extended_reduction
 from graphcollapse.graphs import Graph
@@ -167,6 +171,34 @@ def barcodes() -> list:
     return out
 
 
+def cloud_keys() -> list:
+    rng = random.Random(7071)
+    coordinates = {
+        "integer": lambda: rng.randint(-50, 50),
+        "rational": lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 12)),
+        "float": lambda: rng.uniform(-5, 5),
+        "mixed": lambda: rng.choice((rng.randint(-50, 50), Fraction(rng.randint(-50, 50), 7), rng.random())),
+    }
+    out = []
+    for kind, draw in coordinates.items():
+        for _ in range(5):
+            d = rng.randint(1, 3)
+            pts = [tuple(draw() for _ in range(d)) for _ in range(rng.randint(2, 12))]
+            pc = PointCloud.from_points(pts)
+            out.append({
+                "kind": kind,
+                "points": [[str(Fraction(x)) for x in p] for p in pts],
+                "keys": [str(pc.pair_key(i, j)) for i in range(pc.n) for j in range(i + 1, pc.n)],
+                "distinct": [str(k) for k in pc.distinct_keys()],
+            })
+    return out
+
+
+def census_levels() -> dict:
+    census = build_census(CensusConfig(max_n=7, jobs=1))
+    return {n: format_level(n, entries) for n, entries in census.levels.items()}
+
+
 def main() -> None:
     rng = random.Random(20181)
     graphs = [random_graph(rng) for _ in range(40)] + [geometric_graph(rng) for _ in range(20)]
@@ -174,6 +206,8 @@ def main() -> None:
         "linear_algebra": linear_algebra(rng),
         "graphs": [graph_outputs(g, rng) for g in graphs],
         "barcodes": barcodes(),
+        "cloud_keys": cloud_keys(),
+        "census": census_levels(),
     }
     json.dump(doc, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")

@@ -12,6 +12,19 @@ tree yields a vertex ordering, and the minimum adjacency encoding over
 all leaves is label-invariant. Automorphisms discovered from equal leaf
 encodings prune sibling branches in the same orbit, which keeps highly
 symmetric inputs (complete graphs, cycles) tractable.
+
+The automorphisms the search records generate the whole automorphism
+group. Let l be the first leaf reached with the least encoding, on the
+path v1, ..., vk from the root, and G_i the automorphisms fixing
+v1, ..., vi. Every vertex individualized below a node keeps one
+position in all leaves under it, so the automorphism taking l to a leaf
+of equal encoding under sibling w of v(i+1) fixes v1, ..., vi and sends
+v(i+1) to w. No sibling in the G_i-orbit of v(i+1) comes before it (its
+subtree would have reached the least encoding first), and each later one
+is either searched, which records such an automorphism, or pruned as the
+image of an earlier one under recorded automorphisms fixing v1, ..., vi.
+So the recorded automorphisms reach the whole G_i-orbit of v(i+1), and
+by induction from G_k = 1 they generate G_0, the whole group.
 """
 
 from __future__ import annotations
@@ -20,7 +33,16 @@ from dataclasses import dataclass
 
 from .graphs import Graph
 
-__all__ = ["CanonicalForm", "canonical_form", "canonical_order", "graph_from_canonical"]
+__all__ = [
+    "CanonicalForm",
+    "canonical_form",
+    "canonical_labelling",
+    "canonical_order",
+    "form_in_order",
+    "graph_from_canonical",
+]
+
+Automorphism = dict[int, int]
 
 
 @dataclass(frozen=True, order=True)
@@ -34,7 +56,7 @@ class CanonicalForm:
         data = self.data
         if len(data) < 2:
             raise ValueError("canonical form needs at least a 2-byte vertex count")
-        n = int.from_bytes(data[:2], "big")
+        n = self.vertex_count
         nbits = n * (n - 1) // 2
         want = 2 + (nbits + 7) // 8
         if len(data) != want:
@@ -44,6 +66,10 @@ class CanonicalForm:
         pad = -nbits % 8
         if pad and data[-1] & ((1 << pad) - 1):
             raise ValueError("nonzero padding bits in canonical form")
+
+    @property
+    def vertex_count(self) -> int:
+        return int.from_bytes(self.data[:2], "big")
 
     def hex(self) -> str:
         return self.data.hex()
@@ -74,19 +100,19 @@ def _refine(colors: dict[int, int], nbrs: dict[int, tuple[int, ...]]) -> dict[in
         colors = new
 
 
-def canonical_order(g: Graph) -> tuple[int, ...]:
-    """Vertex ordering realizing the canonical form."""
+def canonical_labelling(g: Graph) -> tuple[tuple[int, ...], tuple[Automorphism, ...]]:
+    """The vertex ordering realizing the canonical form, and automorphisms
+    of g (as vertex maps) that generate its automorphism group, both from
+    one search."""
     vs = g.vertices
     n = len(vs)
-    if n == 0:
-        return ()
-    if n == 1:
-        return vs
+    if n <= 1:
+        return vs, ()
     nbrs = {v: g.neighbors(v) for v in vs}
     adj = {v: g.adjacency_mask(v) for v in vs}
 
     best: list = [None, None]  # [encoding, order]
-    gens: list[dict[int, int]] = []
+    gens: list[Automorphism] = []
 
     def encode(order: list[int]) -> int:
         enc = 0
@@ -151,12 +177,22 @@ def canonical_order(g: Graph) -> tuple[int, ...]:
 
     start = _refine({v: 0 for v in vs}, nbrs)
     descend(start, ())
-    return tuple(best[1])
+    return tuple(best[1]), tuple(gens)
+
+
+def canonical_order(g: Graph) -> tuple[int, ...]:
+    """Vertex ordering realizing the canonical form."""
+    return canonical_labelling(g)[0]
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form of g."""
-    order = canonical_order(g)
+    return form_in_order(g, canonical_order(g))
+
+
+def form_in_order(g: Graph, order: tuple[int, ...]) -> CanonicalForm:
+    """The byte encoding of g with its vertices taken in the given order;
+    the canonical form when the order is canonical_order(g)."""
     n = len(order)
     bits = []
     for i in range(n):
@@ -181,7 +217,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
 def graph_from_canonical(form: CanonicalForm) -> Graph:
     """Reconstruct the representative graph on vertices 0..n-1."""
     data = form.data
-    n = int.from_bytes(data[:2], "big")
+    n = form.vertex_count
     bits = []
     for byte in data[2:]:
         for k in range(7, -1, -1):

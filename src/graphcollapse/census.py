@@ -3,10 +3,12 @@ contractible, which have collapsible clique complexes, and whether the
 first property ever occurs without the second.
 
 Graphs are generated once per vertex count, up to isomorphism, by
-extending every graph of the previous level with one new vertex in all
-possible ways and deduplicating by canonical form. Every connected
-graph arises this way because some vertex of any connected graph can be
-removed without disconnecting it.
+canonical augmentation: each graph of the previous level gets one new
+vertex, joined to one neighbor set per orbit of its automorphisms, and
+a child is kept only when the new vertex is its canonical deletion, so
+each isomorphism class is produced exactly once and nothing is
+deduplicated. Every connected graph arises this way because some vertex
+of any connected graph can be removed without disconnecting it.
 
 Census files are plain text, one level per file, so long runs can stop
 and resume between levels.
@@ -19,7 +21,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .canon import CanonicalForm, canonical_form, graph_from_canonical
+from .canon import (
+    Automorphism,
+    CanonicalForm,
+    canonical_form,
+    canonical_labelling,
+    form_in_order,
+    graph_from_canonical,
+)
 from .complexes import (
     DEFAULT_COLLAPSE_BUDGET,
     clique_complex,
@@ -32,7 +41,7 @@ from .contract import (
     is_strong_contractible_any_order,
 )
 from .errors import GraphFormatError, InternalInconsistencyError, check_jobs
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 
 __all__ = [
     "MAX_CENSUS_N",
@@ -82,19 +91,120 @@ class CensusEntry:
         return graph_from_canonical(self.form)
 
 
+def _orbit(x, maps) -> set:
+    """The orbit of x under the group the maps generate (each map is
+    indexed by the points it moves)."""
+    orbit = {x}
+    frontier = [x]
+    while frontier:
+        y = frontier.pop()
+        for p in maps:
+            z = p[y]
+            if z not in orbit:
+                orbit.add(z)
+                frontier.append(z)
+    return orbit
+
+
+def _subset_orbit_representatives(k: int, gens: tuple[Automorphism, ...]) -> list[int]:
+    """The least member of each orbit of the automorphisms on the nonempty
+    subsets of {0, ..., k-1}, as bit masks, ascending."""
+    images = []
+    for p in gens:
+        image = [0] * (1 << k)
+        for s in range(1, 1 << k):
+            low = s & -s
+            image[s] = image[s ^ low] | 1 << p[low.bit_length() - 1]
+        images.append(image)
+    seen: set[int] = set()
+    reps = []
+    for s in range(1, 1 << k):
+        if s not in seen:
+            reps.append(s)
+            seen |= _orbit(s, images)
+    return reps
+
+
+def _rivals(child_adj: list[int], cuts: list[list[int]], s: int) -> Optional[list[int]]:
+    """The old vertices of a child that tie with its new vertex k on
+    (degree, sorted neighbor degrees) among the vertices whose deletion
+    keeps the child connected, or None when one of those beats k. k is
+    such a vertex itself; an old vertex v is one when every component of
+    the parent minus v meets k's neighbors s."""
+    k = len(cuts)
+    deg = [m.bit_count() for m in child_adj]
+    candidates = [v for v in range(k) if deg[v] >= deg[k] and all(c & s for c in cuts[v])]
+    if any(deg[v] > deg[k] for v in candidates):
+        return None
+    mine = sorted(deg[u] for u in iter_bits(s))
+    rivals = []
+    for v in candidates:
+        theirs = sorted(deg[u] for u in iter_bits(child_adj[v]))
+        if theirs > mine:
+            return None
+        if theirs == mine:
+            rivals.append(v)
+    return rivals
+
+
 def _extend_level(parent_forms: Iterable[CanonicalForm]) -> tuple[CanonicalForm, ...]:
-    """All canonical forms one vertex larger than the given ones."""
+    """All connected graphs one vertex larger than the given ones, which
+    must be every connected graph of their size, each class once.
+
+    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 1998). A child C of parent P gets the new vertex k
+    adjacent to a nonempty subset S of P's vertices, one S per orbit of
+    Aut(P). C's canonical deletion m(C) is, among the vertices whose
+    deletion leaves C connected, those maximizing (degree, sorted
+    neighbor degrees), the one last in C's canonical order. Canonical
+    orders of isomorphic graphs differ by an isomorphism, so every
+    isomorphism C -> C' takes m(C) into the Aut(C')-orbit of m(C'). C is
+    accepted when k is in the Aut(C)-orbit of m(C). A child where k does
+    not maximize the invariant is dropped before any search; the one
+    search on C gives its form and, when other vertices tie with k, its
+    automorphism group for the orbit test.
+
+    Each connected class is accepted exactly once. At least once: C minus
+    m(C) is connected, so some isomorphism f takes it to a parent P, and
+    the representative S of the orbit of f(neighbors of m(C)) gives a
+    child isomorphic to C by a map taking k to m(C), so k is in the orbit
+    of the child's canonical deletion. At most once: two isomorphic
+    accepted children (P, S) and (P', S') have an isomorphism taking k
+    to k (compose with an automorphism along the orbit of the canonical
+    deletion), so P and P' are isomorphic, hence equal, and it restricts
+    to an automorphism of P taking S to S', so S and S' are the same
+    orbit representative. A repeated form means this argument or the
+    automorphisms found broke, and raises InternalInconsistencyError.
+    """
     seen: dict[bytes, CanonicalForm] = {}
     for form in parent_forms:
-        g = graph_from_canonical(form)
-        new = g.n
-        base = list(g.vertices)
-        for subset in range(1, 1 << g.n):
-            nbrs = [base[i] for i in range(g.n) if subset >> i & 1]
-            bigger = g.glue_vertex(new, nbrs)
-            f = canonical_form(bigger)
-            seen.setdefault(bytes(f), f)
-    return tuple(seen[k] for k in sorted(seen))
+        parent = graph_from_canonical(form)
+        k = parent.n
+        adj = [parent.adjacency_mask(v) for v in range(k)]
+        cuts = [
+            [sum(1 << u for u in comp) for comp in parent.delete_vertex(v).connected_components()]
+            for v in range(k)
+        ]
+        vertices = tuple(range(k + 1))
+        for s in _subset_orbit_representatives(k, canonical_labelling(parent)[1]):
+            child_adj = [adj[v] | (s >> v & 1) << k for v in range(k)] + [s]
+            rivals = _rivals(child_adj, cuts, s)
+            if rivals is None:
+                continue
+            child = Graph._from_masks(vertices, dict(zip(vertices, child_adj)))
+            order, gens = canonical_labelling(child)
+            if rivals and k not in _orbit(max(rivals + [k], key=order.index), gens):
+                continue
+            f = form_in_order(child, order)
+            if bytes(f) in seen:
+                raise InternalInconsistencyError(f"canonical augmentation produced {f.hex()} twice")
+            seen[bytes(f)] = f
+    return tuple(seen[b] for b in sorted(seen))
+
+
+def _level(n: int, parents: tuple[CanonicalForm, ...]) -> tuple[CanonicalForm, ...]:
+    """The connected graphs on n vertices, given those on n - 1."""
+    return (canonical_form(Graph([0], [])),) if n == 1 else _extend_level(parents)
 
 
 def generate_connected(
@@ -103,9 +213,9 @@ def generate_connected(
     """Connected graphs up to isomorphism, grouped by vertex count."""
     if not 1 <= max_n <= MAX_CENSUS_N:
         raise ValueError(f"max_n must be between 1 and {MAX_CENSUS_N}, got {max_n}")
-    levels: dict[int, tuple[CanonicalForm, ...]] = {1: (canonical_form(Graph([0], [])),)}
-    for n in range(2, max_n + 1):
-        levels[n] = _extend_level(levels[n - 1])
+    levels: dict[int, tuple[CanonicalForm, ...]] = {}
+    for n in range(1, max_n + 1):
+        levels[n] = _level(n, levels.get(n - 1, ()))
         if log:
             log(f"generated {len(levels[n])} graphs on {n} vertices")
     return levels
@@ -157,7 +267,7 @@ def _classify_level(
     for form, (hex_form, strong, collapsible) in zip(forms, results):
         if form.hex() != hex_form:
             raise InternalInconsistencyError("classification results out of order")
-        entries.append(CensusEntry(form, graph_from_canonical(form).n, strong, collapsible))
+        entries.append(CensusEntry(form, form.vertex_count, strong, collapsible))
     return tuple(entries)
 
 
@@ -243,9 +353,8 @@ def parse_level(text: str, source: str = "<census>") -> tuple[int, tuple[CensusE
             raise GraphFormatError(source, lineno, f"bad flag {s_flag!r}")
         if c_flag not in ("0", "1", "?"):
             raise GraphFormatError(source, lineno, f"bad flag {c_flag!r}")
-        g = graph_from_canonical(form)
-        if g.n != n:
-            raise GraphFormatError(source, lineno, f"form has {g.n} vertices, file is level {n}")
+        if form.vertex_count != n:
+            raise GraphFormatError(source, lineno, f"form has {form.vertex_count} vertices, file is level {n}")
         entries.append(
             CensusEntry(form, n, s_flag == "1", None if c_flag == "?" else c_flag == "1")
         )
@@ -274,9 +383,7 @@ def build_census(
             if log:
                 log(f"level {n}: loaded {len(entries)} graphs")
             continue
-        forms = (
-            (canonical_form(Graph([0], [])),) if n == 1 else _extend_level(prev_forms)
-        )
+        forms = _level(n, prev_forms)
         entries = _classify_level(forms, config)
         levels[n] = entries
         prev_forms = forms

@@ -385,20 +385,27 @@ def collapse_via_trace(g: Graph, trace: ReductionTrace) -> tuple[FreePair, ...]:
     what is left of the cone.
     """
     pairs: list[FreePair] = []
-    cur = g
+    adj = {v: g.adjacency_mask(v) for v in g.vertices}  # what is left, updated in place
     for step in trace:
         if step.kind == VERTEX_STEP:
-            apex = (step.element,)
-            link = cur.neighborhood(step.element)
+            v = step.element
+            if v not in adj:
+                raise ValueError(f"vertex {v} is not in the graph")
+            apex = (v,)
+            keep = adj[v]
         else:
             u, v = step.element
+            if not adj.get(u, 0) >> v & 1:
+                raise ValueError(f"edge {{{u},{v}}} is not in the graph")
             apex = (min(u, v), max(u, v))
-            link = cur.common_neighborhood(u, v)
-        if frozenset(link.vertices) != step.link:
+            keep = adj[u] & adj[v]
+        link_vs = tuple(iter_bits(keep))
+        if frozenset(link_vs) != step.link:
             raise ValueError(
-                f"trace does not match graph: link of {apex} is {sorted(link.vertices)}, "
+                f"trace does not match graph: link of {apex} is {list(link_vs)}, "
                 f"recorded {sorted(step.link)}"
             )
+        link = Graph._from_masks(link_vs, {w: adj[w] & keep for w in link_vs})
         point, link_trace = contractible_reduction(link)
         if point.n != 1:
             raise ValueError(f"link of {apex} is not strongly contractible; trace is invalid")
@@ -406,7 +413,10 @@ def collapse_via_trace(g: Graph, trace: ReductionTrace) -> tuple[FreePair, ...]:
             pairs.append(FreePair(tuple(sorted(apex + p.sigma)), tuple(sorted(apex + p.tau))))
         pairs.append(FreePair(apex, tuple(sorted(apex + point.vertices))))
         if step.kind == VERTEX_STEP:
-            cur = cur.delete_vertex(step.element)
+            del adj[v]
+            for w in link_vs:
+                adj[w] &= ~(1 << v)
         else:
-            cur = cur.delete_edge(*step.element)
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
     return tuple(pairs)

@@ -19,6 +19,7 @@ is the oracle for cross-checking barcodes.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -84,10 +85,15 @@ class PointCloud:
         for i, p in enumerate(coords):
             if len(p) != d:
                 raise ValueError(f"point {i} has {len(p)} coordinates, expected {d}")
+        # Integer arithmetic on the coordinates scaled by the lcm of their
+        # denominators; the squared distances are then over its square.
+        scale = math.lcm(*(x.denominator for p in coords for x in p))
+        scaled = [[x.numerator * (scale // x.denominator) for x in p] for p in coords]
+        square = scale * scale
         keys = {}
-        for i in range(len(coords)):
-            for j in range(i + 1, len(coords)):
-                keys[(i, j)] = sum((a - b) ** 2 for a, b in zip(coords[i], coords[j]))
+        for i, p in enumerate(scaled):
+            for j in range(i + 1, len(scaled)):
+                keys[(i, j)] = Fraction(sum((a - b) ** 2 for a, b in zip(p, scaled[j])), square)
         return cls(len(coords), keys, squared=True)
 
     @classmethod

@@ -6,7 +6,9 @@ encodings for isomorphism, pure-python GF(2) elimination on bitmask
 rows for ranks and Betti numbers, Gauss-Jordan elimination mod p on
 lists, exhaustive coface scans for free pairs. None of it calls into
 the package's own linear algebra, canonical form, or complex machinery,
-so agreement is meaningful.
+so agreement is meaningful. The one exception is the census reference
+generation, which deduplicates with the package's canonical form; the
+canon tests check that form against the permutation minimum.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import combinations, permutations
 import numpy as np
 from hypothesis import strategies as st
 
-from graphcollapse import Graph
+from graphcollapse import Graph, canonical_form, graph_from_canonical
 
 
 # -- isomorphism by brute force ----------------------------------------------
@@ -124,6 +126,58 @@ def connected_count_brute(n: int) -> int:
         enc = bits[:, pm] @ weights
         best = enc if best is None else np.minimum(best, enc)
     return len(set(best.tolist()))
+
+
+# -- automorphisms and the census reference ----------------------------------
+
+
+def brute_automorphisms(g: Graph) -> list[dict[int, int]]:
+    """Every vertex permutation of g that maps its edges onto its edges."""
+    vs = g.vertices
+    edges = {frozenset(e) for e in g.edges}
+    out = []
+    for image in permutations(vs):
+        p = dict(zip(vs, image))
+        if all(frozenset((p[a], p[b])) in edges for a, b in g.edges):
+            out.append(p)
+    return out
+
+
+def orbits_of(vertices, maps) -> set[frozenset[int]]:
+    """Orbits of the group generated by the given vertex maps: the
+    components of the graph joining each v to p[v]."""
+    orbit_of = {v: frozenset([v]) for v in vertices}
+    for p in maps:
+        for v in vertices:
+            merged = orbit_of[v] | orbit_of[p[v]]
+            for w in merged:
+                orbit_of[w] = merged
+    return set(orbit_of.values())
+
+
+def reference_extend_level(parent_forms) -> tuple:
+    """Every connected graph one vertex larger than the given ones, which
+    must be every connected graph of their size: each parent gets a new
+    vertex joined to every nonempty vertex subset, the children are
+    deduplicated by canonical form and sorted by bytes. This calls the
+    package's canonical form, which test_canon checks against the
+    permutation minimum; it is the census generation before canonical
+    augmentation, kept as the reference for it."""
+    seen = {}
+    for form in parent_forms:
+        g = graph_from_canonical(form)
+        for subset in range(1, 1 << g.n):
+            f = canonical_form(g.glue_vertex(g.n, [v for v in g.vertices if subset >> v & 1]))
+            seen.setdefault(bytes(f), f)
+    return tuple(seen[k] for k in sorted(seen))
+
+
+def reference_levels(max_n: int) -> dict[int, tuple]:
+    """Connected graphs by vertex count through max_n, by reference_extend_level."""
+    levels = {1: (canonical_form(Graph([0])),)}
+    for n in range(2, max_n + 1):
+        levels[n] = reference_extend_level(levels[n - 1])
+    return levels
 
 
 # -- GF(2) linear algebra on bitmask rows --------------------------------------

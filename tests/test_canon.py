@@ -15,14 +15,18 @@ from graphcollapse import (
     canonical_order,
     graph_from_canonical,
 )
+from graphcollapse.canon import canonical_labelling
 from graphcollapse.factories import complete, cycle, edgeless, octahedron, path
 
 from helpers import (
     _connected_labeled_masks,
     arbitrary_graphs,
+    brute_automorphisms,
     brute_canonical_key,
     brute_is_isomorphic,
     gstar,
+    orbits_of,
+    reference_levels,
 )
 
 
@@ -117,3 +121,36 @@ class TestEncoding:
     def test_empty_graph_form(self):
         cf = canonical_form(Graph())
         assert graph_from_canonical(cf) == Graph()
+
+
+class TestAutomorphisms:
+    """The search's automorphisms must be automorphisms, and must generate
+    the whole group: their orbits are those of all n! permutations."""
+
+    @staticmethod
+    def check(g):
+        order, gens = canonical_labelling(g)
+        assert order == canonical_order(g)
+        edges = set(g.edges)
+        for p in gens:
+            assert sorted(p) == sorted(p.values()) == list(g.vertices)
+            assert {tuple(sorted((p[a], p[b]))) for a, b in edges} == edges
+        assert orbits_of(g.vertices, gens) == orbits_of(g.vertices, brute_automorphisms(g))
+
+    def test_every_graph_through_six_vertices(self):
+        # A graph or its complement is connected, so the connected classes
+        # and their complements cover every class.
+        graphs = [Graph()]
+        for forms in reference_levels(6).values():
+            for f in forms:
+                g = graph_from_canonical(f)
+                graphs.append(g)
+                graphs.append(Graph(g.vertices, [e for e in combinations(g.vertices, 2) if not g.has_edge(*e)]))
+        assert len({canonical_form(g) for g in graphs}) == 1 + 1 + 2 + 4 + 11 + 34 + 156
+        for g in graphs:
+            self.check(g)
+
+    @given(arbitrary_graphs(min_n=0, max_n=6), st.randoms(use_true_random=False))
+    def test_relabelled_onto_sparse_ids(self, g, rng):
+        ids = rng.sample(range(1000), g.n)
+        self.check(g.relabeled(dict(zip(g.vertices, ids))))

@@ -6,6 +6,7 @@ import pytest
 
 from graphcollapse.canon import canonical_form, graph_from_canonical
 from graphcollapse.census import (
+    _extend_level,
     Census,
     CensusConfig,
     CensusEntry,
@@ -19,10 +20,10 @@ from graphcollapse.census import (
     generate_connected,
     parse_level,
 )
-from graphcollapse.errors import GraphFormatError
+from graphcollapse.errors import GraphFormatError, InternalInconsistencyError
 from graphcollapse.factories import complete, cycle, octahedron, path
 
-from helpers import connected_count_brute, gstar
+from helpers import connected_count_brute, gstar, reference_levels
 
 
 class TestGeneration:
@@ -47,6 +48,16 @@ class TestGeneration:
                 g = graph_from_canonical(e.form)
                 assert g.n == n
                 assert len(g.connected_components()) == 1
+
+    def test_levels_equal_deduplicated_generation_through_seven(self, census7):
+        reference = reference_levels(7)
+        for n in range(1, 8):
+            assert [bytes(e.form) for e in census7.levels[n]] == [bytes(f) for f in reference[n]]
+
+    def test_a_repeated_child_is_an_internal_error(self):
+        parents = generate_connected(4)[4]
+        with pytest.raises(InternalInconsistencyError, match="twice"):
+            _extend_level(parents + parents[:1])
 
     def test_generate_connected_alone(self):
         levels = generate_connected(5)

@@ -250,6 +250,13 @@ class TestLargeInputs:
         assert len(trace) == 1199
         assert len(collapse_via_trace(g, trace)) == 1199
 
+    def test_long_path_collapse_replays_to_a_point(self):
+        g = path(1200)
+        cx = clique_complex(g)
+        for pair in collapse_via_trace(g, contractible_reduction(g)[1]):
+            cx = cx.collapse(pair)
+        assert cx.face_count == 1 and cx.dim == 0
+
     def test_far_apart_ids(self):
         g = Graph([0, 10**7], [(0, 10**7)])
         assert g.edges == ((0, 10**7),)

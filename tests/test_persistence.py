@@ -6,6 +6,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphcollapse import exactla
 from graphcollapse.contract import is_strong_contractible
@@ -66,6 +68,29 @@ class TestPointCloud:
             [(Fraction(1, 10), Fraction(1, 5)), (Fraction(2, 5), Fraction(3, 5))]
         )
         assert same.pair_key(0, 1) == Fraction(1, 4)
+
+    @given(
+        st.integers(0, 3).flatmap(
+            lambda d: st.lists(
+                st.tuples(*[
+                    st.one_of(
+                        st.integers(-10**6, 10**6),
+                        st.fractions(max_denominator=10**4),
+                        st.floats(allow_nan=False, allow_infinity=False),
+                    )
+                ] * d),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_from_points_keys_equal_fraction_formula(self, pts):
+        pc = PointCloud.from_points(pts)
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                key = pc.pair_key(i, j)
+                assert isinstance(key, Fraction)
+                assert key == sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(pts[i], pts[j]))
 
     def test_from_distance_matrix_keeps_raw_distances(self):
         pc = PointCloud.from_distance_matrix(
