@@ -11,22 +11,31 @@ solutions, kernel bases), homology over GF(2), GF(3) and the integers
 with representatives, pushed cycles and induced-map matrices, both
 reductions' traces with their collapse pairs, the barcodes of the
 50 acceptance clouds, the squared-distance keys of seeded integer,
-rational and float point clouds, and the text of every census level
-through n=7. It uses only the standard library, numpy and long-standing
-public API, and runs in well under a minute.
+rational and float point clouds, the keys of seeded dissimilarity
+matrices with mixed denominators, the stage edge sets of seeded clouds
+and matrices under explicit fractional and float thresholds together
+with `graphcollapse vr` stdout and exit code on the same inputs, and
+the text of every census level through n=7. It uses only the standard
+library, numpy and long-standing public API, and runs in well under a
+minute.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import random
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 
 from graphcollapse import exactla
 from graphcollapse.census import CensusConfig, build_census, format_level
+from graphcollapse.cli import main as cli_main
 from graphcollapse.complexes import collapse_via_trace
 from graphcollapse.contract import contractible_reduction, edge_extended_reduction
 from graphcollapse.graphs import Graph
@@ -194,6 +203,86 @@ def cloud_keys() -> list:
     return out
 
 
+def mixed_entry(rng: random.Random):
+    return rng.choice((
+        rng.randint(0, 20),
+        Fraction(rng.randint(0, 60), rng.randint(1, 12)),
+        rng.uniform(0, 5),
+        f"{rng.randint(0, 9)}.{rng.randint(0, 99):02d}",
+    ))
+
+
+def random_matrix(rng: random.Random) -> list:
+    n = rng.randint(2, 10)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = Fraction(mixed_entry(rng))
+    return rows
+
+
+def matrix_keys() -> list:
+    rng = random.Random(7072)
+    out = []
+    for _ in range(20):
+        rows = random_matrix(rng)
+        pc = PointCloud.from_distance_matrix(rows)
+        out.append({
+            "rows": [[str(x) for x in r] for r in rows],
+            "keys": [str(pc.pair_key(i, j)) for i in range(pc.n) for j in range(i + 1, pc.n)],
+            "distinct": [str(k) for k in pc.distinct_keys()],
+        })
+    return out
+
+
+def run_vr(args: list) -> dict:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        rc = cli_main(args)
+    return {"args": args[3:], "rc": rc, "stdout": buf.getvalue()}
+
+
+def explicit_filtrations() -> list:
+    """Stage edge sets under thresholds drawn as fractions and floats, some
+    equal to a key and one sometimes above every key, and the `vr`
+    command's output on the same cloud and thresholds."""
+    rng = random.Random(7073)
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k in range(24):
+            if k % 3 == 2:
+                rows = random_matrix(rng)
+                pc = PointCloud.from_distance_matrix(rows)
+                source = ["--matrix", "\n".join(" ".join(str(x) for x in r) for r in rows)]
+            else:
+                pts = [tuple(Fraction(mixed_entry(rng)) for _ in range(2)) for _ in range(rng.randint(2, 12))]
+                pc = PointCloud.from_points(pts)
+                source = ["--points", "\n".join(" ".join(str(x) for x in p) for p in pts)]
+            keys = pc.distinct_keys()
+            top = keys[-1]
+            drawn = {Fraction(rng.randint(0, 36), 36) * top for _ in range(3)}
+            drawn |= {rng.uniform(0, float(top)) for _ in range(2)}
+            drawn.add(rng.choice(keys))
+            if rng.random() < 0.5:
+                drawn.add(top + Fraction(1, 3))
+            ts = sorted(drawn)
+            filt = vr_filtration(pc, ts)
+            path = os.path.join(tmp, f"cloud{k}.txt")
+            with open(path, "w") as fh:
+                fh.write(source[1] + "\n")
+            text = ",".join(str(Fraction(t)) for t in ts)
+            out.append({
+                "source": source,
+                "thresholds": [str(t) for t in filt.thresholds],
+                "stages": [[list(e) for e in g.edges] for g in filt.graphs],
+                "vr": [
+                    run_vr(["vr", source[0], path, "--thresholds", text]),
+                    run_vr(["vr", source[0], path, "--thresholds", text, "--max-dim", "2", "--oracle"]),
+                ],
+            })
+    return out
+
+
 def census_levels() -> dict:
     census = build_census(CensusConfig(max_n=7, jobs=1))
     return {n: format_level(n, entries) for n, entries in census.levels.items()}
@@ -207,6 +296,8 @@ def main() -> None:
         "graphs": [graph_outputs(g, rng) for g in graphs],
         "barcodes": barcodes(),
         "cloud_keys": cloud_keys(),
+        "matrix_keys": matrix_keys(),
+        "explicit_filtrations": explicit_filtrations(),
         "census": census_levels(),
     }
     json.dump(doc, sys.stdout, sort_keys=True, indent=1)

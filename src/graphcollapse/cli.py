@@ -1,8 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 negative verification outcome (oracle mismatch
-or a census violation), 2 usage error, 3 malformed input, 4 budget
-exhausted. All stdout output is deterministic for a given input.
+or a census violation), 2 usage error, 3 malformed input (an unreadable
+or unparsable file, or a value outside its domain), 4 budget exhausted.
+Any other exception is a bug and leaves with a traceback. All stdout
+output is deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from .contract import (
     is_strong_contractible,
     is_strong_contractible_any_order,
 )
-from .errors import BudgetExceededError, GraphFormatError, check_jobs
+from .errors import BudgetExceededError, InputError, check_jobs
 from .graphs import load_graph, to_edge_list_text
 from .homology import Coefficients, homology
 from .persistence import (
+    _checked_thresholds,
     barcode,
     oracle_persistence,
     parse_distance_matrix,
@@ -47,6 +50,12 @@ def _flag_word(value: Optional[bool]) -> str:
     return "yes" if value else "no"
 
 
+def _collapse_verdict(g, budget: int):
+    if g.n == 0:
+        raise InputError("collapsibility is undefined for the empty complex")
+    return is_collapsible(clique_complex(g), budget=budget)
+
+
 def _cmd_check(args) -> int:
     g = load_graph(args.file)
     if args.any_order:
@@ -55,7 +64,7 @@ def _cmd_check(args) -> int:
         strong = is_strong_contractible(g)
     print(f"IS: {_flag_word(strong)}")
     if args.with_collapse:
-        verdict = is_collapsible(clique_complex(g), budget=args.budget)
+        verdict = _collapse_verdict(g, args.budget)
         print(f"C: {_flag_word(verdict.collapsible)}")
         if verdict.status == EXHAUSTED:
             return BUDGET_ERROR
@@ -77,7 +86,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_collapse(args) -> int:
     g = load_graph(args.file)
-    verdict = is_collapsible(clique_complex(g), budget=args.budget)
+    verdict = _collapse_verdict(g, args.budget)
     print(f"collapsible: {_flag_word(verdict.collapsible)}")
     if verdict.witness is not None and args.witness is not None:
         with open(args.witness, "w") as fh:
@@ -90,19 +99,35 @@ def _cmd_collapse(args) -> int:
     return 0
 
 
+def _checked(make, *args, **kwargs):
+    """Call a function that only validates and converts command line
+    values, reporting its ValueError as an InputError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
+def _check_max_dim(max_dim: Optional[int]) -> None:
+    if max_dim is not None and max_dim < 0:
+        raise InputError(f"max_dim must be nonnegative, got {max_dim}")
+
+
 def _cmd_homology(args) -> int:
     g = load_graph(args.file)
-    coeffs = Coefficients(None) if args.integers else Coefficients(args.mod)
+    coeffs = Coefficients(None) if args.integers else _checked(Coefficients, args.mod)
+    _check_max_dim(args.max_dim)
     h = homology(g, coeffs, max_dim=args.max_dim, with_representatives=False)
     sys.stdout.write(h.to_text())
     return 0
 
 
-def _parse_threshold_list(text: str) -> list[Fraction]:
+def _parse_threshold_list(text: str) -> tuple[Fraction, ...]:
     try:
-        return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+        given = [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad threshold list {text!r}: {exc}")
+        raise InputError(f"bad threshold list {text!r}: {exc}") from None
+    return _checked(_checked_thresholds, given)
 
 
 def _jobs(text: str) -> int:
@@ -120,6 +145,7 @@ def _cmd_vr(args) -> int:
         with open(args.matrix) as fh:
             cloud = parse_distance_matrix(fh.read(), source=args.matrix)
     thresholds = _parse_threshold_list(args.thresholds) if args.thresholds else None
+    _check_max_dim(args.max_dim)
     filt = vr_filtration(cloud, thresholds)
     bc = barcode(filt, max_dim=args.max_dim)
     sys.stdout.write(bc.to_csv())
@@ -134,7 +160,7 @@ def _cmd_vr(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    config = CensusConfig(max_n=args.max_n, collapse_budget=args.budget, jobs=args.jobs)
+    config = _checked(CensusConfig, max_n=args.max_n, collapse_budget=args.budget, jobs=args.jobs)
     census = build_census(
         config, out_dir=args.out, log=lambda msg: print(msg, file=sys.stderr)
     )
@@ -211,18 +237,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphFormatError as exc:
+    except (InputError, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BUDGET_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -14,7 +14,13 @@ def check_jobs(jobs: int) -> int:
     return jobs
 
 
-class GraphFormatError(ValueError):
+class InputError(ValueError):
+    """Raised for input the program cannot use: a malformed file, or a
+    command line value outside its domain. The command line reports
+    these as malformed input; any other ValueError is a bug."""
+
+
+class GraphFormatError(InputError):
     """Raised when an input file cannot be parsed.
 
     Carries the source name and the 1-based line number so command line

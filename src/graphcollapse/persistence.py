@@ -1,10 +1,12 @@
 """Vietoris-Rips filtrations and their barcodes, with exact arithmetic.
 
-Scale parameters are kept as Fractions end to end. A cloud built from
-coordinates uses squared Euclidean distances as its pair keys (exact, no
-square roots); a cloud built from an explicit dissimilarity matrix uses
-the entries as given. Filtration stages are the distinct pair keys with
-0 always included.
+Scale parameters are exact: integer keys over a common denominator
+inside, Fractions at the API. A cloud built from coordinates uses
+squared Euclidean distances as its pair keys (exact, no square roots);
+a cloud built from an explicit dissimilarity matrix uses the entries as
+given. Filtration stages are the distinct pair keys with 0 always
+included, or explicit thresholds; a filtration is an edge list, each
+edge with its entry stage, and builds its stage graphs only on demand.
 
 A barcode is one column reduction of a collapsed filtration: an edge is
 dropped from every stage from its entry on when its common neighborhood
@@ -23,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from . import exactla
@@ -51,6 +54,8 @@ __all__ = [
 
 Scalar = Union[int, float, str, Fraction]
 
+_ZERO = Fraction(0)
+
 
 def _to_fraction(value: Scalar, context: str) -> Fraction:
     try:
@@ -65,13 +70,20 @@ class PointCloud:
     Two constructors: from_points squares Euclidean distances so the
     keys stay rational (the filtration scale is then a squared
     distance); from_distance_matrix takes the entries at face value.
+    Each pair's key is stored as an integer numerator over one common
+    denominator: the square of the lcm of the coordinates' denominators
+    for from_points, the lcm of the entries' denominators for
+    from_distance_matrix. pair_key and distinct_keys return Fractions,
+    one shared Fraction per distinct key.
     """
 
-    __slots__ = ("_n", "_keys", "_squared")
+    __slots__ = ("_n", "_rows", "_den", "_fractions", "_squared")
 
-    def __init__(self, n: int, keys: dict[tuple[int, int], Fraction], squared: bool):
+    def __init__(self, n: int, rows: list[list[int]], den: int, squared: bool):
         self._n = n
-        self._keys = keys
+        self._rows = rows  # rows[i][j - i - 1] is the numerator of pair (i, j), i < j
+        self._den = den
+        self._fractions: dict[int, Fraction] = {}
         self._squared = squared
 
     @classmethod
@@ -89,12 +101,13 @@ class PointCloud:
         # denominators; the squared distances are then over its square.
         scale = math.lcm(*(x.denominator for p in coords for x in p))
         scaled = [[x.numerator * (scale // x.denominator) for x in p] for p in coords]
-        square = scale * scale
-        keys = {}
-        for i, p in enumerate(scaled):
-            for j in range(i + 1, len(scaled)):
-                keys[(i, j)] = Fraction(sum((a - b) ** 2 for a, b in zip(p, scaled[j])), square)
-        return cls(len(coords), keys, squared=True)
+        # |p - q|^2 = |p|^2 + |q|^2 - 2 p.q: one C-level dot product per pair
+        norms = [sum(map(mul, p, p)) for p in scaled]
+        rows = [
+            [s + norms[j] - 2 * sum(map(mul, p, scaled[j])) for j in range(i + 1, len(scaled))]
+            for i, (p, s) in enumerate(zip(scaled, norms))
+        ]
+        return cls(len(coords), rows, scale * scale, squared=True)
 
     @classmethod
     def from_distance_matrix(cls, rows: Sequence[Sequence[Scalar]]) -> "PointCloud":
@@ -105,7 +118,6 @@ class PointCloud:
         for i, r in enumerate(mat):
             if len(r) != n:
                 raise ValueError(f"row {i} has {len(r)} entries, expected {n}")
-        keys = {}
         for i in range(n):
             if mat[i][i] != 0:
                 raise ValueError(f"diagonal entry ({i}, {i}) is {mat[i][i]}, expected 0")
@@ -114,8 +126,9 @@ class PointCloud:
                     raise ValueError(f"matrix not symmetric at ({i}, {j})")
                 if mat[i][j] < 0:
                     raise ValueError(f"negative entry at ({i}, {j})")
-                keys[(i, j)] = mat[i][j]
-        return cls(n, keys, squared=False)
+        den = math.lcm(*(x.denominator for r in mat for x in r))
+        keys = [[x.numerator * (den // x.denominator) for x in r[i + 1:]] for i, r in enumerate(mat)]
+        return cls(n, keys, den, squared=False)
 
     @property
     def n(self) -> int:
@@ -125,13 +138,25 @@ class PointCloud:
     def squared(self) -> bool:
         return self._squared
 
+    def _fraction(self, key: int) -> Fraction:
+        f = self._fractions.get(key)
+        if f is None:
+            f = self._fractions[key] = Fraction(key, self._den)
+        return f
+
     def pair_key(self, i: int, j: int) -> Fraction:
         if i == j:
-            return Fraction(0)
-        return self._keys[(min(i, j), max(i, j))]
+            return _ZERO
+        if i > j:
+            i, j = j, i
+        if i < 0:
+            raise IndexError(f"no point {i}")
+        key = self._rows[i][j - i - 1]
+        # a cached zero is falsy and takes the slow path, which returns it
+        return self._fractions.get(key) or self._fraction(key)
 
     def distinct_keys(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(set(self._keys.values())))
+        return tuple(map(self._fraction, sorted(set().union(*self._rows))))
 
 
 def parse_points(text: str, source: str = "<points>") -> PointCloud:
@@ -197,16 +222,39 @@ def parse_distance_matrix(text: str, source: str = "<matrix>") -> PointCloud:
 
 @dataclass(frozen=True)
 class Filtration:
-    """Nested stage graphs on a fixed vertex set, one per threshold."""
+    """Nested stage graphs on a fixed vertex set, one per threshold, kept
+    as an edge list: entry maps each edge (i, j), i < j, of the final
+    stage to the first stage that contains it. The stage graphs are
+    built on first access to `graphs` and cached; `barcode` reads only
+    entry and never builds them."""
 
     cloud: PointCloud
     thresholds: tuple[Fraction, ...]
-    graphs: tuple[Graph, ...]
+    entry: dict[tuple[int, int], int] = field(hash=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def stage_count(self) -> int:
         return len(self.thresholds)
+
+    @property
+    def graphs(self) -> tuple[Graph, ...]:
+        """One graph per stage, built from entry on first access and cached."""
+        graphs = self._cache.get("graphs")
+        if graphs is None:
+            entering: list[list[tuple[int, int]]] = [[] for _ in self.thresholds]
+            for pair, stage in self.entry.items():
+                entering[stage].append(pair)
+            vertices = tuple(range(self.cloud.n))
+            adj = dict.fromkeys(vertices, 0)
+            graphs = []
+            for edges in entering:
+                for u, v in edges:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                graphs.append(Graph._from_masks(vertices, dict(adj)))
+            graphs = self._cache["graphs"] = tuple(graphs)
+        return graphs
 
     def stage_of_key(self, key: Fraction) -> int:
         """Index of the first stage whose threshold reaches the key."""
@@ -216,43 +264,48 @@ class Filtration:
         return idx
 
 
+def _checked_thresholds(thresholds: Iterable[Scalar]) -> tuple[Fraction, ...]:
+    """Explicit thresholds as Fractions, checked nonempty, nonnegative and
+    strictly increasing, with 0 prepended when absent."""
+    given = [_to_fraction(t, "threshold") for t in thresholds]
+    if not given:
+        raise ValueError("threshold list is empty")
+    for a, b in zip(given, given[1:]):
+        if a >= b:
+            raise ValueError(f"thresholds not strictly increasing: {a} then {b}")
+    if given[0] < 0:
+        raise ValueError(f"negative threshold {given[0]}")
+    if given[0] != 0:
+        given = [_ZERO] + given
+    return tuple(given)
+
+
 def vr_filtration(
     cloud: PointCloud, thresholds: Optional[Iterable[Scalar]] = None
 ) -> Filtration:
-    """Vietoris-Rips stage graphs of the cloud.
+    """Vietoris-Rips filtration of the cloud.
 
     Default thresholds are 0 plus every distinct pair key, so stages
     change one distance class at a time. Explicit thresholds must be
-    strictly increasing; 0 is prepended when absent.
+    strictly increasing; 0 is prepended when absent. A pair with
+    integer key k over the cloud's denominator d is within threshold t
+    exactly when k <= floor(t * d), so pairs are bucketed by bisecting
+    those integer cut-offs.
     """
     if thresholds is None:
-        ts = (Fraction(0),) + tuple(k for k in cloud.distinct_keys() if k != 0)
+        cuts = sorted(set().union(*cloud._rows, (0,)))
+        ts = tuple(map(cloud._fraction, cuts))
     else:
-        given = [_to_fraction(t, "threshold") for t in thresholds]
-        if not given:
-            raise ValueError("threshold list is empty")
-        for a, b in zip(given, given[1:]):
-            if a >= b:
-                raise ValueError(f"thresholds not strictly increasing: {a} then {b}")
-        if given[0] < 0:
-            raise ValueError(f"negative threshold {given[0]}")
-        if given[0] != 0:
-            given = [Fraction(0)] + given
-        ts = tuple(given)
-    entering: list[list[tuple[int, int]]] = [[] for _ in ts]
-    for pair, key in cloud._keys.items():
-        stage = bisect.bisect_left(ts, key)
-        if stage < len(ts):
-            entering[stage].append(pair)
-    vertices = tuple(range(cloud.n))
-    adj = dict.fromkeys(vertices, 0)
-    graphs = []
-    for edges in entering:
-        for u, v in edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        graphs.append(Graph._from_masks(vertices, dict(adj)))
-    return Filtration(cloud, ts, tuple(graphs))
+        ts = _checked_thresholds(thresholds)
+        cuts = [t.numerator * cloud._den // t.denominator for t in ts]
+    last = cuts[-1]
+    entry = {
+        (i, j): bisect.bisect_left(cuts, k)
+        for i, row in enumerate(cloud._rows)
+        for j, k in enumerate(row, i + 1)
+        if k <= last
+    }
+    return Filtration(cloud, ts, entry)
 
 
 @dataclass(frozen=True)
@@ -357,7 +410,7 @@ def _collapsed_stages(filt: Filtration) -> dict[tuple[int, int], int]:
     filtration, for every dimension and field."""
     stages = filt._cache.get("collapsed")
     if stages is None:
-        stages = {e: filt.stage_of_key(filt.cloud.pair_key(*e)) for e in filt.graphs[-1].edges}
+        stages = dict(filt.entry)
         nbrs: dict[int, dict[int, int]] = {v: {} for v in range(filt.cloud.n)}
         for (u, v), s in stages.items():
             nbrs[u][v] = nbrs[v][u] = s

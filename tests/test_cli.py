@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from graphcollapse import cli
 from graphcollapse.cli import main
 from graphcollapse.contract import ReductionTrace
 from graphcollapse.factories import complete, cycle, path
@@ -252,6 +253,15 @@ class TestErrors:
         rc = main(["check", "/nonexistent/graph.txt"])
         assert rc == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_an_input_error(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "barcode", broken)
+        pts = write_text(tmp_path, SQUARE_POINTS, "pts.txt")
+        with pytest.raises(ValueError, match="internal"):
+            main(["vr", "--points", pts])
 
     def test_malformed_graph(self, tmp_path, capsys):
         bad = write_text(tmp_path, "2 1\n0 0\n", "bad.txt")

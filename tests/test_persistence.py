@@ -59,7 +59,10 @@ class TestPointCloud:
         assert pc.squared
         assert pc.distinct_keys() == (Fraction(1), Fraction(2))
         assert pc.pair_key(0, 1) == 1
-        assert pc.pair_key(0, 2) == 2
+        assert pc.pair_key(0, 2) == pc.pair_key(2, 0) == 2
+        for i, j in ((-1, 2), (0, 4), (4, 1)):
+            with pytest.raises(LookupError):
+                pc.pair_key(i, j)
 
     def test_decimal_coordinates_stay_exact(self):
         pc = parse_points("0.1 0.2\n0.4 0.6\n")
@@ -189,18 +192,47 @@ class TestVrFiltration:
 
     def test_stages_match_all_pairs_definition(self):
         rng = random.Random(2024)
-        for k in range(8):
-            # a 4x4 lattice gives duplicate points and tied distances
+        coordinates = (
+            lambda side: rng.randint(0, side),
+            lambda side: Fraction(rng.randint(0, side), rng.randint(1, 6)),
+            lambda side: rng.uniform(0, side),
+            lambda side: rng.choice((rng.randint(0, side), Fraction(rng.randint(0, side), 3), rng.uniform(0, 1))),
+        )
+        clouds = []
+        for k in range(16):
+            # a small side gives duplicate points and tied distances
             side = 3 if k % 2 else 9
-            pts = [(rng.randint(0, side), rng.randint(0, side)) for _ in range(rng.randint(2, 12))]
-            pc = PointCloud.from_points(pts)
-            for ts in (None, [0, 1, 5, 9], [2, 13, 40, 200]):
+            draw = coordinates[k // 2 % len(coordinates)]
+            clouds.append(PointCloud.from_points([(draw(side), draw(side)) for _ in range(rng.randint(2, 12))]))
+        for _ in range(6):
+            n = rng.randint(2, 9)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = rows[j][i] = rng.choice((1, 2, Fraction(3, 2), Fraction(5, 3), "0.7", 2.25))
+            clouds.append(PointCloud.from_distance_matrix(rows))
+        for pc in clouds:
+            keys = pc.distinct_keys()
+            off_grid = sorted({keys[0] / 3, keys[len(keys) // 2], keys[-1] + 1, Fraction(5, 3), 0.1})
+            for ts in (None, [0, 1, 5, 9], [2, 13, 40, 200], [0.1, Fraction(5, 3), 7.25], off_grid):
                 filt = vr_filtration(pc, ts)
+                pairs = [(i, j) for i in range(pc.n) for j in range(i + 1, pc.n)]
+                # pairs beyond the last threshold have no entry stage
+                assert filt.entry == {
+                    e: filt.stage_of_key(pc.pair_key(*e)) for e in pairs if pc.pair_key(*e) <= filt.thresholds[-1]
+                }
                 for t, g in zip(filt.thresholds, filt.graphs):
-                    edges = [
-                        (i, j) for i in range(pc.n) for j in range(i + 1, pc.n) if pc.pair_key(i, j) <= t
-                    ]
-                    assert g == Graph(range(pc.n), edges)
+                    assert g == Graph(range(pc.n), [e for e in pairs if pc.pair_key(*e) <= t])
+
+    def test_barcode_builds_no_stage_graph(self):
+        cloud = uniform_cloud(random.Random(3131), 30)
+        filt = vr_filtration(cloud)
+        bc = barcode(filt, max_dim=2)
+        assert "graphs" not in filt._cache
+        for t, g in zip(filt.thresholds, filt.graphs):
+            edges = [(i, j) for i in range(cloud.n) for j in range(i + 1, cloud.n) if cloud.pair_key(i, j) <= t]
+            assert g == Graph(range(cloud.n), edges)
+        assert oracle_persistence(filt, max_dim=2) == bc
 
     def test_stage_of_key(self):
         pc = PointCloud.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
