@@ -109,13 +109,6 @@ def integer_cycle(g: Graph, dim: int, rng: random.Random):
     return boundary(ChainVector(dim + 1, {t: rng.choice((-2, -1, 1, 3)) for t in picked}))
 
 
-def pushable(name: str, dim: int) -> bool:
-    # 1-cycles go through vertex traces only: older checkouts' push_cycle_edge
-    # raised on 1-cycles that meet a deleted edge, and leaving them out keeps
-    # this document comparable with those checkouts
-    return name == "vertex" or dim != 1
-
-
 def graph_outputs(g: Graph, rng: random.Random) -> dict:
     out = {"edges": [list(e) for e in g.edges], "integers": homology(g, Coefficients.integers()).to_text()}
     traces = {}
@@ -134,7 +127,6 @@ def graph_outputs(g: Graph, rng: random.Random) -> dict:
             pushed = {
                 name: [chain(push_cycle_sequence(z, g, trace, coeffs)) for z in grp.representatives]
                 for name, trace in traces.items()
-                if pushable(name, grp.dim)
             }
             field["groups"].append({"reps": [chain(z) for z in grp.representatives], "pushed": pushed})
     out["integer_pushes"] = pushes = []
@@ -143,8 +135,7 @@ def graph_outputs(g: Graph, rng: random.Random) -> dict:
         if z is None:
             continue
         for name, trace in traces.items():
-            if pushable(name, dim):
-                pushes.append([dim, name, chain(push_cycle_sequence(z, g, trace, Coefficients.integers()))])
+            pushes.append([dim, name, chain(push_cycle_sequence(z, g, trace, Coefficients.integers()))])
     # an induced map from a spanning subgraph missing a few edges
     kept = [e for e in g.edges if rng.random() < 0.8]
     g0 = Graph(g.vertices, kept)

@@ -35,11 +35,7 @@ from .complexes import (
     collapse_via_trace,
     is_collapsible,
 )
-from .contract import (
-    contractible_reduction,
-    is_strong_contractible,
-    is_strong_contractible_any_order,
-)
+from .contract import contractible_reduction, is_strong_contractible_any_order
 from .errors import GraphFormatError, InternalInconsistencyError, check_jobs
 from .graphs import Graph, iter_bits
 
@@ -229,13 +225,8 @@ def classify_graph(g: Graph, collapse_budget: int = DEFAULT_COLLAPSE_BUDGET) -> 
     assumed. Otherwise an exhaustive collapse search decides, budget
     permitting.
     """
-    strong = is_strong_contractible(g)
-    if strong:
-        reduced, trace = contractible_reduction(g)
-        if reduced.n != 1:
-            raise InternalInconsistencyError(
-                f"greedy test accepted a graph whose reduction kept {reduced.n} vertices"
-            )
+    reduced, trace = contractible_reduction(g)
+    if reduced.n == 1:
         cx = clique_complex(g)
         for pair in collapse_via_trace(g, trace):
             cx = cx.collapse(pair)

@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dim", type=int, default=1)
     p.add_argument("--thresholds", help="comma-separated scales (0 is prepended if missing)")
     p.add_argument("--oracle", action="store_true", help="cross-check against direct matrix reduction")
-    p.add_argument("--jobs", type=_jobs, default=1, help="accepted, at most the CPU count; vr runs in one process")
     p.set_defaults(func=_cmd_vr)
 
     p = sub.add_parser("census", help="classify all small connected graphs and check the implication")

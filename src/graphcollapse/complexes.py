@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .contract import ReductionTrace, VERTEX_STEP, contractible_reduction
+from .contract import ReductionTrace, contractible_reduction
 from .errors import BudgetExceededError
 from .graphs import Graph, iter_bits
 
@@ -387,18 +387,12 @@ def collapse_via_trace(g: Graph, trace: ReductionTrace) -> tuple[FreePair, ...]:
     pairs: list[FreePair] = []
     adj = {v: g.adjacency_mask(v) for v in g.vertices}  # what is left, updated in place
     for step in trace:
-        if step.kind == VERTEX_STEP:
-            v = step.element
-            if v not in adj:
-                raise ValueError(f"vertex {v} is not in the graph")
-            apex = (v,)
-            keep = adj[v]
-        else:
-            u, v = step.element
-            if not adj.get(u, 0) >> v & 1:
-                raise ValueError(f"edge {{{u},{v}}} is not in the graph")
-            apex = (min(u, v), max(u, v))
-            keep = adj[u] & adj[v]
+        apex = step.apex
+        # an apex is one vertex or one edge: keep is its (common) neighborhood
+        first, last, vertex = apex[0], apex[-1], len(apex) == 1
+        if first not in adj or not (vertex or adj[first] >> last & 1):
+            raise ValueError(f"simplex {list(apex)} is not in the graph")
+        keep = adj[first] & adj[last]
         link_vs = tuple(iter_bits(keep))
         if frozenset(link_vs) != step.link:
             raise ValueError(
@@ -412,11 +406,11 @@ def collapse_via_trace(g: Graph, trace: ReductionTrace) -> tuple[FreePair, ...]:
         for p in collapse_via_trace(link, link_trace):
             pairs.append(FreePair(tuple(sorted(apex + p.sigma)), tuple(sorted(apex + p.tau))))
         pairs.append(FreePair(apex, tuple(sorted(apex + point.vertices))))
-        if step.kind == VERTEX_STEP:
-            del adj[v]
+        if vertex:
+            del adj[first]
             for w in link_vs:
-                adj[w] &= ~(1 << v)
+                adj[w] &= ~(1 << first)
         else:
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
+            adj[first] &= ~(1 << last)
+            adj[last] &= ~(1 << first)
     return tuple(pairs)

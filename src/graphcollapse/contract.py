@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import combinations
+from operator import and_
 from typing import Iterator, Optional
 
 from .errors import GraphFormatError
@@ -147,6 +149,41 @@ class Step:
         if self.kind not in (VERTEX_STEP, EDGE_STEP):
             raise ValueError(f"unknown step kind {self.kind!r}")
 
+    @classmethod
+    def _at(cls, apex: tuple[int, ...], link: frozenset = frozenset()) -> "Step":
+        if len(apex) == 1:
+            return cls(VERTEX_STEP, apex[0], link)
+        return cls(EDGE_STEP, apex, link)
+
+    @property
+    def apex(self) -> tuple[int, ...]:
+        """The deleted simplex, ascending: (v,) or (u, v) with u < v.
+        Deleting it collapses its star onto its link, the graph induced
+        on the vertices adjacent to every apex vertex."""
+        if self.kind == VERTEX_STEP:
+            return (self.element,)
+        return tuple(sorted(self.element))
+
+
+def _link(g: Graph, apex: tuple[int, ...]) -> Graph:
+    """The link of the apex in the clique complex of g: the subgraph
+    induced on the vertices adjacent to every apex vertex. Raises
+    ValueError when the apex is not a clique of g."""
+    if not all(map(g.has_vertex, apex)) or not all(g.has_edge(u, v) for u, v in combinations(apex, 2)):
+        raise ValueError(f"simplex {list(apex)} is not in the graph")
+    return g._induced_mask(reduce(and_, map(g.adjacency_mask, apex)))
+
+
+def _delete(g: Graph, apex: tuple[int, ...]) -> Graph:
+    """g without the apex vertex or edge, so without the apex's star."""
+    if len(apex) == 1:
+        return g.delete_vertex(apex[0])
+    return g.delete_edge(*apex)
+
+
+# Trace-format line tag by apex size - 1.
+_TAGS = ("V", "E")
+
 
 @dataclass(frozen=True)
 class ReductionTrace:
@@ -175,37 +212,23 @@ class ReductionTrace:
         neighborhood snapshot matches the graph at that point.
         """
         for i, step in enumerate(self.steps):
-            if step.kind == VERTEX_STEP:
-                v = step.element
-                if not g.has_vertex(v):
-                    raise ValueError(f"trace step {i}: vertex {v} is not in the graph")
-                live = frozenset(g.neighborhood(v).vertices)
-                if live != step.link:
-                    raise ValueError(
-                        f"trace step {i}: neighborhood of {v} is {sorted(live)}, trace recorded {sorted(step.link)}"
-                    )
-                g = g.delete_vertex(v)
-            else:
-                u, v = step.element
-                if not g.has_edge(u, v):
-                    raise ValueError(f"trace step {i}: edge {{{u},{v}}} is not in the graph")
-                live = frozenset(g.common_neighborhood(u, v).vertices)
-                if live != step.link:
-                    raise ValueError(
-                        f"trace step {i}: common neighborhood of {{{u},{v}}} is {sorted(live)}, "
-                        f"trace recorded {sorted(step.link)}"
-                    )
-                g = g.delete_edge(u, v)
+            try:
+                live = frozenset(_link(g, step.apex).vertices)
+            except ValueError as exc:
+                raise ValueError(f"trace step {i}: {exc}") from None
+            if live != step.link:
+                raise ValueError(
+                    f"trace step {i}: link of {list(step.apex)} is {sorted(live)}, "
+                    f"trace recorded {sorted(step.link)}"
+                )
+            g = _delete(g, step.apex)
         return g
 
     def to_text(self) -> str:
         lines = [f"trace {len(self.steps)}"]
         for step in self.steps:
-            if step.kind == VERTEX_STEP:
-                lines.append(f"V {step.element}")
-            else:
-                u, v = step.element
-                lines.append(f"E {u} {v}")
+            apex = step.apex
+            lines.append(" ".join([_TAGS[len(apex) - 1], *map(str, apex)]))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -230,30 +253,19 @@ class ReductionTrace:
         body = lines[1:]
         if len(body) != k:
             raise GraphFormatError(source, lineno, f"header promises {k} steps, found {len(body)}")
-        raw: list[tuple[str, object]] = []
+        apexes = []
         for lineno, line in body:
-            parts = line.split()
-            if parts[0] == "V" and len(parts) == 2:
-                raw.append((VERTEX_STEP, int(parts[1])))
-            elif parts[0] == "E" and len(parts) == 3:
-                u, v = int(parts[1]), int(parts[2])
-                raw.append((EDGE_STEP, (min(u, v), max(u, v))))
-            else:
+            tag, *ids = line.split()
+            if tag not in _TAGS or _TAGS.index(tag) != len(ids) - 1:
                 raise GraphFormatError(source, lineno, f"expected 'V v' or 'E u v', got {line!r}")
+            apexes.append(tuple(sorted(map(int, ids))))
         steps = []
-        if g is None:
-            steps = [Step(kind, elem) for kind, elem in raw]
-        else:
-            cur = g
-            for kind, elem in raw:
-                if kind == VERTEX_STEP:
-                    link = frozenset(cur.neighborhood(elem).vertices)
-                    cur = cur.delete_vertex(elem)
-                else:
-                    u, v = elem
-                    link = frozenset(cur.common_neighborhood(u, v).vertices)
-                    cur = cur.delete_edge(u, v)
-                steps.append(Step(kind, elem, link))
+        for apex in apexes:
+            link = frozenset()
+            if g is not None:
+                link = frozenset(_link(g, apex).vertices)
+                g = _delete(g, apex)
+            steps.append(Step._at(apex, link))
         return cls(tuple(steps))
 
 

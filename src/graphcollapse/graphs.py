@@ -12,7 +12,7 @@ Graph and never mutates the receiver.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping
 
 from .errors import GraphFormatError
 
@@ -28,18 +28,12 @@ __all__ = [
 class Graph:
     """Immutable simple undirected graph over integer vertex ids.
 
-    No loops, no multi-edges. Optional string labels may be attached per
-    vertex; labels ride along for display and are ignored by equality.
+    No loops, no multi-edges.
     """
 
-    __slots__ = ("_vertices", "_vmask", "_adj", "_labels", "_edges", "_hash")
+    __slots__ = ("_vertices", "_vmask", "_adj", "_edges", "_hash")
 
-    def __init__(
-        self,
-        vertices: Iterable[int] = (),
-        edges: Iterable[tuple[int, int]] = (),
-        labels: Optional[Mapping[int, str]] = None,
-    ):
+    def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         vs = sorted({int(v) for v in vertices})
         if vs and vs[0] < 0:
             raise ValueError(f"vertex id {vs[0]} is negative")
@@ -61,17 +55,11 @@ class Graph:
         self._vertices = tuple(vs)
         self._vmask = vmask
         self._adj = adj
-        self._labels = dict(labels) if labels else None
         self._edges = None
         self._hash = None
 
     @classmethod
-    def _from_masks(
-        cls,
-        vertices: tuple[int, ...],
-        adj: dict[int, int],
-        labels: Optional[dict[int, str]] = None,
-    ) -> "Graph":
+    def _from_masks(cls, vertices: tuple[int, ...], adj: dict[int, int]) -> "Graph":
         # Trusted fast path: adjacency masks already restricted and symmetric.
         g = cls.__new__(cls)
         vmask = 0
@@ -80,7 +68,6 @@ class Graph:
         g._vertices = vertices
         g._vmask = vmask
         g._adj = adj
-        g._labels = labels
         g._edges = None
         g._hash = None
         return g
@@ -107,15 +94,6 @@ class Graph:
                 (v, w) for v in self._vertices for w in iter_bits(self._adj[v] >> (v + 1) << (v + 1))
             )
         return self._edges
-
-    @property
-    def labels(self) -> Optional[dict[int, str]]:
-        return dict(self._labels) if self._labels else None
-
-    def label_of(self, v: int) -> str:
-        if self._labels and v in self._labels:
-            return self._labels[v]
-        return str(v)
 
     def has_vertex(self, v: int) -> bool:
         return bool(self._vmask >> v & 1) if v >= 0 else False
@@ -146,11 +124,7 @@ class Graph:
                 raise ValueError(f"vertex {v} is not in the graph")
             keep |= 1 << v
         vs = tuple(v for v in self._vertices if keep >> v & 1)
-        adj = {v: self._adj[v] & keep for v in vs}
-        labels = None
-        if self._labels:
-            labels = {v: s for v, s in self._labels.items() if keep >> v & 1} or None
-        return Graph._from_masks(vs, adj, labels)
+        return Graph._from_masks(vs, {v: self._adj[v] & keep for v in vs})
 
     def neighborhood(self, v: int) -> "Graph":
         """Subgraph induced on the neighbors of v. v itself is excluded."""
@@ -173,11 +147,7 @@ class Graph:
 
     def _induced_mask(self, keep: int) -> "Graph":
         vs = _mask_to_tuple(keep)
-        adj = {v: self._adj[v] & keep for v in vs}
-        labels = None
-        if self._labels:
-            labels = {v: s for v, s in self._labels.items() if keep >> v & 1} or None
-        return Graph._from_masks(vs, adj, labels)
+        return Graph._from_masks(vs, {v: self._adj[v] & keep for v in vs})
 
     # -- elementary transformations ------------------------------------------
 
@@ -192,7 +162,7 @@ class Graph:
         adj = dict(self._adj)
         adj[u] = adj[u] & ~(1 << v)
         adj[v] = adj[v] & ~(1 << u)
-        return Graph._from_masks(self._vertices, adj, self._labels)
+        return Graph._from_masks(self._vertices, adj)
 
     def glue_vertex(self, v: int, neighbor_ids: Iterable[int]) -> "Graph":
         """Add a fresh vertex v adjacent to exactly neighbor_ids."""
@@ -211,7 +181,7 @@ class Graph:
         for u in iter_bits(nmask):
             adj[u] |= 1 << v
         vs = tuple(sorted(self._vertices + (v,)))
-        return Graph._from_masks(vs, adj, self._labels)
+        return Graph._from_masks(vs, adj)
 
     def glue_edge(self, u: int, v: int) -> "Graph":
         if u not in self._adj:
@@ -225,7 +195,7 @@ class Graph:
         adj = dict(self._adj)
         adj[u] = adj[u] | (1 << v)
         adj[v] = adj[v] | (1 << u)
-        return Graph._from_masks(self._vertices, adj, self._labels)
+        return Graph._from_masks(self._vertices, adj)
 
     # -- global predicates ----------------------------------------------------
 
@@ -263,11 +233,7 @@ class Graph:
         vs = [mapping[v] for v in self._vertices]
         if len(set(vs)) != len(vs):
             raise ValueError("relabeling is not injective")
-        edges = [(mapping[u], mapping[v]) for u, v in self.edges]
-        labels = None
-        if self._labels:
-            labels = {mapping[v]: s for v, s in self._labels.items()}
-        return Graph(vs, edges, labels)
+        return Graph(vs, [(mapping[u], mapping[v]) for u, v in self.edges])
 
     # -- plumbing -------------------------------------------------------------
 

@@ -1,12 +1,13 @@
 """Homology of clique complexes with explicit chain-level maps.
 
 Chains are formal sums of cliques with the usual alternating-sign
-boundary. The distinguishing feature is push_cycle: given a cycle and a
-vertex (or edge) whose link is strongly contractible, it rewrites the
-cycle, within its homology class, so the deleted element no longer
-appears. Chaining pushes along a whole reduction trace transports
-homology classes from a graph to its reduced form, which is what makes
-maps induced by subgraph inclusion computable on reduced complexes.
+boundary. The distinguishing feature is cycle pushing: given a cycle
+and an apex, a vertex or an edge whose link is strongly contractible,
+it rewrites the cycle, within its homology class, so that no simplex
+contains the apex; vertices and edges take the same path. Chaining
+pushes along a whole reduction trace transports homology classes from
+a graph to its reduced form, which is what makes maps induced by
+subgraph inclusion computable on reduced complexes.
 
 Betti numbers and torsion work over the integers; explicit homology
 bases and induced-map matrices require a prime field.
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import exactla
 from .complexes import DEFAULT_FACE_BUDGET, Simplex, enumerate_cliques
-from .contract import ReductionTrace, VERTEX_STEP, is_strong_contractible
+from .contract import ReductionTrace, _delete, _link, is_strong_contractible
 from .errors import InternalInconsistencyError
 from .graphs import Graph
 
@@ -222,47 +223,50 @@ def join_vertex(v: int, chain: ChainVector) -> ChainVector:
     return ChainVector(chain.dim + 1, terms)
 
 
-def split_at_vertex(chain: ChainVector, v: int) -> tuple[ChainVector, ChainVector]:
-    """Write chain = a + join_vertex(v, b) with v absent from a."""
+def _join(apex: tuple[int, ...], chain: ChainVector) -> ChainVector:
+    """Cone a chain over the ascending apex vertices, innermost the
+    largest: join_vertex(apex[0], join_vertex(apex[1], ...))."""
+    for v in reversed(apex):
+        chain = join_vertex(v, chain)
+    return chain
+
+
+def _split(chain: ChainVector, apex: tuple[int, ...]) -> tuple[ChainVector, ChainVector]:
+    """Write chain = a + _join(apex, b) with no simplex of a containing
+    the whole apex. Inverts the joins outermost first: each apex vertex,
+    in ascending order, is stripped at its position in what remains, so
+    the sign is (-1) to the sum of those positions."""
     a: dict[Simplex, int] = {}
     b: dict[Simplex, int] = {}
     for simplex, coeff in chain._terms.items():
-        if v in simplex:
-            pos = simplex.index(v)
-            sign = 1 if pos % 2 == 0 else -1
-            b[simplex[:pos] + simplex[pos + 1:]] = sign * coeff
-        else:
+        if not all(v in simplex for v in apex):
             a[simplex] = coeff
-    return ChainVector(chain.dim, a), ChainVector(chain.dim - 1, b)
+            continue
+        for v in apex:
+            pos = simplex.index(v)
+            simplex = simplex[:pos] + simplex[pos + 1:]
+            coeff = -coeff if pos % 2 else coeff
+        b[simplex] = coeff
+    return ChainVector(chain.dim, a), ChainVector(chain.dim - len(apex), b)
+
+
+def split_at_vertex(chain: ChainVector, v: int) -> tuple[ChainVector, ChainVector]:
+    """Write chain = a + join_vertex(v, b) with v absent from a."""
+    return _split(chain, (v,))
 
 
 def join_edge(u: int, v: int, chain: ChainVector) -> ChainVector:
-    """Double cone over the edge {u, v} (order of u and v is immaterial
-    up to the composed sign convention used consistently below)."""
-    u, v = min(u, v), max(u, v)
-    return join_vertex(u, join_vertex(v, chain))
+    """Double cone over the edge {u, v}: join_vertex(min, join_vertex(max,
+    chain)), whatever the order of u and v."""
+    return _join((min(u, v), max(u, v)), chain)
 
 
 def split_at_edge(chain: ChainVector, u: int, v: int) -> tuple[ChainVector, ChainVector]:
     """Write chain = a + join_edge(u, v, b) with no simplex of a
-    containing both u and v. Inverts the joins outermost first: strip u
-    at its position, then v at its position in what remains."""
+    containing both u and v."""
     if chain.dim < 2:
         raise ValueError(f"splitting at an edge needs chains of dimension >= 2, got {chain.dim}")
-    u, v = min(u, v), max(u, v)
-    a: dict[Simplex, int] = {}
-    b: dict[Simplex, int] = {}
-    for simplex, coeff in chain._terms.items():
-        if u in simplex and v in simplex:
-            pu = simplex.index(u)
-            rest = simplex[:pu] + simplex[pu + 1:]
-            pv = rest.index(v)
-            sign = 1 if (pu + pv) % 2 == 0 else -1
-            small = rest[:pv] + rest[pv + 1:]
-            b[small] = b.get(small, 0) + sign * coeff
-        else:
-            a[simplex] = coeff
-    return ChainVector(chain.dim, a), ChainVector(chain.dim - 2, b)
+    return _split(chain, (min(u, v), max(u, v)))
 
 
 # -- bases and boundary matrices ---------------------------------------------
@@ -458,78 +462,58 @@ def _solve_in_link(
     return _column_to_chain(sol, target_dim, domain)
 
 
-def push_cycle(c: ChainVector, v: int, g: Graph, coeffs: Coefficients = Coefficients(2)) -> ChainVector:
+def _push(c: ChainVector, apex: tuple[int, ...], g: Graph, coeffs: Coefficients) -> ChainVector:
     """Rewrite the cycle c, within its homology class in the clique
-    complex of g, as a cycle avoiding vertex v.
+    complex of g, as a cycle with no simplex containing the ascending
+    apex (one vertex or one edge of g).
 
-    Requires the neighborhood of v to be strongly contractible; the
-    result lives in the clique complex of g minus v. The output is
-    c + boundary(join_vertex(v, x)) for a solve x in the neighborhood.
+    Requires the link of the apex to be strongly contractible, unless c
+    has too low a dimension to contain the apex, in which case c comes
+    back reduced and otherwise unchanged. With c = a + join(apex, b), the
+    output is c - (-1)**len(apex) * boundary(join(apex, x)) for a chain x
+    of the link with boundary(x) = b: a 0-chain on the least link vertex
+    when b is the empty simplex, a solve in the link otherwise.
     """
     c = c.reduce(coeffs)
     if not c.supported_on_cliques(g):
         raise ValueError("cycle is not supported on cliques of the graph")
     if not boundary(c).reduce(coeffs).is_zero:
         raise ValueError("chain is not a cycle")
-    if not g.has_vertex(v):
-        raise ValueError(f"graph has no vertex {v}")
-    link = g.neighborhood(v)
+    link = _link(g, apex)
+    if c.dim < len(apex) - 1:
+        return c
     if not is_strong_contractible(link):
-        raise ValueError(f"neighborhood of {v} is not strongly contractible")
-    a, b = split_at_vertex(c, v)
+        raise ValueError(f"link of {list(apex)} is not strongly contractible")
+    b = _split(c, apex)[1].reduce(coeffs)
     if b.is_zero:
-        return a
-    if c.dim == 0:
-        w = min(link.vertices)
-        x = ChainVector(0, {(w,): c.coefficient((v,))})
+        return c
+    if b.dim == -1:
+        x = ChainVector(0, {(min(link.vertices),): b.coefficient(())})
     else:
-        x = _solve_in_link(b.reduce(coeffs), link, c.dim, coeffs)
-    out = (c + boundary(join_vertex(v, x))).reduce(coeffs)
-    if not split_at_vertex(out, v)[1].is_zero:
-        raise InternalInconsistencyError(f"push failed to eliminate vertex {v}")
+        x = _solve_in_link(b, link, b.dim + 1, coeffs)
+    out = (c - (-1) ** len(apex) * boundary(_join(apex, x))).reduce(coeffs)
+    if not _split(out, apex)[1].is_zero:
+        raise InternalInconsistencyError(f"push failed to eliminate {list(apex)}")
     return out
+
+
+def push_cycle(c: ChainVector, v: int, g: Graph, coeffs: Coefficients = Coefficients(2)) -> ChainVector:
+    """Rewrite the cycle c, within its homology class in the clique
+    complex of g, as a cycle avoiding vertex v. Requires the neighborhood
+    of v to be strongly contractible; the result lives in the clique
+    complex of g minus v."""
+    return _push(c, (v,), g, coeffs)
 
 
 def push_cycle_edge(
     c: ChainVector, u: int, v: int, g: Graph, coeffs: Coefficients = Coefficients(2)
 ) -> ChainVector:
     """Rewrite the cycle c, within its homology class, as a cycle whose
-    simplices never contain the edge {u, v}.
-
-    Requires the common neighborhood of u and v to be strongly
-    contractible; the result lives in the clique complex of g minus the
-    edge. The output is c - boundary(join_edge(u, v, b')) for a solve b'
-    in the common neighborhood.
-    """
-    c = c.reduce(coeffs)
-    if not c.supported_on_cliques(g):
-        raise ValueError("cycle is not supported on cliques of the graph")
-    if not boundary(c).reduce(coeffs).is_zero:
-        raise ValueError("chain is not a cycle")
-    if not g.has_edge(u, v):
-        raise ValueError(f"graph has no edge {{{u}, {v}}}")
-    if c.dim == 0:
-        return c
-    u, v = min(u, v), max(u, v)
-    link = g.common_neighborhood(u, v)
-    if not is_strong_contractible(link):
-        raise ValueError(f"common neighborhood of {u} and {v} is not strongly contractible")
-    if c.dim == 1:
-        alpha = coeffs.normalize(c.coefficient((u, v)))
-        if alpha == 0:
-            return c
-        w = min(link.vertices)
-        bprime = ChainVector(0, {(w,): alpha})
-    else:
-        a, b = split_at_edge(c, u, v)
-        if b.is_zero:
-            return c
-        bprime = _solve_in_link(b.reduce(coeffs), link, c.dim - 1, coeffs)
-    out = (c - boundary(join_edge(u, v, bprime))).reduce(coeffs)
-    touches = out.coefficient((u, v)) != 0 if c.dim == 1 else not split_at_edge(out, u, v)[1].is_zero
-    if touches:
-        raise InternalInconsistencyError(f"push failed to eliminate edge ({u}, {v})")
-    return out
+    simplices never contain the edge {u, v}. Requires the common
+    neighborhood of u and v to be strongly contractible when c has
+    dimension 1 or more; the result lives in the clique complex of g
+    minus the edge."""
+    return _push(c, (min(u, v), max(u, v)), g, coeffs)
 
 
 def push_cycle_sequence(
@@ -538,15 +522,9 @@ def push_cycle_sequence(
     """Push a cycle through every step of a reduction trace of g. The
     result is a cycle of the reduced graph's clique complex, homologous
     to c under the inclusion of that complex into the original one."""
-    cur = g
     for step in trace:
-        if step.kind == VERTEX_STEP:
-            c = push_cycle(c, step.element, cur, coeffs)
-            cur = cur.delete_vertex(step.element)
-        else:
-            u, v = step.element
-            c = push_cycle_edge(c, u, v, cur, coeffs)
-            cur = cur.delete_edge(u, v)
+        c = _push(c, step.apex, g, coeffs)
+        g = _delete(g, step.apex)
     return c
 
 

@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Sequence, Union
 from . import exactla
 from .complexes import DEFAULT_FACE_BUDGET, enumerate_cliques
 from .contract import ReductionTrace, _contractible, contractible_reduction, edge_extended_reduction
-from .errors import GraphFormatError, check_jobs
+from .errors import GraphFormatError
 from .graphs import Graph
 from .homology import Coefficients
 
@@ -317,28 +317,15 @@ class ReducedStage:
     trace: ReductionTrace
 
 
-def reduce_filtration(
-    filt: Filtration, edge_extended: bool = False, jobs: int = 1
-) -> tuple[ReducedStage, ...]:
+def reduce_filtration(filt: Filtration, edge_extended: bool = False) -> tuple[ReducedStage, ...]:
     """Reduce every stage graph independently, with traces; `barcode`
-    does not need this. Results are cached on the filtration; jobs > 1
-    farms stages out to worker processes (the output does not depend on
-    the worker count). jobs may not exceed the CPU count."""
-    check_jobs(jobs)
+    does not need this. Results are cached on the filtration."""
     cache_key = ("stages", edge_extended)
     if cache_key not in filt._cache:
         reducer = edge_extended_reduction if edge_extended else contractible_reduction
-        if jobs > 1 and len(filt.graphs) >= 4:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(reducer, filt.graphs))
-        else:
-            results = [reducer(g) for g in filt.graphs]
-        stages = []
-        for i, (reduced, trace) in enumerate(results):
-            stages.append(ReducedStage(i, filt.thresholds[i], filt.graphs[i], reduced, trace))
-        filt._cache[cache_key] = tuple(stages)
+        filt._cache[cache_key] = tuple(
+            ReducedStage(i, filt.thresholds[i], g, *reducer(g)) for i, g in enumerate(filt.graphs)
+        )
     return filt._cache[cache_key]
 
 
@@ -540,7 +527,7 @@ def oracle_persistence(
         raise ValueError("the matrix-reduction oracle only supports GF(2)")
     if max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
-    final = filt.graphs[-1]
+    final = Graph(range(filt.cloud.n), filt.entry)
     by_size = enumerate_cliques(final, max_size=max_dim + 2, max_faces=max_faces)
     entries = []
     for size, cliques in by_size.items():

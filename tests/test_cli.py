@@ -166,7 +166,7 @@ class TestVr:
 
     def test_oracle_match(self, tmp_path, capsys):
         pts = write_text(tmp_path, SQUARE_POINTS, "pts.txt")
-        assert main(["vr", "--points", pts, "--oracle", "--jobs", "2"]) == 0
+        assert main(["vr", "--points", pts, "--oracle"]) == 0
         assert capsys.readouterr().out.endswith("oracle: MATCH\n")
 
     def test_matrix_input(self, tmp_path, capsys):
@@ -242,7 +242,7 @@ class TestErrors:
             main(["vr"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", [["census"], ["vr", "--points", "pts.txt"]])
+    @pytest.mark.parametrize("command", [["census"]])
     def test_jobs_above_cpu_count_is_usage_error(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main(command + ["--jobs", str((os.cpu_count() or 1) + 1)])

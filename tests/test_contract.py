@@ -178,6 +178,24 @@ class TestTraceFormat:
         with pytest.raises(ValueError, match="trace step"):
             trace.replay(cycle(4))
 
+    def test_replay_rejects_edge_step_off_the_graph(self):
+        missing = ReductionTrace.from_text("trace 1\nE 2 0\n")
+        with pytest.raises(ValueError, match="trace step"):
+            missing.replay(cycle(4))
+        stale = ReductionTrace((Step("edge", (0, 1), frozenset({2})),))
+        with pytest.raises(ValueError, match="trace step"):
+            stale.replay(cycle(4))
+        assert stale.replay(complete(3)) == complete(3).delete_edge(0, 1)
+
+    def test_apex_is_the_ascending_simplex(self):
+        assert Step("vertex", 3).apex == (3,)
+        assert Step("edge", (5, 2)).apex == (2, 5)
+        trace = ReductionTrace((Step("vertex", 3), Step("edge", (5, 2))))
+        assert trace.to_text() == "trace 2\nV 3\nE 2 5\n"
+        assert ReductionTrace.from_text("trace 2\nV 3\nE 5 2\n") == ReductionTrace(
+            (Step("vertex", 3), Step("edge", (2, 5)))
+        )
+
     def test_from_text_errors(self):
         with pytest.raises(ValueError):
             ReductionTrace.from_text("not a trace\n")

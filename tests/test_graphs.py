@@ -48,13 +48,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="negative"):
             Graph([-1, 0], [])
 
-    def test_labels_ride_along(self):
-        g = Graph(range(2), [(0, 1)], labels={0: "A", 1: "B"})
-        assert g.label_of(0) == "A"
-        assert g.label_of(1) == "B"
-        assert g.delete_vertex(1).label_of(0) == "A"
-        assert Graph(range(2), [(0, 1)]) == g  # labels ignored by equality
-
 
 class TestAccessors:
     def test_neighbors_and_degree(self):

@@ -211,14 +211,19 @@ class TestJoinSplit:
         c = join_edge(0, 1, ChainVector(1, {(2, 3): 1}))
         assert c.items() == [((0, 1, 2, 3), 1)]
 
-    @given(chains(2) | chains(3))
-    def test_split_at_edge_reassembles(self, c):
-        rest, stripped = split_at_edge(c, 0, 1)
+    @given(chains(2) | chains(3), st.sampled_from([(0, 1), (2, 5), (5, 2), (1, 6)]))
+    def test_split_at_edge_reassembles(self, c, edge):
+        u, v = edge
+        rest, stripped = split_at_edge(c, u, v)
         for s in rest.support:
-            assert not (0 in s and 1 in s)
+            assert not (u in s and v in s)
         for s in stripped.support:
-            assert 0 not in s and 1 not in s
-        assert rest + join_edge(0, 1, stripped) == c
+            assert u not in s and v not in s
+        assert rest + join_edge(u, v, stripped) == c
+
+    def test_split_at_edge_needs_dimension_two(self):
+        with pytest.raises(ValueError, match="dimension >= 2"):
+            split_at_edge(ChainVector(1, {(0, 1): 1}), 0, 1)
 
 
 # ------------------------------------------------------- bases and matrices
@@ -417,7 +422,37 @@ def _is_gf2_boundary(diff, g):
     return gf2_rank(rows + [target]) == gf2_rank(rows)
 
 
+SQUARE = ChainVector(1, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): -1})
+
+
 class TestPushCycle:
+    @pytest.mark.parametrize("coeffs", [GF2, GF3, ZZ], ids=str)
+    def test_vertex_push_rejects_bad_input(self, coeffs):
+        g = cycle(4)
+        with pytest.raises(ValueError):
+            push_cycle(SQUARE, 9, g, coeffs)
+        with pytest.raises(ValueError, match="not a cycle"):
+            push_cycle(ChainVector(1, {(0, 1): 1}), 0, g, coeffs)
+        with pytest.raises(ValueError, match="not strongly contractible"):
+            push_cycle(SQUARE, 0, g, coeffs)
+
+    @pytest.mark.parametrize("coeffs", [GF2, GF3, ZZ], ids=str)
+    def test_edge_push_rejects_bad_input(self, coeffs):
+        g = cycle(4)
+        with pytest.raises(ValueError):
+            push_cycle_edge(SQUARE, 0, 2, g, coeffs)
+        with pytest.raises(ValueError, match="not a cycle"):
+            push_cycle_edge(ChainVector(1, {(0, 1): 1}), 0, 1, g, coeffs)
+        with pytest.raises(ValueError, match="not strongly contractible"):
+            push_cycle_edge(SQUARE, 1, 0, g, coeffs)
+
+    @pytest.mark.parametrize("coeffs", [GF2, GF3, ZZ], ids=str)
+    def test_zero_chain_pushed_off_an_edge_is_unchanged(self, coeffs):
+        # whatever the link: the edge of cycle(4) has an empty one
+        z = ChainVector(0, {(0,): 1, (1,): -1, (2,): 4})
+        assert push_cycle_edge(z, 0, 1, cycle(4), coeffs) == z.reduce(coeffs)
+        assert push_cycle_edge(z, 1, 2, complete(3), coeffs) == z.reduce(coeffs)
+
     def test_filled_triangle_pushes_to_zero(self):
         z = ChainVector(1, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
         assert push_cycle(z, 2, complete(3)).is_zero

@@ -1,6 +1,5 @@
 """Point clouds, distance filtrations, reduced stages, and barcodes."""
 
-import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -234,6 +233,12 @@ class TestVrFiltration:
             assert g == Graph(range(cloud.n), edges)
         assert oracle_persistence(filt, max_dim=2) == bc
 
+    def test_oracle_builds_no_stage_graph(self):
+        filt = vr_filtration(uniform_cloud(random.Random(3132), 30))
+        reference = oracle_persistence(filt, max_dim=2)
+        assert "graphs" not in filt._cache
+        assert reference == barcode(filt, max_dim=2)
+
     def test_stage_of_key(self):
         pc = PointCloud.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
         filt = vr_filtration(pc)
@@ -298,23 +303,6 @@ class TestReduceFiltration:
         filt = vr_filtration(PointCloud.from_points([(0, 0), (1, 0), (0, 1)]))
         assert reduce_filtration(filt) is reduce_filtration(filt)
 
-    def test_jobs_above_cpu_count_rejected(self):
-        # Three stages: too few for a pool at any jobs value.
-        filt = vr_filtration(PointCloud.from_points([(0, 0), (1, 0), (0, 1)]))
-        assert filt.stage_count == 3
-        with pytest.raises(ValueError, match="CPU count"):
-            reduce_filtration(filt, jobs=(os.cpu_count() or 1) + 1)
-
-    def test_parallel_jobs_agree_with_serial(self):
-        rng = random.Random(99)
-        pts = sorted(
-            {(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(12)}
-        )
-        serial = reduce_filtration(vr_filtration(PointCloud.from_points(pts)))
-        parallel = reduce_filtration(
-            vr_filtration(PointCloud.from_points(pts)), jobs=2
-        )
-        assert serial == parallel
 
 
 # --------------------------------------------------------- persistent ranks
