@@ -14,8 +14,10 @@ reductions' traces with their collapse pairs, the barcodes of the
 rational and float point clouds, the keys of seeded dissimilarity
 matrices with mixed denominators, the stage edge sets of seeded clouds
 and matrices under explicit fractional and float thresholds together
-with `graphcollapse vr` stdout and exit code on the same inputs, and
-the text of every census level through n=7. It uses only the standard
+with `graphcollapse vr` stdout and exit code on the same inputs, the
+text of every census level through n=7, and the canonical orders and
+automorphism generators of the seeded graphs, on their own ids and
+relabelled onto sparse ones. It uses only the standard
 library, numpy and long-standing public API, and runs in well under a
 minute.
 """
@@ -34,6 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from graphcollapse import exactla
+from graphcollapse.canon import canonical_labelling
 from graphcollapse.census import CensusConfig, build_census, format_level
 from graphcollapse.cli import main as cli_main
 from graphcollapse.complexes import collapse_via_trace
@@ -274,6 +277,21 @@ def explicit_filtrations() -> list:
     return out
 
 
+def canonical_labellings(graphs: list) -> list:
+    rng = random.Random(7074)
+    out = []
+    for g in graphs:
+        sparse = g.relabeled(dict(zip(g.vertices, rng.sample(range(10_000), g.n))))
+        for h in (g, sparse):
+            order, gens = canonical_labelling(h)
+            out.append({
+                "vertices": list(h.vertices),
+                "order": list(order),
+                "generators": [[list(item) for item in p.items()] for p in gens],
+            })
+    return out
+
+
 def census_levels() -> dict:
     census = build_census(CensusConfig(max_n=7, jobs=1))
     return {n: format_level(n, entries) for n, entries in census.levels.items()}
@@ -290,6 +308,7 @@ def main() -> None:
         "matrix_keys": matrix_keys(),
         "explicit_filtrations": explicit_filtrations(),
         "census": census_levels(),
+        "canonical_labellings": canonical_labellings(graphs),
     }
     json.dump(doc, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")

@@ -10,6 +10,7 @@ resumes where it stopped:
 """
 
 import argparse
+import logging
 import sys
 import time
 from pathlib import Path
@@ -40,13 +41,18 @@ def main() -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    # Census progress, one plain line per level on stderr.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    logger = logging.getLogger("graphcollapse")
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
     started = time.monotonic()
     census = build_census(
         CensusConfig(
             max_n=args.max_n, collapse_budget=args.budget, jobs=args.jobs
         ),
         out_dir=out_dir,
-        log=lambda msg: print(msg, file=sys.stderr),
     )
     elapsed = time.monotonic() - started
 

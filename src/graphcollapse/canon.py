@@ -13,6 +13,16 @@ all leaves is label-invariant. Automorphisms discovered from equal leaf
 encodings prune sibling branches in the same orbit, which keeps highly
 symmetric inputs (complete graphs, cycles) tractable.
 
+The search runs on vertex positions (ranks of the ids), not on ids. A
+partition is a list of cells in color order, each a list of positions
+in ascending order, so a vertex's color is the index of its cell.
+Refinement splits each cell by its members' sorted neighbor colors,
+buckets the members by that signature and orders the pieces by it, and
+stops as soon as a pass splits nothing. Individualizing w puts w in a
+cell of its own just ahead of the rest of its cell. A vertex's new
+color is the rank of its (color, signature) pair among all vertices',
+which does not depend on the ids.
+
 The automorphisms the search records generate the whole automorphism
 group. Let l be the first leaf reached with the least encoding, on the
 path v1, ..., vk from the root, and G_i the automorphisms fixing
@@ -82,22 +92,34 @@ class CanonicalForm:
         return self.data
 
 
-def _refine(colors: dict[int, int], nbrs: dict[int, tuple[int, ...]]) -> dict[int, int]:
-    """Stable iterated refinement by neighbor color multisets.
-
-    New color indices are ranks of sorted signatures, so the result does
-    not depend on vertex labels.
-    """
-    while True:
-        sig = {
-            v: (colors[v], tuple(sorted(colors[u] for u in nbrs[v])))
-            for v in colors
-        }
-        ranks = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new = {v: ranks[sig[v]] for v in colors}
-        if new == colors:
-            return colors
-        colors = new
+def _refine(cells: list[list[int]], nbrs: list[list[int]]) -> list[list[int]]:
+    """Stable iterated refinement by neighbor color multisets, on cells
+    of vertex positions in color order (the color of a vertex is the
+    index of its cell). Each pass splits every cell by its members'
+    sorted neighbor colors, pieces in signature order; it stops as soon
+    as a pass splits nothing."""
+    n = len(nbrs)
+    colors = [0] * n
+    while len(cells) < n:
+        for c, cell in enumerate(cells):
+            for i in cell:
+                colors[i] = c
+        split: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            by_sig: dict[tuple[int, ...], list[int]] = {}
+            for i in cell:
+                by_sig.setdefault(tuple(sorted([colors[u] for u in nbrs[i]])), []).append(i)
+            if len(by_sig) == 1:
+                split.append(cell)
+            else:
+                split.extend(by_sig[s] for s in sorted(by_sig))
+        if len(split) == len(cells):
+            break
+        cells = split
+    return cells
 
 
 def canonical_labelling(g: Graph) -> tuple[tuple[int, ...], tuple[Automorphism, ...]]:
@@ -108,11 +130,14 @@ def canonical_labelling(g: Graph) -> tuple[tuple[int, ...], tuple[Automorphism, 
     n = len(vs)
     if n <= 1:
         return vs, ()
-    nbrs = {v: g.neighbors(v) for v in vs}
-    adj = {v: g.adjacency_mask(v) for v in vs}
+    ids = sorted(vs)
+    pos = {v: i for i, v in enumerate(ids)}
+    nbrs = [[pos[u] for u in g.neighbors(v)] for v in ids]
+    adj = [sum(1 << u for u in row) for row in nbrs]
 
     best: list = [None, None]  # [encoding, order]
-    gens: list[Automorphism] = []
+    maps: list[list[int]] = []  # automorphisms found, by position
+    gens: list[Automorphism] = []  # the same, by vertex id
 
     def encode(order: list[int]) -> int:
         enc = 0
@@ -122,16 +147,10 @@ def canonical_labelling(g: Graph) -> tuple[tuple[int, ...], tuple[Automorphism, 
                 enc = (enc << 1) | (row >> order[j] & 1)
         return enc
 
-    def cells_of(colors: dict[int, int]) -> list[list[int]]:
-        by_color: dict[int, list[int]] = {}
-        for v in sorted(colors):
-            by_color.setdefault(colors[v], []).append(v)
-        return [by_color[c] for c in sorted(by_color)]
-
     def in_known_orbit(w: int, tried: list[int], fixed: tuple[int, ...]) -> bool:
         if not tried:
             return False
-        fixing = [p for p in gens if all(p[x] == x for x in fixed)]
+        fixing = [p for p in maps if all(p[x] == x for x in fixed)]
         if not fixing:
             return False
         orbit = set(tried)
@@ -146,38 +165,33 @@ def canonical_labelling(g: Graph) -> tuple[tuple[int, ...], tuple[Automorphism, 
                         grew = True
         return w in orbit
 
-    def descend(colors: dict[int, int], fixed: tuple[int, ...]) -> None:
-        cells = cells_of(colors)
-        target = None
-        for cell in cells:
-            if len(cell) > 1:
-                target = cell
-                break
-        if target is None:
+    def descend(cells: list[list[int]], fixed: tuple[int, ...]) -> None:
+        at = next((c for c, cell in enumerate(cells) if len(cell) > 1), None)
+        if at is None:
             order = [cell[0] for cell in cells]
             enc = encode(order)
             if best[0] is None or enc < best[0]:
                 best[0] = enc
                 best[1] = order
             elif enc == best[0] and order != best[1]:
-                gens.append({best[1][i]: order[i] for i in range(n)})
+                p = [0] * n
+                for i in range(n):
+                    p[best[1][i]] = order[i]
+                maps.append(p)
+                gens.append({ids[best[1][i]]: ids[order[i]] for i in range(n)})
             return
+        target = cells[at]
         tried: list[int] = []
         for w in target:
             if in_known_orbit(w, tried, fixed):
                 continue
-            child = dict(colors)
             # Split w off just ahead of its cell, then restabilize.
-            child = {v: (c, 1) for v, c in child.items()}
-            child[w] = (colors[w], 0)
-            ranks = {s: i for i, s in enumerate(sorted(set(child.values())))}
-            child = {v: ranks[s] for v, s in child.items()}
-            descend(_refine(child, nbrs), fixed + (w,))
+            rest = [i for i in target if i != w]
+            descend(_refine(cells[:at] + [[w], rest] + cells[at + 1:], nbrs), fixed + (w,))
             tried.append(w)
 
-    start = _refine({v: 0 for v in vs}, nbrs)
-    descend(start, ())
-    return tuple(best[1]), tuple(gens)
+    descend(_refine([list(range(n))], nbrs), ())
+    return tuple(ids[i] for i in best[1]), tuple(gens)
 
 
 def canonical_order(g: Graph) -> tuple[int, ...]:

@@ -17,9 +17,10 @@ and resume between levels.
 from __future__ import annotations
 
 import concurrent.futures
+import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .canon import (
     Automorphism,
@@ -29,13 +30,8 @@ from .canon import (
     form_in_order,
     graph_from_canonical,
 )
-from .complexes import (
-    DEFAULT_COLLAPSE_BUDGET,
-    clique_complex,
-    collapse_via_trace,
-    is_collapsible,
-)
-from .contract import contractible_reduction, is_strong_contractible_any_order
+from .complexes import DEFAULT_COLLAPSE_BUDGET, _lift, _replay, clique_complex, is_collapsible
+from .contract import is_strong_contractible_any_order
 from .errors import GraphFormatError, InternalInconsistencyError, check_jobs
 from .graphs import Graph, iter_bits
 
@@ -53,6 +49,9 @@ __all__ = [
 ]
 
 MAX_CENSUS_N = 9
+
+# Progress of long runs, one INFO record per level.
+_log = logging.getLogger("graphcollapse")
 
 # Connected graphs up to isomorphism by vertex count, for validation.
 KNOWN_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117, 9: 261080}
@@ -203,38 +202,36 @@ def _level(n: int, parents: tuple[CanonicalForm, ...]) -> tuple[CanonicalForm, .
     return (canonical_form(Graph([0], [])),) if n == 1 else _extend_level(parents)
 
 
-def generate_connected(
-    max_n: int, log: Optional[Callable[[str], None]] = None
-) -> dict[int, tuple[CanonicalForm, ...]]:
+def generate_connected(max_n: int) -> dict[int, tuple[CanonicalForm, ...]]:
     """Connected graphs up to isomorphism, grouped by vertex count."""
     if not 1 <= max_n <= MAX_CENSUS_N:
         raise ValueError(f"max_n must be between 1 and {MAX_CENSUS_N}, got {max_n}")
     levels: dict[int, tuple[CanonicalForm, ...]] = {}
     for n in range(1, max_n + 1):
         levels[n] = _level(n, levels.get(n - 1, ()))
-        if log:
-            log(f"generated {len(levels[n])} graphs on {n} vertices")
+        _log.info("generated %d graphs on %d vertices", len(levels[n]), n)
     return levels
 
 
 def classify_graph(g: Graph, collapse_budget: int = DEFAULT_COLLAPSE_BUDGET) -> tuple[bool, Optional[bool]]:
     """(accepted by the greedy deletion test, clique complex collapsible).
 
-    For accepted graphs the collapse witness is built from the reduction
-    trace and replayed move by move, so the True answer is verified, not
-    assumed. Otherwise an exhaustive collapse search decides, budget
-    permitting.
+    One greedy scan decides the first answer and, when it reaches a
+    point, lifts the collapse witness as it goes (complexes._lift). The
+    witness is then replayed pair by pair, each checked to be free, on
+    one mutable set of the graph's cliques, which must end at one
+    vertex: the True answer is verified, not assumed. Otherwise an
+    exhaustive collapse search decides, budget permitting.
     """
-    reduced, trace = contractible_reduction(g)
-    if reduced.n == 1:
-        cx = clique_complex(g)
-        for pair in collapse_via_trace(g, trace):
-            cx = cx.collapse(pair)
-        if not (cx.face_count == 1 and cx.dim == 0):
-            raise InternalInconsistencyError("trace-guided collapse did not reach a point")
-        return True, True
-    verdict = is_collapsible(clique_complex(g), budget=collapse_budget)
-    return False, verdict.collapsible
+    adj = {v: g.adjacency_mask(v) for v in g.vertices}
+    lift = _lift(adj, sum(1 << v for v in adj), {}, {})
+    if lift is None:
+        return False, is_collapsible(clique_complex(g), budget=collapse_budget).collapsible
+    faces = set(clique_complex(g)._masks)
+    _replay(adj, faces, lift[0])
+    if len(faces) != 1 or faces.pop().bit_count() != 1:
+        raise InternalInconsistencyError("trace-guided collapse did not reach a point")
+    return True, True
 
 
 def _classify_payload(payload: tuple[str, int]) -> tuple[str, bool, Optional[bool]]:
@@ -352,14 +349,12 @@ def parse_level(text: str, source: str = "<census>") -> tuple[int, tuple[CensusE
     return n, tuple(entries)
 
 
-def build_census(
-    config: CensusConfig = CensusConfig(),
-    out_dir=None,
-    log: Optional[Callable[[str], None]] = None,
-) -> Census:
+def build_census(config: CensusConfig = CensusConfig(), out_dir=None) -> Census:
     """Generate, classify, and optionally persist every level up to
     config.max_n. Levels already saved under out_dir are loaded instead
-    of recomputed, so interrupted runs pick up where they stopped."""
+    of recomputed, so interrupted runs pick up where they stopped.
+    Progress goes to the "graphcollapse" logger at INFO, one record per
+    level."""
     directory = Path(out_dir) if out_dir is not None else None
     levels: dict[int, tuple[CensusEntry, ...]] = {}
     prev_forms: tuple[CanonicalForm, ...] = ()
@@ -371,8 +366,7 @@ def build_census(
                 raise GraphFormatError(str(path), 1, f"expected level {n}, found {level_n}")
             levels[n] = entries
             prev_forms = tuple(e.form for e in entries)
-            if log:
-                log(f"level {n}: loaded {len(entries)} graphs")
+            _log.info("level %d: loaded %d graphs", n, len(entries))
             continue
         forms = _level(n, prev_forms)
         entries = _classify_level(forms, config)
@@ -381,9 +375,8 @@ def build_census(
         if path is not None:
             directory.mkdir(parents=True, exist_ok=True)
             path.write_text(format_level(n, entries))
-        if log:
-            strong = sum(1 for e in entries if e.in_strong)
-            log(f"level {n}: {len(entries)} graphs, {strong} pass the deletion test")
+        strong = sum(1 for e in entries if e.in_strong)
+        _log.info("level %d: %d graphs, %d pass the deletion test", n, len(entries), strong)
     return Census(levels)
 
 

@@ -10,6 +10,7 @@ output is deterministic for a given input.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -161,9 +162,18 @@ def _cmd_vr(args) -> int:
 
 def _cmd_census(args) -> int:
     config = _checked(CensusConfig, max_n=args.max_n, collapse_budget=args.budget, jobs=args.jobs)
-    census = build_census(
-        config, out_dir=args.out, log=lambda msg: print(msg, file=sys.stderr)
-    )
+    # Progress records from the census, one plain line each on stderr.
+    logger = logging.getLogger("graphcollapse")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        census = build_census(config, out_dir=args.out)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
     for n, count in census.counts().items():
         print(f"n {n} {count}")
     report = check_conjecture(census)

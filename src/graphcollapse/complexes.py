@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .contract import ReductionTrace, contractible_reduction
-from .errors import BudgetExceededError
+from .contract import ReductionTrace, _first_hit_deletions
+from .errors import BudgetExceededError, InternalInconsistencyError
 from .graphs import Graph, iter_bits
 
 __all__ = [
@@ -372,20 +372,83 @@ def is_collapsible(cx: SimplicialComplex, budget: int = DEFAULT_COLLAPSE_BUDGET)
 # -- trace-guided collapse -------------------------------------------------------
 
 
+MaskPair = tuple[int, int]  # (sigma, tau) as vertex masks
+Lift = Optional[tuple[tuple[MaskPair, ...], int]]
+
+
+def _lift(adj: dict[int, int], mask: int, verdicts: dict[int, bool], lifted: dict[int, Lift]) -> Lift:
+    """The greedy scan's collapse of the clique complex of the subgraph
+    induced by mask, as elementary collapses in (sigma, tau) mask pairs,
+    and the mask of the point they leave; None when the scan does not
+    reach a point.
+
+    Each vertex v the scan deletes is the apex of a cone over its link,
+    adj[v] & (what is left). The link's own collapse, lifted the same way
+    one level down, joins v pair by pair, and (v, v + point) then removes
+    what is left of the cone. verdicts is the scan's memo and lifted
+    memoizes the answer by mask; both hold for as long as adj does.
+    """
+    if mask & (mask - 1) == 0:
+        return ((), mask) if mask else None
+    if mask in lifted:
+        return lifted[mask]
+    deleted, rest = _first_hit_deletions(adj, mask, verdicts)
+    result: Lift = None
+    if rest & (rest - 1) == 0:
+        pairs: list[MaskPair] = []
+        left = mask
+        for v in deleted:
+            bit = 1 << v
+            link_pairs, point = _lift(adj, adj[v] & left, verdicts, lifted)
+            pairs.extend((s | bit, t | bit) for s, t in link_pairs)
+            pairs.append((bit, bit | point))
+            left ^= bit
+        result = tuple(pairs), rest
+    lifted[mask] = result
+    return result
+
+
+def _replay(adj: dict[int, int], faces: set[int], pairs: Iterable[MaskPair]) -> None:
+    """Apply elementary collapses, given as (sigma, tau) mask pairs, to a
+    set of clique masks of the graph with adjacency adj, in place.
+
+    Each pair is checked to be free first: sigma and tau are faces, tau
+    is sigma plus one vertex x, and no sigma + y with y != x is a face.
+    Every face is a clique, so such a y is a common neighbor of sigma.
+    Raises InternalInconsistencyError at the first pair that is not free.
+    """
+    for sm, tm in pairs:
+        x = tm & ~sm
+        if sm not in faces or tm not in faces or tm & sm != sm or x & (x - 1) or not x:
+            raise InternalInconsistencyError(f"({_tuple_of(sm)}, {_tuple_of(tm)}) is not an elementary pair of faces")
+        common = -1
+        for u in iter_bits(sm):
+            common &= adj[u]
+        for y in iter_bits(common & ~tm):
+            if sm | 1 << y in faces:
+                raise InternalInconsistencyError(f"({_tuple_of(sm)}, {_tuple_of(tm)}) is not a free pair")
+        faces.discard(sm)
+        faces.discard(tm)
+
+
 def collapse_via_trace(g: Graph, trace: ReductionTrace) -> tuple[FreePair, ...]:
     """Elementary collapse sequence taking the clique complex of g to the
     clique complex of the reduced graph, lifted step by step from the
     reduction trace.
 
     Works for vertex and edge deletions alike: the deleted element plays
-    the role of the cone apex over its (common) neighborhood. Deleting an
-    apex whose link reduces to a point w collapses the cone apex * link:
-    each pair of the link's own collapse, lifted here from the link's
-    reduction trace, joins the apex, after which (apex, apex + w) removes
-    what is left of the cone.
+    the role of the cone apex over its (common) neighborhood. Each step
+    is checked against the graph as it stands, then the link's collapse
+    is lifted from one greedy scan of the link (_lift), joined to the
+    apex, and closed by (apex, apex + point). The adjacency is updated in
+    place. The scan's verdicts and lifted collapses are memoized by mask
+    for the whole call, and cleared after an edge step, which changes
+    the adjacency under them.
     """
     pairs: list[FreePair] = []
     adj = {v: g.adjacency_mask(v) for v in g.vertices}  # what is left, updated in place
+    verdicts: dict[int, bool] = {}
+    lifted: dict[int, Lift] = {}
     for step in trace:
         apex = step.apex
         # an apex is one vertex or one edge: keep is its (common) neighborhood
@@ -393,24 +456,26 @@ def collapse_via_trace(g: Graph, trace: ReductionTrace) -> tuple[FreePair, ...]:
         if first not in adj or not (vertex or adj[first] >> last & 1):
             raise ValueError(f"simplex {list(apex)} is not in the graph")
         keep = adj[first] & adj[last]
-        link_vs = tuple(iter_bits(keep))
-        if frozenset(link_vs) != step.link:
+        if keep != _mask_of(step.link):
             raise ValueError(
-                f"trace does not match graph: link of {apex} is {list(link_vs)}, "
+                f"trace does not match graph: link of {apex} is {list(iter_bits(keep))}, "
                 f"recorded {sorted(step.link)}"
             )
-        link = Graph._from_masks(link_vs, {w: adj[w] & keep for w in link_vs})
-        point, link_trace = contractible_reduction(link)
-        if point.n != 1:
+        lift = _lift(adj, keep, verdicts, lifted)
+        if lift is None:
             raise ValueError(f"link of {apex} is not strongly contractible; trace is invalid")
-        for p in collapse_via_trace(link, link_trace):
-            pairs.append(FreePair(tuple(sorted(apex + p.sigma)), tuple(sorted(apex + p.tau))))
-        pairs.append(FreePair(apex, tuple(sorted(apex + point.vertices))))
+        link_pairs, point = lift
+        am = _mask_of(apex)
+        for sm, tm in link_pairs:
+            pairs.append(FreePair(_tuple_of(sm | am), _tuple_of(tm | am)))
+        pairs.append(FreePair(apex, _tuple_of(am | point)))
         if vertex:
             del adj[first]
-            for w in link_vs:
-                adj[w] &= ~(1 << first)
+            for w in iter_bits(keep):
+                adj[w] &= ~am
         else:
             adj[first] &= ~(1 << last)
             adj[last] &= ~(1 << first)
+            verdicts.clear()
+            lifted.clear()
     return tuple(pairs)

@@ -155,6 +155,98 @@ def orbits_of(vertices, maps) -> set[frozenset[int]]:
     return set(orbit_of.values())
 
 
+def _reference_refine(colors: dict[int, int], nbrs: dict[int, tuple[int, ...]]) -> dict[int, int]:
+    """Iterated refinement by neighbor color multisets, colors re-ranked
+    by sorted signature on every pass until nothing changes."""
+    while True:
+        sig = {
+            v: (colors[v], tuple(sorted(colors[u] for u in nbrs[v])))
+            for v in colors
+        }
+        ranks = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        new = {v: ranks[sig[v]] for v in colors}
+        if new == colors:
+            return colors
+        colors = new
+
+
+def reference_canonical_labelling(g: Graph) -> tuple[tuple[int, ...], tuple[dict[int, int], ...]]:
+    """The package's canonical search as it was written on dicts keyed by
+    vertex id, kept verbatim so the list-based search can be held to the
+    same orders and the same automorphism generators."""
+    vs = g.vertices
+    n = len(vs)
+    if n <= 1:
+        return vs, ()
+    nbrs = {v: g.neighbors(v) for v in vs}
+    adj = {v: g.adjacency_mask(v) for v in vs}
+
+    best: list = [None, None]  # [encoding, order]
+    gens: list[dict[int, int]] = []
+
+    def encode(order: list[int]) -> int:
+        enc = 0
+        for i in range(n):
+            row = adj[order[i]]
+            for j in range(i + 1, n):
+                enc = (enc << 1) | (row >> order[j] & 1)
+        return enc
+
+    def cells_of(colors: dict[int, int]) -> list[list[int]]:
+        by_color: dict[int, list[int]] = {}
+        for v in sorted(colors):
+            by_color.setdefault(colors[v], []).append(v)
+        return [by_color[c] for c in sorted(by_color)]
+
+    def in_known_orbit(w: int, tried: list[int], fixed: tuple[int, ...]) -> bool:
+        if not tried:
+            return False
+        fixing = [p for p in gens if all(p[x] == x for x in fixed)]
+        if not fixing:
+            return False
+        orbit = set(tried)
+        grew = True
+        while grew:
+            grew = False
+            for p in fixing:
+                for x in list(orbit):
+                    y = p[x]
+                    if y not in orbit:
+                        orbit.add(y)
+                        grew = True
+        return w in orbit
+
+    def descend(colors: dict[int, int], fixed: tuple[int, ...]) -> None:
+        cells = cells_of(colors)
+        target = None
+        for cell in cells:
+            if len(cell) > 1:
+                target = cell
+                break
+        if target is None:
+            order = [cell[0] for cell in cells]
+            enc = encode(order)
+            if best[0] is None or enc < best[0]:
+                best[0] = enc
+                best[1] = order
+            elif enc == best[0] and order != best[1]:
+                gens.append({best[1][i]: order[i] for i in range(n)})
+            return
+        tried: list[int] = []
+        for w in target:
+            if in_known_orbit(w, tried, fixed):
+                continue
+            child = {v: (c, 1) for v, c in colors.items()}
+            child[w] = (colors[w], 0)
+            ranks = {s: i for i, s in enumerate(sorted(set(child.values())))}
+            child = {v: ranks[s] for v, s in child.items()}
+            descend(_reference_refine(child, nbrs), fixed + (w,))
+            tried.append(w)
+
+    descend(_reference_refine({v: 0 for v in vs}, nbrs), ())
+    return tuple(best[1]), tuple(gens)
+
+
 def reference_extend_level(parent_forms) -> tuple:
     """Every connected graph one vertex larger than the given ones, which
     must be every connected graph of their size: each parent gets a new

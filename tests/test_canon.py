@@ -26,6 +26,7 @@ from helpers import (
     brute_is_isomorphic,
     gstar,
     orbits_of,
+    reference_canonical_labelling,
     reference_levels,
 )
 
@@ -154,3 +155,18 @@ class TestAutomorphisms:
     def test_relabelled_onto_sparse_ids(self, g, rng):
         ids = rng.sample(range(1000), g.n)
         self.check(g.relabeled(dict(zip(g.vertices, ids))))
+
+
+class TestPinnedSearch:
+    """The search on position lists reaches the same orders and records
+    the same generators, in the same order, as the dict-based search it
+    replaced (kept in helpers)."""
+
+    @given(arbitrary_graphs(min_n=0, max_n=10), st.randoms(use_true_random=False), st.booleans())
+    def test_matches_dict_based_search(self, g, rng, sparse):
+        if sparse:
+            g = g.relabeled(dict(zip(g.vertices, rng.sample(range(1000), g.n))))
+        order, gens = canonical_labelling(g)
+        want_order, want_gens = reference_canonical_labelling(g)
+        assert order == want_order
+        assert [list(p.items()) for p in gens] == [list(p.items()) for p in want_gens]

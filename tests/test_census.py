@@ -1,9 +1,11 @@
 """Exhaustive small-graph catalogue and the implication survey built on it."""
 
+import logging
 import os
 
 import pytest
 
+from graphcollapse import census
 from graphcollapse.canon import canonical_form, graph_from_canonical
 from graphcollapse.census import (
     _extend_level,
@@ -81,6 +83,29 @@ class TestClassification:
     def test_known_graphs(self, g, expected):
         assert classify_graph(g) == expected
 
+    def test_replay_rejects_a_witness_that_stops_short(self, monkeypatch):
+        lift = census._lift
+
+        def dropped(*args):
+            pairs, point = lift(*args)
+            return pairs[:-1], point
+
+        monkeypatch.setattr(census, "_lift", dropped)
+        with pytest.raises(InternalInconsistencyError, match="did not reach a point"):
+            classify_graph(gstar())
+
+    def test_replay_rejects_a_pair_that_is_not_free(self, monkeypatch):
+        lift = census._lift
+
+        def swapped(*args):
+            pairs, point = lift(*args)
+            # vertex 0 of K4 lies in three edges, so (0, 01) is not free
+            return ((0b1, 0b11),) + pairs[1:], point
+
+        monkeypatch.setattr(census, "_lift", swapped)
+        with pytest.raises(InternalInconsistencyError, match="not a free pair"):
+            classify_graph(complete(4))
+
     def test_positive_entries_verified_collapsible(self, census7):
         for e in census7.entries():
             if e.in_strong:
@@ -117,15 +142,14 @@ class TestPersistenceOfLevels:
         again = Census.load(tmp_path)
         assert again.levels == small.levels
 
-    def test_build_resumes_from_saved_levels(self, tmp_path):
-        logs = []
-        build_census(CensusConfig(max_n=4), out_dir=tmp_path, log=logs.append)
-        assert any("pass the deletion test" in line for line in logs)
-        logs2 = []
-        resumed = build_census(
-            CensusConfig(max_n=4), out_dir=tmp_path, log=logs2.append
-        )
-        assert all("loaded" in line for line in logs2)
+    def test_build_resumes_from_saved_levels(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="graphcollapse")
+        build_census(CensusConfig(max_n=4), out_dir=tmp_path)
+        assert any("pass the deletion test" in line for line in caplog.messages)
+        caplog.clear()
+        resumed = build_census(CensusConfig(max_n=4), out_dir=tmp_path)
+        assert len(caplog.messages) == 4
+        assert all("loaded" in line for line in caplog.messages)
         assert resumed.counts() == {1: 1, 2: 1, 3: 2, 4: 6}
 
     def test_format_parse_roundtrip(self, census7):

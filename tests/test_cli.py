@@ -215,6 +215,15 @@ class TestCensusCommand:
         assert main(["census", "--max-n", "4", "--check-order"]) == 0
         assert "order-gap 0" in capsys.readouterr().out
 
+    def test_progress_lines_on_stderr(self, capsys):
+        for _ in range(2):
+            assert main(["census", "--max-n", "3"]) == 0
+            assert capsys.readouterr().err == (
+                "level 1: 1 graphs, 1 pass the deletion test\n"
+                "level 2: 1 graphs, 1 pass the deletion test\n"
+                "level 3: 2 graphs, 2 pass the deletion test\n"
+            )
+
     def test_out_dir(self, tmp_path, capsys):
         assert main(["census", "--max-n", "3", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
