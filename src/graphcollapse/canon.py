@@ -136,8 +136,7 @@ def canonical_labelling(g: Graph) -> tuple[tuple[int, ...], tuple[Automorphism, 
     adj = [sum(1 << u for u in row) for row in nbrs]
 
     best: list = [None, None]  # [encoding, order]
-    maps: list[list[int]] = []  # automorphisms found, by position
-    gens: list[Automorphism] = []  # the same, by vertex id
+    gens: list[Automorphism] = []  # automorphisms found, by vertex id
 
     def encode(order: list[int]) -> int:
         enc = 0
@@ -150,10 +149,10 @@ def canonical_labelling(g: Graph) -> tuple[tuple[int, ...], tuple[Automorphism, 
     def in_known_orbit(w: int, tried: list[int], fixed: tuple[int, ...]) -> bool:
         if not tried:
             return False
-        fixing = [p for p in maps if all(p[x] == x for x in fixed)]
+        fixing = [p for p in gens if all(p[ids[x]] == ids[x] for x in fixed)]
         if not fixing:
             return False
-        orbit = set(tried)
+        orbit = {ids[t] for t in tried}
         grew = True
         while grew:
             grew = False
@@ -163,7 +162,7 @@ def canonical_labelling(g: Graph) -> tuple[tuple[int, ...], tuple[Automorphism, 
                     if y not in orbit:
                         orbit.add(y)
                         grew = True
-        return w in orbit
+        return ids[w] in orbit
 
     def descend(cells: list[list[int]], fixed: tuple[int, ...]) -> None:
         at = next((c for c, cell in enumerate(cells) if len(cell) > 1), None)
@@ -174,10 +173,6 @@ def canonical_labelling(g: Graph) -> tuple[tuple[int, ...], tuple[Automorphism, 
                 best[0] = enc
                 best[1] = order
             elif enc == best[0] and order != best[1]:
-                p = [0] * n
-                for i in range(n):
-                    p[best[1][i]] = order[i]
-                maps.append(p)
                 gens.append({ids[best[1][i]]: ids[order[i]] for i in range(n)})
             return
         target = cells[at]

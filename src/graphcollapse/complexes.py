@@ -386,7 +386,7 @@ def _lift(adj: dict[int, int], mask: int, verdicts: dict[int, bool], lifted: dic
     adj[v] & (what is left). The link's own collapse, lifted the same way
     one level down, joins v pair by pair, and (v, v + point) then removes
     what is left of the cone. verdicts is the scan's memo and lifted
-    memoizes the answer by mask; both hold for as long as adj does.
+    memoizes the answer by mask; both hold only while adj is unchanged.
     """
     if mask & (mask - 1) == 0:
         return ((), mask) if mask else None
@@ -441,14 +441,10 @@ def collapse_via_trace(g: Graph, trace: ReductionTrace) -> tuple[FreePair, ...]:
     is checked against the graph as it stands, then the link's collapse
     is lifted from one greedy scan of the link (_lift), joined to the
     apex, and closed by (apex, apex + point). The adjacency is updated in
-    place. The scan's verdicts and lifted collapses are memoized by mask
-    for the whole call, and cleared after an edge step, which changes
-    the adjacency under them.
+    place.
     """
     pairs: list[FreePair] = []
     adj = {v: g.adjacency_mask(v) for v in g.vertices}  # what is left, updated in place
-    verdicts: dict[int, bool] = {}
-    lifted: dict[int, Lift] = {}
     for step in trace:
         apex = step.apex
         # an apex is one vertex or one edge: keep is its (common) neighborhood
@@ -461,7 +457,7 @@ def collapse_via_trace(g: Graph, trace: ReductionTrace) -> tuple[FreePair, ...]:
                 f"trace does not match graph: link of {apex} is {list(iter_bits(keep))}, "
                 f"recorded {sorted(step.link)}"
             )
-        lift = _lift(adj, keep, verdicts, lifted)
+        lift = _lift(adj, keep, {}, {})
         if lift is None:
             raise ValueError(f"link of {apex} is not strongly contractible; trace is invalid")
         link_pairs, point = lift
@@ -476,6 +472,4 @@ def collapse_via_trace(g: Graph, trace: ReductionTrace) -> tuple[FreePair, ...]:
         else:
             adj[first] &= ~(1 << last)
             adj[last] &= ~(1 << first)
-            verdicts.clear()
-            lifted.clear()
     return tuple(pairs)

@@ -8,7 +8,9 @@ lists, exhaustive coface scans for free pairs. None of it calls into
 the package's own linear algebra, canonical form, or complex machinery,
 so agreement is meaningful. The one exception is the census reference
 generation, which deduplicates with the package's canonical form; the
-canon tests check that form against the permutation minimum.
+canon tests check that form against the permutation minimum. The
+collapse replay helper applies the package's own free-pair check, to
+replay long witnesses without copying the face set for every pair.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from itertools import combinations, permutations
 import numpy as np
 from hypothesis import strategies as st
 
-from graphcollapse import Graph, canonical_form, graph_from_canonical
+from graphcollapse import Graph, canonical_form, clique_complex, graph_from_canonical
+from graphcollapse.complexes import _mask_of, _replay
 
 
 # -- isomorphism by brute force ----------------------------------------------
@@ -566,6 +569,17 @@ def greedy_reduction(g: Graph, edges: bool = False) -> tuple[Graph, list[tuple[s
                     break
             else:
                 return g, steps
+
+
+# -- collapse replay -------------------------------------------------------------
+
+
+def replayed(g: Graph, pairs) -> set[int]:
+    """The clique masks of g left after replaying the collapse pairs in
+    place with complexes._replay, each checked to be free."""
+    faces = set(clique_complex(g)._masks)
+    _replay({v: g.adjacency_mask(v) for v in g.vertices}, faces, [(_mask_of(p.sigma), _mask_of(p.tau)) for p in pairs])
+    return faces
 
 
 # -- shared fixtures ------------------------------------------------------------

@@ -20,8 +20,6 @@ from graphcollapse.complexes import (
     NOT_COLLAPSIBLE,
     FreePair,
     SimplicialComplex,
-    _mask_of,
-    _replay,
 )
 from graphcollapse.contract import ReductionTrace
 from graphcollapse.factories import complete, cycle, octahedron, path
@@ -33,6 +31,7 @@ from helpers import (
     connected_graphs,
     g8,
     gstar,
+    replayed,
 )
 
 
@@ -253,14 +252,6 @@ class TestIsCollapsible:
         assert cx.face_count == 1 and cx.dim == 0
 
 
-def replayed(g, pairs) -> set[int]:
-    """The clique masks of g left after replaying the collapse pairs in
-    place, each checked to be free."""
-    faces = set(clique_complex(g)._masks)
-    _replay({v: g.adjacency_mask(v) for v in g.vertices}, faces, [(_mask_of(p.sigma), _mask_of(p.tau)) for p in pairs])
-    return faces
-
-
 class TestCollapseViaTrace:
     def test_k4(self):
         g = complete(4)
@@ -286,12 +277,17 @@ class TestCollapseViaTrace:
     def test_partial_trace_reaches_reduced_complex(self):
         g = g8()
         reduced, trace = edge_extended_reduction(g)
-        assert replayed(g, collapse_via_trace(g, trace)) == set(clique_complex(reduced)._masks)
+        pairs = collapse_via_trace(g, trace)
+        cx = clique_complex(g)
+        for pair in pairs:
+            cx = cx.collapse(pair)
+        assert cx == clique_complex(reduced)
+        assert replayed(g, pairs) == set(cx._masks)
 
-    def test_memos_cleared_after_edge_step(self):
+    def test_edge_steps_change_a_later_link(self):
         # Deleting edges 0-4 and 2-3 of K5 turns the link {1, 2, 3} of
         # vertex 0 from a triangle into a path, after the first step has
-        # already scanned and lifted that triangle.
+        # already lifted that triangle.
         g = complete(5)
         trace = ReductionTrace.from_text("trace 3\nE 0 4\nE 2 3\nV 0\n", g)
         assert replayed(g, collapse_via_trace(g, trace)) == set(clique_complex(trace.replay(g))._masks)

@@ -13,7 +13,6 @@ from graphcollapse import (
     legal_transformations,
 )
 from graphcollapse import clique_complex, collapse_via_trace
-from graphcollapse.complexes import _mask_of, _replay
 from graphcollapse.contract import Step, TransformKind
 from graphcollapse.factories import complete, cycle, edgeless, octahedron, path
 
@@ -24,6 +23,7 @@ from helpers import (
     greedy_contractible,
     greedy_reduction,
     gstar,
+    replayed,
     sparse_connected_graphs,
 )
 
@@ -271,9 +271,7 @@ class TestLargeInputs:
 
     def test_long_path_collapse_replays_to_a_point(self):
         g = path(1200)
-        faces = set(clique_complex(g)._masks)
-        pairs = collapse_via_trace(g, contractible_reduction(g)[1])
-        _replay({v: g.adjacency_mask(v) for v in g.vertices}, faces, [(_mask_of(p.sigma), _mask_of(p.tau)) for p in pairs])
+        faces = replayed(g, collapse_via_trace(g, contractible_reduction(g)[1]))
         assert len(faces) == 1 and faces.pop().bit_count() == 1
 
     def test_far_apart_ids(self):
