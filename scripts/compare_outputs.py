@@ -9,17 +9,18 @@ Run it the same way in a checkout of the parent commit and diff the two
 files. It covers the prime-field wrappers (ranks, free-variables-zero
 solutions, kernel bases), homology over GF(2), GF(3) and the integers
 with representatives, pushed cycles and induced-map matrices, both
-reductions' traces with their collapse pairs, the barcodes of the
-50 acceptance clouds, the squared-distance keys of seeded integer,
-rational and float point clouds, the keys of seeded dissimilarity
-matrices with mixed denominators, the stage edge sets of seeded clouds
-and matrices under explicit fractional and float thresholds together
-with `graphcollapse vr` stdout and exit code on the same inputs, the
-text of every census level through n=7, and the canonical orders and
+reductions' traces with their collapse pairs, the barcodes of the 50
+acceptance clouds and both reductions' trace of each of their stage
+graphs, the barcodes of two seeded 40-point clouds with every distance
+a stage, the squared-distance keys of seeded integer, rational and
+float point clouds, the keys of seeded dissimilarity matrices with
+mixed denominators, the stage edge sets of seeded clouds and matrices
+under explicit fractional and float thresholds together with
+`graphcollapse vr` stdout and exit code on the same inputs, the text of
+every census level through n=7, and the canonical orders and
 automorphism generators of the seeded graphs, on their own ids and
-relabelled onto sparse ones. It uses only the standard
-library, numpy and long-standing public API, and runs in well under a
-minute.
+relabelled onto sparse ones. It uses only the standard library, numpy
+and long-standing public API, and runs in well under a minute.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from graphcollapse.homology import (
     induced_map,
     push_cycle_sequence,
 )
-from graphcollapse.persistence import PointCloud, barcode, vr_filtration
+from graphcollapse.persistence import PointCloud, barcode, reduce_filtration, vr_filtration
 
 PRIMES = (2, 3, 5, 7, 2**31 - 1)
 FIELDS = (Coefficients(2), Coefficients(3))
@@ -158,19 +159,53 @@ def graph_outputs(g: Graph, rng: random.Random) -> dict:
     return out
 
 
-def barcodes() -> list:
+def acceptance_clouds() -> list:
+    """The 50 seeded acceptance clouds of 3-12 integer points."""
     rng = random.Random(441202)
-    out = []
-    for k in range(50):
+    clouds = []
+    for _ in range(50):
         count = rng.randint(3, 12)
         pts = set()
         while len(pts) < count:
             pts.add((rng.randint(0, 20), rng.randint(0, 20)))
-        filt = vr_filtration(PointCloud.from_points(sorted(pts)))
-        entry = {"points": sorted(pts), "gf2": barcode(filt, max_dim=2).to_csv()}
+        clouds.append(sorted(pts))
+    return clouds
+
+
+def barcodes() -> list:
+    out = []
+    for k, pts in enumerate(acceptance_clouds()):
+        filt = vr_filtration(PointCloud.from_points(pts))
+        entry = {"points": pts, "gf2": barcode(filt, max_dim=2).to_csv()}
         if k < 10:
             entry["gf3"] = barcode(filt, max_dim=1, coeffs=Coefficients(3)).to_csv()
         out.append(entry)
+    return out
+
+
+def stage_traces() -> list:
+    """Both reductions' trace of every stage graph of the acceptance
+    clouds, every distance a stage."""
+    out = []
+    for pts in acceptance_clouds():
+        filt = vr_filtration(PointCloud.from_points(pts))
+        out.append({
+            name: [stage.trace.to_text() for stage in reduce_filtration(filt, edge_extended)]
+            for name, edge_extended in (("vertex", False), ("edge", True))
+        })
+    return out
+
+
+def full_barcodes() -> list:
+    """Barcodes of two seeded 40-point clouds with every distance a stage."""
+    out = []
+    for seed in (4040, 4041):
+        rng = random.Random(seed)
+        pts = set()
+        while len(pts) < 40:
+            pts.add((rng.randrange(10_000), rng.randrange(10_000)))
+        filt = vr_filtration(PointCloud.from_points(sorted(pts)))
+        out.append({"seed": seed, "gf2": barcode(filt, max_dim=2).to_csv()})
     return out
 
 
@@ -304,6 +339,8 @@ def main() -> None:
         "linear_algebra": linear_algebra(rng),
         "graphs": [graph_outputs(g, rng) for g in graphs],
         "barcodes": barcodes(),
+        "stage_traces": stage_traces(),
+        "full_barcodes": full_barcodes(),
         "cloud_keys": cloud_keys(),
         "matrix_keys": matrix_keys(),
         "explicit_filtrations": explicit_filtrations(),

@@ -2,16 +2,21 @@
 
 A graph is *strongly contractible* when it can be shrunk to a single
 vertex by repeatedly deleting a vertex whose open neighborhood is itself
-strongly contractible. The membership test scans vertices in ascending id
-order and commits to the first vertex whose neighborhood passes, then
-scans the remaining graph again; it never backtracks over that choice.
-An exhaustive any-order variant is provided separately so negative
-answers can be certified independently of the greedy scan order.
+strongly contractible. The membership test deletes, again and again, the
+lowest vertex whose neighborhood passes; it never backtracks over that
+choice. An exhaustive any-order variant is provided separately so
+negative answers can be certified independently of the greedy scan order.
+
+The scan keeps a worklist rather than restarting at the lowest vertex
+after each deletion: a vertex that failed is tested again only once a
+neighbor of it is deleted, since nothing else changes its neighborhood.
+The deletion order is the one a restarting scan gives. Cones are
+accepted without a scan, as the scan would accept them.
 
 The reduction routine applies the same scan destructively: it deletes the
-first qualifying vertex, restarts the scan, and stops when a full pass
-deletes nothing. The edge-extended variant additionally deletes an edge
-whose common neighborhood passes the test whenever no vertex qualifies.
+lowest qualifying vertex until none qualifies. The edge-extended variant
+additionally deletes an edge whose common neighborhood passes the test
+whenever no vertex qualifies.
 
 Every graph one test visits is an induced subgraph of its input, since
 the recursion only enters neighborhoods and vertex deletions. Within a
@@ -63,31 +68,66 @@ def _first_hit_deletions(adj: dict[int, int], mask: int, memo: dict[int, bool]) 
     """The greedy scan on the subgraph induced by mask.
 
     Deletes the lowest vertex whose neighborhood is strongly contractible
-    and rescans from the lowest vertex, until no vertex qualifies. Returns
-    the deleted vertices in order and the mask that is left.
+    until no vertex qualifies. Returns the deleted vertices in order and
+    the mask that is left.
+
+    The vertices still to test are kept in todo, and the lowest of them is
+    tested next. A vertex leaves todo when it fails and comes back when a
+    neighbor is deleted. Deleting v changes the neighborhoods of v's
+    neighbors only, so every vertex outside todo has failed on the
+    neighborhood it still has, and would fail again. The lowest vertex of
+    todo that passes is therefore the lowest vertex that qualifies, and
+    the deletions are those of a scan that restarts at the lowest vertex
+    after each one.
     """
     deleted = []
-    while True:
-        for v in iter_bits(mask):
-            if _contractible(adj, adj[v] & mask, memo):
-                deleted.append(v)
-                mask ^= 1 << v
-                break
-        else:
-            return deleted, mask
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        if _contractible(adj, adj[v] & mask, memo):
+            deleted.append(v)
+            mask ^= low
+            todo |= adj[v] & mask
+    return deleted, mask
 
 
 def _contractible(adj: dict[int, int], mask: int, memo: dict[int, bool]) -> bool:
     """Greedy verdict for the subgraph induced by mask: no for the empty
     graph, yes for a single vertex, otherwise whether the scan leaves one
-    vertex."""
+    vertex.
+
+    A cone, some vertex w adjacent to all the others, is accepted without
+    a scan; the scan accepts it too. By induction on size: every vertex
+    x != w has a neighborhood that is w alone or a smaller cone on w, so
+    it passes. If the scan's first deletion is some such x, a smaller
+    cone on w is left. If it is w, what is left is w's neighborhood, which
+    the scan has just accepted. Either way the scan goes on to a single
+    vertex.
+    """
     if mask & (mask - 1) == 0:
         return mask != 0
     verdict = memo.get(mask)
     if verdict is None:
-        rest = _first_hit_deletions(adj, mask, memo)[1]
-        verdict = memo[mask] = rest & (rest - 1) == 0
+        if _is_cone(adj, mask):
+            verdict = True
+        else:
+            rest = _first_hit_deletions(adj, mask, memo)[1]
+            verdict = rest & (rest - 1) == 0
+        memo[mask] = verdict
     return verdict
+
+
+def _is_cone(adj: dict[int, int], mask: int) -> bool:
+    """Whether some vertex of mask is adjacent to all the others."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if (adj[low.bit_length() - 1] | low) & mask == mask:
+            return True
+        rest ^= low
+    return False
 
 
 def _contractible_any_order(adj: dict[int, int], mask: int, memo: dict[int, bool]) -> bool:

@@ -32,7 +32,7 @@ from . import exactla
 from .complexes import DEFAULT_FACE_BUDGET, enumerate_cliques
 from .contract import ReductionTrace, _contractible, contractible_reduction, edge_extended_reduction
 from .errors import GraphFormatError
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 from .homology import Coefficients
 
 __all__ = [
@@ -369,23 +369,49 @@ class Barcode:
         return format_barcode_csv(self)
 
 
-def _link_stays_contractible(nbrs: dict[int, dict[int, int]], u: int, v: int, s: int) -> bool:
-    """Whether the common neighborhood of u and v is strongly contractible
-    at every stage from s on, where nbrs maps each vertex to its
-    neighbors' entry stages. That neighborhood changes only at stages
-    where one of its vertices or edges enters, so only those are tested."""
-    nu, nv = nbrs[u], nbrs[v]
-    joins = {w: max(nu[w], nv[w], s) for w in nu.keys() & nv.keys()}
-    tests = {s, *joins.values()}
-    for w, t in joins.items():
-        tests.update(max(e, t, joins[x]) for x, e in nbrs[w].items() if x in joins)
-    for j in sorted(tests):
-        adj, mask = {}, 0
-        for w, t in joins.items():
-            if t <= j:
-                mask |= 1 << w
-                adj[w] = sum(1 << x for x, e in nbrs[w].items() if e <= j)
-        if not _contractible(adj, mask, {}):
+def _link_stays_contractible(
+    adj: dict[int, int], kept: dict[int, dict[int, int]], u: int, v: int, s: int
+) -> bool:
+    """Whether the common neighborhood of the edge (u, v), entering at
+    stage s, is strongly contractible at every stage from s on, in the
+    filtration left so far. adj maps each vertex to the mask of its
+    neighbors there, and kept maps each vertex to its neighbors through
+    edges already visited and kept, with their entry stages. Edges are
+    visited latest entry first, so every other edge has entered by s.
+
+    The link therefore changes after s only where a kept edge brings in
+    one of its vertices or edges: a vertex w joins at max(entry(u, w),
+    entry(v, w), s), an edge (w, x) at max(e, join[w], join[x]). The
+    link at s is read off the masks, less those later vertices and
+    edges. One sweep buckets the events by stage, applies each stage's
+    events to one adjacency and vertex mask in place, and tests the link
+    after each stage, s first.
+    """
+    link = adj[u] & adj[v]
+    join: dict[int, int] = {}  # link vertices that join after s -> their stage
+    for w, e in (*kept[u].items(), *kept[v].items()):
+        if e > join.get(w, s) and link >> w & 1:
+            join[w] = e
+    joined = {s: link}  # stage -> mask of the link vertices that join then
+    for w, t in join.items():
+        joined[s] ^= 1 << w
+        joined[t] = joined.get(t, 0) | 1 << w
+    linked: dict[int, list[tuple[int, int]]] = {}  # stage -> kept link edges that enter then
+    cur = {}
+    for w in iter_bits(link):
+        later = 0
+        for x, e in kept[w].items():
+            later |= 1 << x
+            if x < w and link >> x & 1:
+                linked.setdefault(max(e, join.get(w, s), join.get(x, s)), []).append((w, x))
+        cur[w] = adj[w] & ~later
+    mask = 0
+    for j in sorted(joined.keys() | linked.keys()):
+        mask |= joined.get(j, 0)
+        for w, x in linked.get(j, ()):
+            cur[w] |= 1 << x
+            cur[x] |= 1 << w
+        if not _contractible(cur, mask, {}):
             return False
     return True
 
@@ -398,12 +424,19 @@ def _collapsed_stages(filt: Filtration) -> dict[tuple[int, int], int]:
     stages = filt._cache.get("collapsed")
     if stages is None:
         stages = dict(filt.entry)
-        nbrs: dict[int, dict[int, int]] = {v: {} for v in range(filt.cloud.n)}
-        for (u, v), s in stages.items():
-            nbrs[u][v] = nbrs[v][u] = s
+        adj = dict.fromkeys(range(filt.cloud.n), 0)
+        kept: dict[int, dict[int, int]] = {v: {} for v in adj}
+        for u, v in stages:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         for u, v in sorted(stages, key=lambda e: (stages[e], e), reverse=True):
-            if _link_stays_contractible(nbrs, u, v, stages[u, v]):
-                del stages[u, v], nbrs[u][v], nbrs[v][u]
+            s = stages[u, v]
+            if _link_stays_contractible(adj, kept, u, v, s):
+                del stages[u, v]
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+            else:
+                kept[u][v] = kept[v][u] = s
         filt._cache["collapsed"] = stages
     return stages
 

@@ -248,6 +248,38 @@ class TestAgainstTranscription:
     def test_sparse_ids(self, g):
         self.check(g)
 
+    def test_rejected_vertex_is_tested_again_after_a_neighbor_goes(self):
+        # 0 fails at first, its neighborhood {1, 2} being disconnected, and
+        # qualifies once 1 is deleted; it must then go before 2.
+        g = Graph(range(3), [(0, 1), (0, 2)])
+        assert contractible_reduction(g)[1].deleted_vertices == (1, 0)
+        self.check(g)
+
+    @staticmethod
+    def cone(base, apex):
+        """base plus apex joined to every base vertex."""
+        return Graph((*base.vertices, apex), [*base.edges, *((apex, v) for v in base.vertices)])
+
+    def test_cone_with_apex_above_the_lowest_id(self):
+        g = self.cone(Graph([0, 1, 3, 4, 5], [(0, 1), (1, 3), (3, 4), (4, 5)]), 2)
+        assert is_strong_contractible(g)
+        self.check(g)
+
+    @pytest.mark.parametrize(
+        "base, apex",
+        [
+            (Graph([0, 1, 3, 4], [(0, 1), (1, 3), (3, 4), (4, 0)]), 2),
+            (cycle(5).relabeled({v: v + 1 for v in range(5)}), 0),
+            (octahedron().relabeled({v: v + (v >= 3) for v in range(6)}), 3),
+            (octahedron(), 6),
+        ],
+    )
+    def test_cone_whose_apex_link_fails(self, base, apex):
+        assert not is_strong_contractible(base)
+        g = self.cone(base, apex)
+        assert is_strong_contractible(g)
+        self.check(g)
+
     def test_generated_cases_include_edge_steps(self):
         # An edge step followed by more steps runs the scan again on a
         # changed adjacency, where verdicts memoized before it may not hold.

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphcollapse import exactla
-from graphcollapse.contract import is_strong_contractible
 from graphcollapse.errors import GraphFormatError
 from graphcollapse.graphs import Graph
 from graphcollapse.homology import Coefficients
@@ -32,6 +31,7 @@ from graphcollapse.persistence import (
 from helpers import (
     SIX_POINT_ROWS,
     brute_betti_gf2,
+    greedy_contractible,
     inclusion_rank_gf2,
     inclusion_rank_mod_p,
 )
@@ -437,17 +437,17 @@ class TestBarcode:
 
 
 def replay_collapse(filt):
-    """The collapse of the filtration recomputed with the public API: the
+    """The collapse of the filtration recomputed from the definitions: the
     final graph's edges, latest entry first and then in descending order,
-    each dropped when its common neighborhood passes the deletion test at
-    every stage from its entry on, in the filtration left so far. Returns
-    the surviving edges' entry stages."""
+    each dropped when its common neighborhood passes the memo-free greedy
+    test at every stage from its entry on, in the filtration left so far.
+    Returns the surviving edges' entry stages."""
     final = filt.graphs[-1]
     left = {e: filt.stage_of_key(filt.cloud.pair_key(*e)) for e in final.edges}
     for e in sorted(left, key=lambda e: (left[e], e), reverse=True):
         stages = range(left[e], filt.stage_count)
         if all(
-            is_strong_contractible(
+            greedy_contractible(
                 Graph(final.vertices, [f for f, t in left.items() if t <= j]).common_neighborhood(*e)
             )
             for j in stages
@@ -506,13 +506,15 @@ LATE_LINK_EDGE_ROWS = [
 
 
 class TestCollapse:
-    def test_dropped_edges_replay_with_public_deletion_test(self):
+    def test_dropped_edges_replay_with_memo_free_deletion_test(self):
         rng = random.Random(8128)
         filts = [vr_filtration(random_cloud(rng, max_points=10)) for _ in range(6)]
         filts += [vr_filtration(pc, ts) for pc in tied_clouds() for ts in (None, [1, 2])]
         filts.append(vr_filtration(PointCloud.from_distance_matrix(LATE_LINK_EDGE_ROWS), [1, 2]))
         cloud = uniform_cloud(rng, 30)
         filts.append(vr_filtration(cloud, degree_thresholds(cloud, (2, 4, 6))))
+        # every distance a stage: near-complete links, many of them cones
+        filts.append(vr_filtration(uniform_cloud(rng, 16)))
         dropped = 0
         for filt in filts:
             survivors = _collapsed_stages(filt)
@@ -531,6 +533,12 @@ class TestCollapse:
         rng = random.Random(4400 + n)
         cloud = uniform_cloud(rng, n)
         filt = vr_filtration(cloud, degree_thresholds(cloud, (1, 2, 3, 4, 6, 8)))
+        assert barcode(filt, max_dim=2) == oracle_persistence(filt, max_dim=2)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_full_filtrations_match_oracle(self, seed):
+        filt = vr_filtration(uniform_cloud(random.Random(seed), 40))
+        assert filt.stage_count == 781
         assert barcode(filt, max_dim=2) == oracle_persistence(filt, max_dim=2)
 
     def test_ties_and_duplicates_match_oracle(self):
