@@ -7,9 +7,9 @@ leaves them byte-identical:
 
 Run it the same way in a checkout of the parent commit and diff the two
 files. It covers the prime-field wrappers (ranks, free-variables-zero
-solutions, kernel bases), homology over GF(2), GF(3) and the integers
-with representatives, pushed cycles and induced-map matrices, both
-reductions' traces with their collapse pairs, the barcodes of the 50
+solutions, kernel bases), integer invariant factors, homology over
+GF(2), GF(3) and the integers with representatives, pushed cycles and
+induced-map matrices, both reductions' traces with their collapse pairs, the barcodes of the 50
 acceptance clouds and both reductions' trace of each of their stage
 graphs, the barcodes of two seeded 40-point clouds with every distance
 a stage, the squared-distance keys of seeded integer, rational and
@@ -17,7 +17,9 @@ float point clouds, the keys of seeded dissimilarity matrices with
 mixed denominators, the stage edge sets of seeded clouds and matrices
 under explicit fractional and float thresholds together with
 `graphcollapse vr` stdout and exit code on the same inputs, the text of
-every census level through n=7, and the canonical orders and
+every census level through n=7, the integer homology of a clique
+complex with torsion (a subdivided projective plane) from the library
+and the `homology --integers` command, and the canonical orders and
 automorphism generators of the seeded graphs, on their own ids and
 relabelled onto sparse ones. It uses only the standard library, numpy
 and long-standing public API, and runs in well under a minute.
@@ -33,6 +35,7 @@ import sys
 import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from graphcollapse.census import CensusConfig, build_census, format_level
 from graphcollapse.cli import main as cli_main
 from graphcollapse.complexes import collapse_via_trace
 from graphcollapse.contract import contractible_reduction, edge_extended_reduction
-from graphcollapse.graphs import Graph
+from graphcollapse.graphs import Graph, to_edge_list_text
 from graphcollapse.homology import (
     ChainVector,
     Coefficients,
@@ -81,6 +84,7 @@ def linear_algebra(rng: random.Random) -> list:
             "rank": exactla.rank_mod_p(a, p),
             "solve": None if x is None else x.tolist(),
             "nullspace": exactla.nullspace_mod_p(a, p).tolist(),
+            "invariant_factors": list(exactla.invariant_factors(a)),
         })
     return out
 
@@ -327,6 +331,40 @@ def canonical_labellings(graphs: list) -> list:
     return out
 
 
+RP2_TRIANGLES = (
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
+)
+
+
+def projective_plane() -> dict:
+    """Integer homology, Z/2 torsion included, of the flag complex of the
+    barycentric subdivision of the 6-vertex real projective plane (one
+    vertex per face, an edge per proper face inclusion), from the library
+    and from `graphcollapse homology --integers`."""
+    faces = sorted(
+        {sub for t in RP2_TRIANGLES for k in (1, 2, 3) for sub in combinations(t, k)},
+        key=lambda f: (len(f), f),
+    )
+    g = Graph(range(len(faces)), [
+        (i, j)
+        for j, big in enumerate(faces)
+        for i, small in enumerate(faces[:j])
+        if len(small) < len(big) and set(small) <= set(big)
+    ])
+    buf = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rp2.txt")
+        with open(path, "w") as fh:
+            fh.write(to_edge_list_text(g))
+        with redirect_stdout(buf):
+            rc = cli_main(["homology", "--integers", path])
+    return {
+        "integers": homology(g, Coefficients.integers()).to_text(),
+        "cli": {"rc": rc, "stdout": buf.getvalue()},
+    }
+
+
 def census_levels() -> dict:
     census = build_census(CensusConfig(max_n=7, jobs=1))
     return {n: format_level(n, entries) for n, entries in census.levels.items()}
@@ -345,6 +383,7 @@ def main() -> None:
         "matrix_keys": matrix_keys(),
         "explicit_filtrations": explicit_filtrations(),
         "census": census_levels(),
+        "projective_plane": projective_plane(),
         "canonical_labellings": canonical_labellings(graphs),
     }
     json.dump(doc, sys.stdout, sort_keys=True, indent=1)

@@ -339,31 +339,35 @@ def is_collapsible(cx: SimplicialComplex, budget: int = DEFAULT_COLLAPSE_BUDGET)
         # sequence exists, which is exactly what an exhausted search
         # would conclude.
         return CollapseVerdict(NOT_COLLAPSIBLE, None, 0)
-    dead: set = set()
+    # A state is keyed by one int, a bit per face position of cx; an
+    # elementary collapse removes exactly its two faces, so two bit flips
+    # give the key of the state it leads to.
+    position = {m: k for k, m in enumerate(cx._masks)}
+    dead: set[int] = set()
     nodes = 0
     witness: list[FreePair] = []
 
-    def search(cur: SimplicialComplex) -> str:
+    def search(cur: SimplicialComplex, key: int) -> str:
         nonlocal nodes
         if cur.face_count == 1 and cur.dim == 0:
             return COLLAPSIBLE
-        if cur._masks in dead:
+        if key in dead:
             return NOT_COLLAPSIBLE
         nodes += 1
         if nodes > budget:
             return EXHAUSTED
         for sm, tm, sigma, tau in _elementary_candidates(cur):
             witness.append(FreePair(sigma, tau))
-            status = search(cur._collapse_masks(sm, tm))
+            status = search(cur._collapse_masks(sm, tm), key ^ (1 << position[sm]) ^ (1 << position[tm]))
             if status == COLLAPSIBLE:
                 return COLLAPSIBLE
             witness.pop()
             if status == EXHAUSTED:
                 return EXHAUSTED
-        dead.add(cur._masks)
+        dead.add(key)
         return NOT_COLLAPSIBLE
 
-    status = search(cx)
+    status = search(cx, (1 << len(position)) - 1)
     if status == COLLAPSIBLE:
         return CollapseVerdict(COLLAPSIBLE, tuple(witness), nodes)
     return CollapseVerdict(status, None, nodes)

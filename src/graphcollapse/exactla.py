@@ -4,9 +4,12 @@ All prime-field elimination runs in one sparse kernel, `Echelon`, on
 `{row: coeff}` columns of Python ints; the ndarray wrappers read ranks,
 free-variables-zero solutions and standard kernel bases off it, and cap
 the modulus below 2**31 so every residue fits their int64 results.
-Integer Smith normal form is plain row/column reduction on Python ints
-with smallest-magnitude pivoting, which keeps intermediate entries small
-on the sparse boundary matrices this package produces.
+Integer invariant factors come from the same `{row: coeff}` columns:
+sparse elimination splits off every ±1 pivot it can find, each a unit
+factor, and Smith normal form runs only on the block the unit pivots
+leave, which is empty on most boundary matrices. Smith normal form
+itself is plain row/column reduction on Python ints with
+smallest-magnitude pivoting; `solve_integer` reads its transforms.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "nullspace_mod_p",
     "smith_normal_form",
     "invariant_factors",
+    "invariant_factors_of_columns",
     "solve_integer",
 ]
 
@@ -256,14 +260,71 @@ def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[in
     return s, left, right
 
 
+def invariant_factors_of_columns(cols) -> tuple[int, ...]:
+    """Nonzero diagonal of the Smith form of the integer matrix with the
+    given sparse `{row: coeff}` columns, in divisibility order.
+
+    Sweeps the columns in index order, again until a sweep finds no unit
+    entry. A column holding a unit pivots at its unit row with the
+    fewest entries (the lowest such row on a tie): column operations
+    clear that row from every other column, which leaves the pivot's row
+    and column a `[±1]` block of its own. Every step is unimodular, so
+    the matrix is `[±1] ⊕ ... ⊕ M'`, and only the remainder `M'` goes
+    through `smith_normal_form`. A row -> columns index makes clearing a
+    row touch only the columns in it. The columns given are not changed.
+    """
+    work: list[Optional[dict[int, int]]] = [{r: int(c) for r, c in col.items() if c} for col in cols]
+    rows: dict[int, set[int]] = {}
+    for j, col in enumerate(work):
+        for r in col:
+            rows.setdefault(r, set()).add(j)
+    units = 0
+    swept = False
+    while not swept:
+        swept = True
+        for j, col in enumerate(work):
+            if not col:
+                continue
+            best = min(((len(rows[r]), r) for r, c in col.items() if c in (1, -1)), default=None)
+            if best is None:
+                continue
+            i = best[1]
+            sign = col.pop(i)
+            for k in rows.pop(i):
+                if k == j:
+                    continue
+                other = work[k]
+                f = other.pop(i) * sign
+                # col_k -= a_ik * a_ij * col_j, row i already cleared
+                for r, c in col.items():
+                    v = other.get(r, 0) - f * c
+                    if v:
+                        if r not in other:
+                            rows[r].add(k)
+                        other[r] = v
+                    else:
+                        del other[r]
+                        rows[r].discard(k)
+            for r in col:
+                rows[r].discard(j)
+            work[j] = None
+            units += 1
+            swept = False
+    rest = [col for col in work if col]
+    if not rest:
+        return (1,) * units
+    live = sorted({r for col in rest for r in col})
+    s, _, _ = smith_normal_form([[col.get(r, 0) for col in rest] for r in live])
+    return (1,) * units + tuple(s[t][t] for t in range(min(len(live), len(rest))) if s[t][t])
+
+
 def invariant_factors(a) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form, in divisibility order."""
-    s, _, _ = smith_normal_form(a)
-    out = []
-    for i in range(min(len(s), len(s[0]) if s else 0)):
-        if s[i][i]:
-            out.append(s[i][i])
-    return tuple(out)
+    """Nonzero diagonal of the Smith form, in divisibility order. Accepts
+    any 2d array-like of ints, Python ints beyond int64 included."""
+    arr = np.array(a, dtype=object)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a matrix, got array of ndim {arr.ndim}")
+    return invariant_factors_of_columns([dict(enumerate(col)) for col in arr.T.tolist()])
 
 
 def solve_integer(a, b) -> Optional[list[int]]:

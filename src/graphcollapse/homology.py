@@ -404,10 +404,7 @@ def homology(
         cycles = {n: ech.relations for n, ech in images.items()}
         cycles[0] = [{i: 1} for i in range(len(bases[0]))]
     else:
-        factors = {
-            n: exactla.invariant_factors(exactla.dense(c, len(bases[n - 1]))) if c else ()
-            for n, c in cols.items()
-        }
+        factors = {n: exactla.invariant_factors_of_columns(c) for n, c in cols.items()}
         ranks = {n: len(f) for n, f in factors.items()}
     ranks[0] = 0
     groups = []

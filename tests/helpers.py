@@ -454,6 +454,41 @@ def brute_free_pairs(faces: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...]
     return sorted(out, key=lambda p: (p[1], p[0]))
 
 
+def reference_collapse_search(faces: list[tuple[int, ...]], budget: int) -> tuple[str, object, int]:
+    """(status, witness, nodes expanded) of the search that
+    complexes.is_collapsible makes: the Euler characteristic gate, then
+    depth first over elementary free pairs from brute_free_pairs, the
+    highest-dimensional tau first, then lexicographic, with dead states
+    memoized as frozensets of their faces."""
+    if sum((-1) ** (len(f) + 1) for f in faces) != 1:
+        return "not_collapsible", None, 0
+    dead: set = set()
+    nodes = 0
+    witness: list = []
+
+    def search(cur: frozenset) -> str:
+        nonlocal nodes
+        if len(cur) == 1 and len(next(iter(cur))) == 1:
+            return "collapsible"
+        if cur in dead:
+            return "not_collapsible"
+        nodes += 1
+        if nodes > budget:
+            return "exhausted"
+        pairs = [(s, t) for s, t in brute_free_pairs(list(cur)) if len(t) == len(s) + 1]
+        for sigma, tau in sorted(pairs, key=lambda p: (-len(p[1]), p[1], p[0])):
+            witness.append((sigma, tau))
+            status = search(cur - {sigma, tau})
+            if status != "not_collapsible":
+                return status
+            witness.pop()
+        dead.add(cur)
+        return "not_collapsible"
+
+    status = search(frozenset(faces))
+    return status, tuple(witness) if status == "collapsible" else None, nodes
+
+
 # -- persistence oracle for a single stage pair --------------------------------
 
 
@@ -611,6 +646,30 @@ SIX_POINT_ROWS = [
     ["2.7", "2.7", "2.7", "1.5", "0", "1.5"],
     ["2.1", "2.7", "2.7", "2.6", "1.5", "0"],
 ]
+
+
+RP2_TRIANGLES = [
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
+]
+
+
+def rp2_subdivision() -> Graph:
+    """Flag complex of the barycentric subdivision of the 6-vertex real
+    projective plane (the triangles above): one vertex per face, 31 in
+    all, numbered by (size, vertices), and an edge per proper face
+    inclusion. Its integer homology has torsion: H_1 = Z/2."""
+    faces = sorted(
+        {sub for t in RP2_TRIANGLES for k in (1, 2, 3) for sub in combinations(t, k)},
+        key=lambda f: (len(f), f),
+    )
+    edges = [
+        (i, j)
+        for j, big in enumerate(faces)
+        for i, small in enumerate(faces[:j])
+        if len(small) < len(big) and set(small) <= set(big)
+    ]
+    return Graph(range(len(faces)), edges)
 
 
 def g8() -> Graph:

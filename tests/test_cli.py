@@ -10,7 +10,7 @@ from graphcollapse.contract import ReductionTrace
 from graphcollapse.factories import complete, cycle, path
 from graphcollapse.graphs import load_graph, to_edge_list_text
 
-from helpers import SIX_POINT_ROWS, gstar
+from helpers import SIX_POINT_ROWS, gstar, rp2_subdivision
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -136,6 +136,12 @@ class TestHomology:
             ["homology", "--integers", write_graph(tmp_path, cycle(6))]
         ) == 0
         assert capsys.readouterr().out == "H_0 1\nH_1 1\n"
+
+    def test_integers_with_torsion(self, tmp_path, capsys):
+        assert main(
+            ["homology", "--integers", write_graph(tmp_path, rp2_subdivision())]
+        ) == 0
+        assert capsys.readouterr().out == "H_0 1\nH_1 0 [2]\nH_2 0\n"
 
     def test_odd_prime(self, tmp_path, capsys):
         assert main(

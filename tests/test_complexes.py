@@ -23,6 +23,7 @@ from graphcollapse.complexes import (
 )
 from graphcollapse.contract import ReductionTrace
 from graphcollapse.factories import complete, cycle, octahedron, path
+from graphcollapse.graphs import Graph
 
 from helpers import (
     arbitrary_graphs,
@@ -31,6 +32,7 @@ from helpers import (
     connected_graphs,
     g8,
     gstar,
+    reference_collapse_search,
     replayed,
 )
 
@@ -250,6 +252,29 @@ class TestIsCollapsible:
             assert pair.is_elementary
             cx = cx.collapse(pair)
         assert cx.face_count == 1 and cx.dim == 0
+
+    @given(arbitrary_graphs(max_n=7), st.sampled_from([3, 40, 10**6]))
+    @settings(max_examples=40)
+    def test_search_matches_frozenset_memo_reference(self, g, budget):
+        # the reference keys dead states by their face sets; the search's
+        # int keys must give the same order, verdict, witness and count
+        if not g.vertices:
+            return
+        cx = clique_complex(g)
+        v = is_collapsible(cx, budget=budget)
+        witness = None if v.witness is None else tuple((p.sigma, p.tau) for p in v.witness)
+        assert (v.status, witness, v.nodes_expanded) == reference_collapse_search(list(cx.faces), budget)
+
+    def test_search_matches_reference_past_dead_states(self):
+        # a point beside a 4-cycle with a triangle and a whisker hung on
+        # it: Euler characteristic 1, so the gate passes and the search
+        # must try every order of the free collapses, meeting dead states
+        # again on the way
+        g = Graph(range(8), [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (3, 5), (0, 6)])
+        cx = clique_complex(g)
+        v = is_collapsible(cx)
+        assert (v.status, v.nodes_expanded) == (NOT_COLLAPSIBLE, 14)
+        assert reference_collapse_search(list(cx.faces), 10**6) == (NOT_COLLAPSIBLE, None, 14)
 
 
 class TestCollapseViaTrace:

@@ -179,6 +179,61 @@ class TestSmith:
         assert len(exactla.invariant_factors(a)) == rational_rank(a.tolist())
 
 
+def smith_diagonal(a) -> tuple[int, ...]:
+    s, _, _ = exactla.smith_normal_form(a)
+    return tuple(s[i][i] for i in range(min(len(s), len(s[0]))) if s[i][i])
+
+
+BIG = st.integers(2**63, 2**70) | st.integers(-(2**70), -(2**63) - 1)
+WITH_UNITS = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -3, 6]) | BIG
+NO_UNITS = st.sampled_from([0, 0, 2, -2, 3, -3, 4, -6, 9]) | BIG
+
+
+@st.composite
+def object_matrices(draw, entries, max_dim=6):
+    """Lists of rows of Python ints, some rows and columns all zero."""
+    rows, cols = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows - 1))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols - 1))
+    return [
+        [0 if i in zero_rows or j in zero_cols else draw(entries) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+class TestInvariantFactors:
+    """Unit elimination in front of the Smith form gives the Smith
+    form's diagonal."""
+
+    @given(object_matrices(WITH_UNITS))
+    @settings(max_examples=100)
+    def test_matches_smith_diagonal(self, a):
+        assert exactla.invariant_factors(a) == smith_diagonal(a)
+
+    @given(object_matrices(NO_UNITS))
+    @settings(max_examples=100)
+    def test_matches_smith_diagonal_without_unit_entries(self, a):
+        # no pivot is a unit, so the whole matrix is the remainder
+        assert exactla.invariant_factors(a) == smith_diagonal(a)
+
+    @given(object_matrices(WITH_UNITS))
+    def test_columns_are_left_unchanged(self, a):
+        cols = [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(len(a[0]))]
+        copy = [dict(col) for col in cols]
+        assert exactla.invariant_factors_of_columns(cols) == smith_diagonal(a)
+        assert cols == copy
+
+    def test_unit_pivots_leave_torsion_to_the_remainder(self):
+        # [[1, 1], [1, -1]] has determinant -2: one unit pivot, remainder [2]
+        assert exactla.invariant_factors_of_columns([{0: 1, 1: 1}, {0: 1, 1: -1}]) == (1, 2)
+        assert exactla.invariant_factors_of_columns([{}, {3: 2 ** 80}]) == (2 ** 80,)
+        assert exactla.invariant_factors_of_columns([]) == ()
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match="ndim"):
+            exactla.invariant_factors([1, 2, 3])
+
+
 class TestSolveInteger:
     def test_known(self):
         a = np.array([[2]])

@@ -42,6 +42,7 @@ from helpers import (
     rational_rank,
     reference_nullspace,
     reference_rref,
+    rp2_subdivision,
 )
 
 GF2 = Coefficients(2)
@@ -339,6 +340,14 @@ class TestHomologyGroups:
             h = homology(g, ZZ)
             for grp in (h.group(d) for d in range(len(h.betti_vector))):
                 assert grp.torsion == ()
+
+    def test_projective_plane_has_torsion(self):
+        g = rp2_subdivision()
+        assert homology(g, ZZ).to_text() == "H_0 1\nH_1 0 [2]\nH_2 0\n"
+        # Z/2 in H_1 shows over GF(2) in H_1 and, by universal
+        # coefficients, in H_2; GF(3) does not see it
+        assert betti_numbers(g, GF2) == (1, 1, 1)
+        assert betti_numbers(g, GF3) == (1, 0, 0)
 
     @given(connected_graphs(max_n=6))
     def test_integer_ranks_match_field_when_torsion_free(self, g):
