@@ -21,8 +21,11 @@ every census level through n=7, the integer homology of a clique
 complex with torsion (a subdivided projective plane) from the library
 and the `homology --integers` command, and the canonical orders and
 automorphism generators of the seeded graphs, on their own ids and
-relabelled onto sparse ones. It uses only the standard library, numpy
-and long-standing public API, and runs in well under a minute.
+relabelled onto sparse ones, and the collapse search's verdict, witness
+and node count on seeded random graphs at three budgets, with the free
+pairs and maximal faces of seeded complexes given by random maximal
+faces. It uses only the standard library, numpy and long-standing
+public API, and runs in well under a minute.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from graphcollapse import exactla
 from graphcollapse.canon import canonical_labelling
 from graphcollapse.census import CensusConfig, build_census, format_level
 from graphcollapse.cli import main as cli_main
-from graphcollapse.complexes import collapse_via_trace
+from graphcollapse.complexes import SimplicialComplex, clique_complex, collapse_via_trace, is_collapsible
 from graphcollapse.contract import contractible_reduction, edge_extended_reduction
 from graphcollapse.graphs import Graph, to_edge_list_text
 from graphcollapse.homology import (
@@ -365,6 +368,30 @@ def projective_plane() -> dict:
     }
 
 
+def collapse_search() -> dict:
+    """is_collapsible's (status, witness, nodes) on 200 seeded random
+    graphs at budgets 50, 500 and 3,000, and free_pairs() and
+    maximal_faces of 100 seeded from_maximal complexes."""
+    rng = random.Random(2016)
+    searches = []
+    for _ in range(200):
+        cx = clique_complex(random_graph(rng))
+        for budget in (50, 500, 3000):
+            v = is_collapsible(cx, budget=budget)
+            witness = None if v.witness is None else [(p.sigma, p.tau) for p in v.witness]
+            searches.append((v.status, witness, v.nodes_expanded))
+    complexes = []
+    for _ in range(100):
+        n = rng.randint(1, 8)
+        facets = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(1, 7))]
+        cx = SimplicialComplex.from_maximal(facets)
+        complexes.append({
+            "free_pairs": [(p.sigma, p.tau) for p in cx.free_pairs()],
+            "maximal_faces": cx.maximal_faces,
+        })
+    return {"searches": searches, "complexes": complexes}
+
+
 def census_levels() -> dict:
     census = build_census(CensusConfig(max_n=7, jobs=1))
     return {n: format_level(n, entries) for n, entries in census.levels.items()}
@@ -385,6 +412,7 @@ def main() -> None:
         "census": census_levels(),
         "projective_plane": projective_plane(),
         "canonical_labellings": canonical_labellings(graphs),
+        "collapse_search": collapse_search(),
     }
     json.dump(doc, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")

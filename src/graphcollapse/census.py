@@ -219,17 +219,15 @@ def classify_graph(g: Graph, collapse_budget: int = DEFAULT_COLLAPSE_BUDGET) -> 
     One greedy scan decides the first answer and, when it reaches a
     point, lifts the collapse witness as it goes (complexes._lift). The
     witness is then replayed pair by pair, each checked to be free, on
-    one mutable set of the graph's cliques, which must end at one
-    vertex: the True answer is verified, not assumed. Otherwise an
-    exhaustive collapse search decides, budget permitting.
+    the graph's cliques (complexes._replay), which must end at a single
+    face, hence a vertex: the True answer is verified, not assumed.
+    Otherwise an exhaustive collapse search decides, budget permitting.
     """
     adj = {v: g.adjacency_mask(v) for v in g.vertices}
     lift = _lift(adj, sum(1 << v for v in adj), {}, {})
     if lift is None:
         return False, is_collapsible(clique_complex(g), budget=collapse_budget).collapsible
-    faces = set(clique_complex(g)._masks)
-    _replay(adj, faces, lift[0])
-    if len(faces) != 1 or faces.pop().bit_count() != 1:
+    if len(_replay(clique_complex(g)._masks, lift[0])) != 1:
         raise InternalInconsistencyError("trace-guided collapse did not reach a point")
     return True, True
 

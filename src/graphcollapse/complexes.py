@@ -1,15 +1,19 @@
 """Finite simplicial complexes, clique complexes, and collapsibility.
 
-Faces are stored as integer bitmasks over vertex ids, which makes the
-free-pair test one pass of mask arithmetic: a face s is free if and only
-if the union U of all faces containing s is itself a face and differs
-from s, in which case (s, U) is the unique free pair at s.
+Faces are stored as integer bitmasks over vertex ids. Free pairs are
+read off one private structure, the coface map up: each face s maps to
+the mask of vertices y with s + y a face. Every face containing s lies
+in s | up[s], by downward closure, so s is free exactly when up[s] is
+nonzero and s | up[s] is a face; the pair is elementary when up[s] is
+one bit, and s is maximal when up[s] is 0. Removing or restoring a face
+updates only its facets' entries.
 
 Collapsibility to a point is decided by exhaustive depth-first search
 over elementary collapses (the removed pair differs by one dimension),
-with memoized dead states and a node budget. An Euler characteristic
-gate certifies many negatives without search: elementary collapses
-preserve the characteristic and a point has characteristic 1.
+made and undone on one coface map, with memoized dead states and a node
+budget. An Euler characteristic gate certifies many negatives without
+search: elementary collapses preserve the characteristic and a point
+has characteristic 1.
 """
 
 from __future__ import annotations
@@ -51,6 +55,41 @@ def _tuple_of(mask: int) -> Simplex:
     return tuple(iter_bits(mask))
 
 
+def _cofaces(masks: Iterable[int]) -> dict[int, int]:
+    """The coface map (see the module docstring) of a downward-closed face set."""
+    up = dict.fromkeys(masks, 0)
+    for m in up:
+        bits = m if m & (m - 1) else 0
+        while bits:
+            low = bits & -bits
+            up[m ^ low] |= low
+            bits ^= low
+    return up
+
+
+def _free_tau(up: dict[int, int], sm: int) -> int:
+    """tau of the free pair at the face sigma, or 0 if sigma is not free."""
+    tm = sm | up[sm]
+    return tm if tm != sm and tm in up else 0
+
+
+def _flip(up: dict[int, int], sm: int, tm: int) -> None:
+    """Remove the elementary free pair (sigma, tau) from the coface map, or
+    put it back if gone; only tau - v and sigma - v, v in sigma, change."""
+    if tm in up:
+        del up[tm], up[sm]
+    else:
+        up[sm] = tm ^ sm
+        up[tm] = 0
+    bits = sm
+    while bits:
+        low = bits & -bits
+        up[tm ^ low] ^= low
+        if sm != low:
+            up[sm ^ low] ^= low
+        bits ^= low
+
+
 @dataclass(frozen=True)
 class FreePair:
     """A free pair (sigma, tau): tau is the only maximal face containing
@@ -71,26 +110,19 @@ class SimplicialComplex:
     nonempty subsets.
     """
 
-    __slots__ = ("_masks", "_faces", "_maximal", "_hash")
+    __slots__ = ("_masks", "_faces", "_hash")
 
-    def __init__(self, faces: Iterable[Iterable[int]], _validate: bool = True):
+    def __init__(self, faces: Iterable[Iterable[int]]):
         masks = frozenset(_mask_of(f) for f in faces)
         if 0 in masks:
             raise ValueError("the empty simplex is not a face")
-        if _validate:
-            for m in masks:
-                bits = m
-                while bits:
-                    low = bits & -bits
-                    if m != low and (m & ~low) not in masks:
-                        raise ValueError(
-                            f"face set is not downward closed: {_tuple_of(m)} present, "
-                            f"{_tuple_of(m & ~low)} missing"
-                        )
-                    bits &= bits - 1
+        for m in masks:
+            for v in iter_bits(m):
+                if m != 1 << v and m ^ 1 << v not in masks:
+                    missing = _tuple_of(m ^ 1 << v)
+                    raise ValueError(f"face set is not downward closed: {_tuple_of(m)} present, {missing} missing")
         self._masks = masks
         self._faces = None
-        self._maximal = None
         self._hash = None
 
     @classmethod
@@ -120,7 +152,6 @@ class SimplicialComplex:
         obj = cls.__new__(cls)
         obj._masks = masks
         obj._faces = None
-        obj._maximal = None
         obj._hash = None
         return obj
 
@@ -152,11 +183,8 @@ class SimplicialComplex:
 
     @property
     def maximal_faces(self) -> tuple[Simplex, ...]:
-        if self._maximal is None:
-            masks = self._masks
-            maximal = [m for m in masks if not any(m != o and m & o == m for o in masks)]
-            self._maximal = tuple(sorted((_tuple_of(m) for m in maximal), key=lambda t: (len(t), t)))
-        return self._maximal
+        maximal = [_tuple_of(m) for m, y in _cofaces(self._masks).items() if not y]
+        return tuple(sorted(maximal, key=lambda t: (len(t), t)))
 
     def euler_characteristic(self) -> int:
         chi = 0
@@ -174,24 +202,14 @@ class SimplicialComplex:
 
     # -- free pairs and collapses -------------------------------------------
 
-    def _free_tau_mask(self, sigma_mask: int) -> Optional[int]:
-        """Union of faces containing sigma; a free pair exists iff the
-        union is a face other than sigma itself."""
-        union = 0
-        for m in self._masks:
-            if m & sigma_mask == sigma_mask:
-                union |= m
-        if union != sigma_mask and union in self._masks:
-            return union
-        return None
-
     def free_pairs(self) -> list[FreePair]:
         """All free pairs, non-elementary ones included, ordered
         lexicographically by tau then sigma."""
+        up = _cofaces(self._masks)
         pairs = []
-        for sm in self._masks:
-            tm = self._free_tau_mask(sm)
-            if tm is not None:
+        for sm in up:
+            tm = _free_tau(up, sm)
+            if tm:
                 pairs.append(FreePair(_tuple_of(sm), _tuple_of(tm)))
         pairs.sort(key=lambda p: (p.tau, p.sigma))
         return pairs
@@ -208,13 +226,10 @@ class SimplicialComplex:
             raise ValueError(f"{pair.sigma} is not a face")
         if tm not in self._masks:
             raise ValueError(f"{pair.tau} is not a face")
-        if self._free_tau_mask(sm) != tm:
+        if _free_tau(_cofaces(self._masks), sm) != tm:
             raise ValueError(f"({pair.sigma}, {pair.tau}) is not a free pair")
-        return self._collapse_masks(sm, tm)
-
-    def _collapse_masks(self, sm: int, tm: int) -> "SimplicialComplex":
-        removed = frozenset(m for m in self._masks if m & sm == sm and tm & m == m)
-        return SimplicialComplex._from_masks(self._masks - removed)
+        # the faces containing a free sigma are exactly those up to tau
+        return SimplicialComplex._from_masks(frozenset(m for m in self._masks if m & sm != sm))
 
     def to_text(self) -> str:
         """One maximal face per line, ids sorted ascending."""
@@ -314,17 +329,6 @@ class CollapseVerdict:
         return None
 
 
-def _elementary_candidates(cx: SimplicialComplex) -> list[tuple[int, int, Simplex, Simplex]]:
-    cands = []
-    for sm in cx._masks:
-        tm = cx._free_tau_mask(sm)
-        if tm is not None and tm.bit_count() == sm.bit_count() + 1:
-            cands.append((sm, tm, _tuple_of(sm), _tuple_of(tm)))
-    # Highest-dimensional tau first, then lexicographic.
-    cands.sort(key=lambda c: (-len(c[3]), c[3], c[2]))
-    return cands
-
-
 def is_collapsible(cx: SimplicialComplex, budget: int = DEFAULT_COLLAPSE_BUDGET) -> CollapseVerdict:
     """Decide collapsibility to a point by elementary collapses.
 
@@ -339,38 +343,45 @@ def is_collapsible(cx: SimplicialComplex, budget: int = DEFAULT_COLLAPSE_BUDGET)
         # sequence exists, which is exactly what an exhausted search
         # would conclude.
         return CollapseVerdict(NOT_COLLAPSIBLE, None, 0)
-    # A state is keyed by one int, a bit per face position of cx; an
-    # elementary collapse removes exactly its two faces, so two bit flips
-    # give the key of the state it leads to.
-    position = {m: k for k, m in enumerate(cx._masks)}
+    # With faces ranked highest dimension first, then lexicographically, pairs
+    # are tried in (tau rank, sigma rank) order; a state's key has a bit per rank.
+    order = sorted(cx._masks, key=lambda m: (-m.bit_count(), _tuple_of(m)))
+    rank = {m: k for k, m in enumerate(order)}
+    up = _cofaces(order)
     dead: set[int] = set()
     nodes = 0
-    witness: list[FreePair] = []
-
-    def search(cur: SimplicialComplex, key: int) -> str:
-        nonlocal nodes
-        if cur.face_count == 1 and cur.dim == 0:
-            return COLLAPSIBLE
-        if key in dead:
-            return NOT_COLLAPSIBLE
-        nodes += 1
-        if nodes > budget:
-            return EXHAUSTED
-        for sm, tm, sigma, tau in _elementary_candidates(cur):
-            witness.append(FreePair(sigma, tau))
-            status = search(cur._collapse_masks(sm, tm), key ^ (1 << position[sm]) ^ (1 << position[tm]))
-            if status == COLLAPSIBLE:
-                return COLLAPSIBLE
-            witness.pop()
-            if status == EXHAUSTED:
-                return EXHAUSTED
-        dead.add(key)
-        return NOT_COLLAPSIBLE
-
-    status = search(cx, (1 << len(position)) - 1)
-    if status == COLLAPSIBLE:
-        return CollapseVerdict(COLLAPSIBLE, tuple(witness), nodes)
-    return CollapseVerdict(status, None, nodes)
+    # An explicit stack, so a deep search cannot overflow Python's. A frame
+    # is [key, the node's pairs, pairs tried]; its last try stays applied.
+    frames: list[list] = []
+    key = (1 << len(order)) - 1
+    while True:
+        if len(up) == 1:
+            tried = (pairs[i - 1] for _, pairs, i in frames)
+            witness = tuple(FreePair(_tuple_of(order[s]), _tuple_of(order[t])) for t, s in tried)
+            return CollapseVerdict(COLLAPSIBLE, witness, nodes)
+        if key not in dead:
+            nodes += 1
+            if nodes > budget:
+                return CollapseVerdict(EXHAUSTED, None, nodes)
+            # _free_tau's pair at sm, when elementary: up[sm] is one bit
+            pairs = sorted((rank[sm | y], rank[sm]) for sm, y in up.items() if y and not y & (y - 1))
+            frames.append([key, pairs, 0])
+        while True:
+            frame = frames[-1]
+            key, pairs, i = frame
+            if i:
+                t, s = pairs[i - 1]
+                _flip(up, order[s], order[t])
+            if i < len(pairs):
+                break
+            dead.add(key)
+            frames.pop()
+            if not frames:
+                return CollapseVerdict(NOT_COLLAPSIBLE, None, nodes)
+        t, s = pairs[i]
+        _flip(up, order[s], order[t])
+        frame[2] = i + 1
+        key ^= 1 << t | 1 << s
 
 
 # -- trace-guided collapse -------------------------------------------------------
@@ -412,27 +423,17 @@ def _lift(adj: dict[int, int], mask: int, verdicts: dict[int, bool], lifted: dic
     return result
 
 
-def _replay(adj: dict[int, int], faces: set[int], pairs: Iterable[MaskPair]) -> None:
+def _replay(faces: Iterable[int], pairs: Iterable[MaskPair]) -> dict[int, int]:
     """Apply elementary collapses, given as (sigma, tau) mask pairs, to a
-    set of clique masks of the graph with adjacency adj, in place.
-
-    Each pair is checked to be free first: sigma and tau are faces, tau
-    is sigma plus one vertex x, and no sigma + y with y != x is a face.
-    Every face is a clique, so such a y is a common neighbor of sigma.
-    Raises InternalInconsistencyError at the first pair that is not free.
-    """
+    downward-closed set of face masks and return the coface map of what
+    is left. Raises InternalInconsistencyError at the first pair that is
+    not the free pair at its sigma, or not elementary."""
+    up = _cofaces(faces)
     for sm, tm in pairs:
-        x = tm & ~sm
-        if sm not in faces or tm not in faces or tm & sm != sm or x & (x - 1) or not x:
-            raise InternalInconsistencyError(f"({_tuple_of(sm)}, {_tuple_of(tm)}) is not an elementary pair of faces")
-        common = -1
-        for u in iter_bits(sm):
-            common &= adj[u]
-        for y in iter_bits(common & ~tm):
-            if sm | 1 << y in faces:
-                raise InternalInconsistencyError(f"({_tuple_of(sm)}, {_tuple_of(tm)}) is not a free pair")
-        faces.discard(sm)
-        faces.discard(tm)
+        if sm not in up or _free_tau(up, sm) != tm or up[sm] & (up[sm] - 1):
+            raise InternalInconsistencyError(f"({_tuple_of(sm)}, {_tuple_of(tm)}) is not a free pair, or not elementary")
+        _flip(up, sm, tm)
+    return up
 
 
 def collapse_via_trace(g: Graph, trace: ReductionTrace) -> tuple[FreePair, ...]:

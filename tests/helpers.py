@@ -22,7 +22,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from graphcollapse import Graph, canonical_form, clique_complex, graph_from_canonical
-from graphcollapse.complexes import _mask_of, _replay
+from graphcollapse.complexes import SimplicialComplex, _mask_of, _replay
 
 
 # -- isomorphism by brute force ----------------------------------------------
@@ -439,6 +439,14 @@ def brute_betti_gf2(g: Graph, max_dim: int | None = None) -> tuple[int, ...]:
     return tuple(betti)
 
 
+def brute_maximal_faces(faces: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Faces contained in no other face, by scanning every face against
+    every other, sorted by (dimension, lexicographic)."""
+    face_sets = [(f, set(f)) for f in faces]
+    maximal = [f for f, s in face_sets if not any(s < t for _, t in face_sets)]
+    return sorted(maximal, key=lambda f: (len(f), f))
+
+
 def brute_free_pairs(faces: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Pairs (sigma, tau) where tau is the one and only maximal face
     properly containing sigma, by scanning every face against every
@@ -610,11 +618,9 @@ def greedy_reduction(g: Graph, edges: bool = False) -> tuple[Graph, list[tuple[s
 
 
 def replayed(g: Graph, pairs) -> set[int]:
-    """The clique masks of g left after replaying the collapse pairs in
-    place with complexes._replay, each checked to be free."""
-    faces = set(clique_complex(g)._masks)
-    _replay({v: g.adjacency_mask(v) for v in g.vertices}, faces, [(_mask_of(p.sigma), _mask_of(p.tau)) for p in pairs])
-    return faces
+    """The clique masks of g left after complexes._replay applies the
+    collapse pairs, each checked to be free."""
+    return set(_replay(clique_complex(g)._masks, [(_mask_of(p.sigma), _mask_of(p.tau)) for p in pairs]))
 
 
 # -- shared fixtures ------------------------------------------------------------
@@ -714,6 +720,26 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 7):
         if a != b and a < n and b < n:
             edges.add((min(a, b), max(a, b)))
     return Graph(range(n), edges)
+
+
+@st.composite
+def maximal_complexes(draw, max_n: int = 7):
+    """SimplicialComplex.from_maximal of a graph's vertices and edges and
+    a coin-flip choice of its larger cliques. Every complex on at most
+    max_n vertices is one of these, and a triangle whose coin and every
+    larger clique's around it came up tails stays hollow, so most are not
+    clique complexes."""
+    g = draw(arbitrary_graphs(min_n=1, max_n=max_n))
+    larger = [c for size, cs in brute_cliques(g).items() if size > 2 for c in cs]
+    coins = draw(st.lists(st.booleans(), min_size=len(larger), max_size=len(larger)))
+    kept = [c for c, coin in zip(larger, coins) if coin]
+    return SimplicialComplex.from_maximal([(v,) for v in g.vertices] + list(g.edges) + kept)
+
+
+def mixed_complexes(max_n: int = 7):
+    """Clique complexes of arbitrary graphs, or complexes from
+    maximal_complexes; nonempty either way."""
+    return st.one_of(arbitrary_graphs(min_n=1, max_n=max_n).map(clique_complex), maximal_complexes(max_n=max_n))
 
 
 @st.composite

@@ -106,6 +106,13 @@ class TestClassification:
         with pytest.raises(InternalInconsistencyError, match="not a free pair"):
             classify_graph(complete(4))
 
+    def test_replay_rejects_a_pair_that_is_not_elementary(self, monkeypatch):
+        # (0, 012) is the free pair at vertex 0 of a triangle, but it
+        # removes four faces, not two
+        monkeypatch.setattr(census, "_lift", lambda *args: (((0b1, 0b111),), 0b100))
+        with pytest.raises(InternalInconsistencyError, match="not elementary"):
+            classify_graph(complete(3))
+
     def test_positive_entries_verified_collapsible(self, census7):
         for e in census7.entries():
             if e.in_strong:

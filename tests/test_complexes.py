@@ -29,9 +29,11 @@ from helpers import (
     arbitrary_graphs,
     brute_cliques,
     brute_free_pairs,
+    brute_maximal_faces,
     connected_graphs,
     g8,
     gstar,
+    mixed_complexes,
     reference_collapse_search,
     replayed,
 )
@@ -161,10 +163,10 @@ class TestFreePairs:
         pairs = clique_complex(gstar()).free_pairs()
         assert pairs == sorted(pairs, key=lambda p: (p.tau, p.sigma))
 
-    @given(arbitrary_graphs(min_n=1, max_n=6))
-    def test_matches_brute_force(self, g):
-        cx = clique_complex(g)
+    @given(mixed_complexes(max_n=6))
+    def test_matches_brute_force(self, cx):
         assert [(p.sigma, p.tau) for p in cx.free_pairs()] == brute_free_pairs(list(cx.faces))
+        assert list(cx.maximal_faces) == brute_maximal_faces(list(cx.faces))
 
     @given(connected_graphs(max_n=6))
     @settings(max_examples=30)
@@ -253,14 +255,11 @@ class TestIsCollapsible:
             cx = cx.collapse(pair)
         assert cx.face_count == 1 and cx.dim == 0
 
-    @given(arbitrary_graphs(max_n=7), st.sampled_from([3, 40, 10**6]))
+    @given(mixed_complexes(max_n=7), st.sampled_from([3, 40, 10**6]))
     @settings(max_examples=40)
-    def test_search_matches_frozenset_memo_reference(self, g, budget):
+    def test_search_matches_frozenset_memo_reference(self, cx, budget):
         # the reference keys dead states by their face sets; the search's
         # int keys must give the same order, verdict, witness and count
-        if not g.vertices:
-            return
-        cx = clique_complex(g)
         v = is_collapsible(cx, budget=budget)
         witness = None if v.witness is None else tuple((p.sigma, p.tau) for p in v.witness)
         assert (v.status, witness, v.nodes_expanded) == reference_collapse_search(list(cx.faces), budget)
@@ -275,6 +274,14 @@ class TestIsCollapsible:
         v = is_collapsible(cx)
         assert (v.status, v.nodes_expanded) == (NOT_COLLAPSIBLE, 14)
         assert reference_collapse_search(list(cx.faces), 10**6) == (NOT_COLLAPSIBLE, None, 14)
+
+    def test_long_path_without_deep_recursion(self):
+        # one search node per collapsed edge, 1,199 deep
+        g = path(1200)
+        v = is_collapsible(clique_complex(g))
+        assert (v.status, v.nodes_expanded) == (COLLAPSIBLE, 1199)
+        faces = replayed(g, v.witness)
+        assert len(faces) == 1 and faces.pop().bit_count() == 1
 
 
 class TestCollapseViaTrace:
