@@ -9,10 +9,11 @@ Run it the same way in a checkout of the parent commit and diff the two
 files. It covers the prime-field wrappers (ranks, free-variables-zero
 solutions, kernel bases), integer invariant factors, homology over
 GF(2), GF(3) and the integers with representatives, pushed cycles and
-induced-map matrices, both reductions' traces with their collapse pairs, the barcodes of the 50
-acceptance clouds and both reductions' trace of each of their stage
-graphs, the barcodes of two seeded 40-point clouds with every distance
-a stage, the squared-distance keys of seeded integer, rational and
+induced-map matrices, both reductions' traces with their collapse
+pairs, the barcodes of the 50 acceptance clouds and both reductions of
+each of their stage graphs (trace, each step's link and the reduced
+graph's edges), the barcodes of two seeded 40-point clouds with every
+distance a stage, the squared-distance keys of seeded integer, rational and
 float point clouds, the keys of seeded dissimilarity matrices with
 mixed denominators, the stage edge sets of seeded clouds and matrices
 under explicit fractional and float thresholds together with
@@ -191,13 +192,21 @@ def barcodes() -> list:
 
 
 def stage_traces() -> list:
-    """Both reductions' trace of every stage graph of the acceptance
-    clouds, every distance a stage."""
+    """Both reductions of every stage graph of the acceptance clouds,
+    every distance a stage: each stage's trace, the link of each step
+    (which the trace text omits) and the reduced graph's edges."""
     out = []
     for pts in acceptance_clouds():
         filt = vr_filtration(PointCloud.from_points(pts))
         out.append({
-            name: [stage.trace.to_text() for stage in reduce_filtration(filt, edge_extended)]
+            name: [
+                {
+                    "trace": stage.trace.to_text(),
+                    "links": [sorted(step.link) for step in stage.trace],
+                    "reduced": [list(e) for e in stage.reduced.edges],
+                }
+                for stage in reduce_filtration(filt, edge_extended)
+            ]
             for name, edge_extended in (("vertex", False), ("edge", True))
         })
     return out

@@ -300,10 +300,27 @@ def enumerate_cliques(g: Graph, max_size: Optional[int] = None, max_faces: int =
 
 
 def clique_complex(g: Graph, max_faces: int = DEFAULT_FACE_BUDGET) -> SimplicialComplex:
-    """Complex whose faces are exactly the nonempty cliques of g."""
-    by_size = enumerate_cliques(g, max_faces=max_faces)
-    masks = frozenset(_mask_of(c) for bucket in by_size.values() for c in bucket)
-    return SimplicialComplex._from_masks(masks)
+    """Complex whose faces are exactly the nonempty cliques of g.
+
+    The walk and the face budget are those of `enumerate_cliques`, on
+    masks: each clique is extended by its candidates above the vertex
+    just added, which are the candidates still left in the bit loop.
+    """
+    masks: list[int] = []
+    level = [(1 << v, g.adjacency_mask(v) >> (v + 1) << (v + 1)) for v in g.vertices]
+    while level:
+        total = len(masks) + len(level)
+        if max_faces is not None and total > max_faces:
+            raise BudgetExceededError(f"face budget {max_faces} exceeded at {total} faces")
+        nxt = []
+        for m, cand in level:
+            masks.append(m)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                nxt.append((m | low, cand & g.adjacency_mask(low.bit_length() - 1)))
+        level = nxt
+    return SimplicialComplex._from_masks(frozenset(masks))
 
 
 # -- collapsibility ------------------------------------------------------------

@@ -55,15 +55,6 @@ def clear_caches() -> None:
     in the public API for existing callers."""
 
 
-def _adjacency(g: Graph) -> tuple[dict[int, int], int]:
-    """Adjacency masks of g by vertex id, and the mask of all its vertices."""
-    adj = {v: g.adjacency_mask(v) for v in g.vertices}
-    mask = 0
-    for v in adj:
-        mask |= 1 << v
-    return adj, mask
-
-
 def _first_hit_deletions(adj: dict[int, int], mask: int, memo: dict[int, bool]) -> tuple[list[int], int]:
     """The greedy scan on the subgraph induced by mask.
 
@@ -154,7 +145,7 @@ def is_strong_contractible(g: Graph) -> bool:
     vertex. The deletions run as a loop, so the recursion depth follows
     how deeply neighborhoods nest (at most the clique number), not n.
     """
-    adj, mask = _adjacency(g)
+    adj, mask = g._adj, g._vmask
     return _contractible(adj, mask, {})
 
 
@@ -166,7 +157,7 @@ def is_strong_contractible_any_order(g: Graph) -> bool:
     recursion, so a graph on n vertices needs a recursion depth of about
     n; this variant is meant for small graphs.
     """
-    adj, mask = _adjacency(g)
+    adj, mask = g._adj, g._vmask
     return _contractible_any_order(adj, mask, {})
 
 
@@ -312,15 +303,44 @@ class ReductionTrace:
 # -- reductions ------------------------------------------------------------------
 
 
-def _delete_vertices(g: Graph, memo: dict[int, bool], steps: list[Step]) -> Graph:
-    """Run the greedy scan on g, append one step per deleted vertex, and
-    return what is left."""
-    adj, mask = _adjacency(g)
-    deleted, rest = _first_hit_deletions(adj, mask, memo)
-    for v in deleted:
-        steps.append(Step(VERTEX_STEP, v, frozenset(iter_bits(adj[v] & mask))))
-        mask ^= 1 << v
-    return g.induced(iter_bits(rest)) if deleted else g
+def _step(kind: str, element: object, link: int, known: dict) -> Step:
+    """The step deleting element with the given link mask, one object per
+    (element, link) in known."""
+    step = known.get((element, link))
+    if step is None:
+        step = known[element, link] = Step(kind, element, frozenset(iter_bits(link)))
+    return step
+
+
+def _reduce(g: Graph, edge_extended: bool, known: dict) -> tuple[Graph, ReductionTrace]:
+    """Both reductions: the greedy scan on g's masks, then, for the
+    edge-extended one, the first edge whose common neighborhood passes
+    and the scan again, until neither deletes anything. Steps come from
+    known (see _step), so reductions of related graphs can share them."""
+    steps: list[Step] = []
+    while True:
+        # Verdicts are keyed by vertex mask, so they hold only until an
+        # edge deletion changes the adjacency.
+        memo: dict[int, bool] = {}
+        adj, mask = g._adj, g._vmask
+        deleted, rest = _first_hit_deletions(adj, mask, memo)
+        for v in deleted:
+            steps.append(_step(VERTEX_STEP, v, adj[v] & mask, known))
+            mask ^= 1 << v
+        if deleted:
+            g = g._induced_mask(rest)
+            adj = g._adj
+        if not edge_extended:
+            break
+        for u, v in g.edges:
+            link = adj[u] & adj[v]
+            if _contractible(adj, link, memo):
+                steps.append(_step(EDGE_STEP, (u, v), link, known))
+                g = g.delete_edge(u, v)
+                break
+        else:
+            break
+    return g, ReductionTrace(tuple(steps))
 
 
 def contractible_reduction(g: Graph) -> tuple[Graph, ReductionTrace]:
@@ -329,9 +349,7 @@ def contractible_reduction(g: Graph) -> tuple[Graph, ReductionTrace]:
     Each pass scans ascending vertex ids, deletes the first vertex whose
     neighborhood is strongly contractible, and restarts. Deterministic.
     """
-    steps: list[Step] = []
-    g = _delete_vertices(g, {}, steps)
-    return g, ReductionTrace(tuple(steps))
+    return _reduce(g, False, {})
 
 
 def edge_extended_reduction(g: Graph) -> tuple[Graph, ReductionTrace]:
@@ -341,21 +359,7 @@ def edge_extended_reduction(g: Graph) -> tuple[Graph, ReductionTrace]:
     order; the first edge whose common neighborhood is strongly
     contractible is deleted, after which vertex deletions are retried.
     """
-    steps: list[Step] = []
-    while True:
-        # Verdicts are keyed by vertex mask, so they hold only until an
-        # edge deletion changes the adjacency.
-        memo: dict[int, bool] = {}
-        g = _delete_vertices(g, memo, steps)
-        adj = _adjacency(g)[0]
-        for u, v in g.edges:
-            link = adj[u] & adj[v]
-            if _contractible(adj, link, memo):
-                steps.append(Step(EDGE_STEP, (u, v), frozenset(iter_bits(link))))
-                g = g.delete_edge(u, v)
-                break
-        else:
-            return g, ReductionTrace(tuple(steps))
+    return _reduce(g, True, {})
 
 
 # -- legal transformation listing -------------------------------------------------

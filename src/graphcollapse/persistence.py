@@ -13,9 +13,12 @@ dropped from every stage from its entry on when its common neighborhood
 is strongly contractible at each of them (the edge collapse of
 Boissonnat and Pritam, with cones widened to strongly contractible
 neighborhoods), which leaves the persistence module unchanged over any
-field. `reduce_filtration` reduces each stage graph on its own, with
-traces. A direct column reduction of the full filtered boundary matrix
-is the oracle for cross-checking barcodes.
+field. Most such neighborhoods are cones on one vertex at every stage,
+and that is checked before any stage is swept. `reduce_filtration`
+gives each stage graph's own reduction, with traces, in one pass over
+the nested stages that shares the steps they have in common. A direct
+column reduction of the full filtered boundary matrix is the oracle for
+cross-checking barcodes.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from . import exactla
 from .complexes import DEFAULT_FACE_BUDGET, enumerate_cliques
-from .contract import ReductionTrace, _contractible, contractible_reduction, edge_extended_reduction
+from .contract import ReductionTrace, _contractible, _reduce
 from .errors import GraphFormatError
 from .graphs import Graph, iter_bits
 from .homology import Coefficients
@@ -286,21 +290,24 @@ def vr_filtration(
     """Vietoris-Rips filtration of the cloud.
 
     Default thresholds are 0 plus every distinct pair key, so stages
-    change one distance class at a time. Explicit thresholds must be
-    strictly increasing; 0 is prepended when absent. A pair with
-    integer key k over the cloud's denominator d is within threshold t
-    exactly when k <= floor(t * d), so pairs are bucketed by bisecting
-    those integer cut-offs.
+    change one distance class at a time, and a pair's stage is the rank
+    of its key in the one sorted list of distinct keys. Explicit
+    thresholds must be strictly increasing; 0 is prepended when absent.
+    A pair with integer key k over the cloud's denominator d is within
+    threshold t exactly when k <= floor(t * d), so pairs are bucketed by
+    bisecting those integer cut-offs.
     """
     if thresholds is None:
         cuts = sorted(set().union(*cloud._rows, (0,)))
         ts = tuple(map(cloud._fraction, cuts))
+        stage_of = dict(zip(cuts, range(len(cuts)))).__getitem__
     else:
         ts = _checked_thresholds(thresholds)
         cuts = [t.numerator * cloud._den // t.denominator for t in ts]
+        stage_of = partial(bisect.bisect_left, cuts)
     last = cuts[-1]
     entry = {
-        (i, j): bisect.bisect_left(cuts, k)
+        (i, j): stage_of(k)
         for i, row in enumerate(cloud._rows)
         for j, k in enumerate(row, i + 1)
         if k <= last
@@ -318,13 +325,18 @@ class ReducedStage:
 
 
 def reduce_filtration(filt: Filtration, edge_extended: bool = False) -> tuple[ReducedStage, ...]:
-    """Reduce every stage graph independently, with traces; `barcode`
-    does not need this. Results are cached on the filtration."""
+    """Each stage graph's `contractible_reduction`, or with edge_extended
+    its `edge_extended_reduction`, with traces; `barcode` does not need
+    this. The greedy scan runs on the cached stage graphs' own masks, and
+    the stages share one Step object per (deleted element, link), since
+    nested stages delete many of the same vertices with the same links.
+    Results are cached on the filtration."""
     cache_key = ("stages", edge_extended)
     if cache_key not in filt._cache:
-        reducer = edge_extended_reduction if edge_extended else contractible_reduction
+        known: dict = {}
         filt._cache[cache_key] = tuple(
-            ReducedStage(i, filt.thresholds[i], g, *reducer(g)) for i, g in enumerate(filt.graphs)
+            ReducedStage(i, filt.thresholds[i], g, *_reduce(g, edge_extended, known))
+            for i, g in enumerate(filt.graphs)
         )
     return filt._cache[cache_key]
 
@@ -386,12 +398,33 @@ def _link_stays_contractible(
     edges. One sweep buckets the events by stage, applies each stage's
     events to one adjacency and vertex mask in place, and tests the link
     after each stage, s first.
+
+    The sweep is skipped when some link vertex w is an apex at every
+    stage: w joins at s, is adjacent to every other link vertex, and
+    each of its kept edges to a link vertex x enters no later than x
+    joins. Each stage's link is then a cone on w, which `_contractible`
+    accepts.
     """
     link = adj[u] & adj[v]
     join: dict[int, int] = {}  # link vertices that join after s -> their stage
     for w, e in (*kept[u].items(), *kept[v].items()):
         if e > join.get(w, s) and link >> w & 1:
             join[w] = e
+    # Any apex is adjacent to every vertex tested before it, so each test
+    # narrows the candidates to the tested vertex's neighbors; the lowest
+    # and the highest candidate are taken in turn.
+    cand = link
+    high = False
+    while cand:
+        w = (cand if high else cand & -cand).bit_length() - 1
+        high = not high
+        if (adj[w] | 1 << w) & link == link and w not in join:
+            for x, e in kept[w].items():
+                if e > join.get(x, s) and link >> x & 1:
+                    break
+            else:
+                return True
+        cand &= adj[w]
     joined = {s: link}  # stage -> mask of the link vertices that join then
     for w, t in join.items():
         joined[s] ^= 1 << w
@@ -429,8 +462,7 @@ def _collapsed_stages(filt: Filtration) -> dict[tuple[int, int], int]:
         for u, v in stages:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        for u, v in sorted(stages, key=lambda e: (stages[e], e), reverse=True):
-            s = stages[u, v]
+        for s, (u, v) in sorted(zip(stages.values(), stages), reverse=True):
             if _link_stays_contractible(adj, kept, u, v, s):
                 del stages[u, v]
                 adj[u] ^= 1 << v

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphcollapse import exactla
+from graphcollapse import exactla, persistence
+from graphcollapse.contract import contractible_reduction, edge_extended_reduction, is_strong_contractible
 from graphcollapse.errors import GraphFormatError
 from graphcollapse.graphs import Graph
 from graphcollapse.homology import Coefficients
 from graphcollapse.persistence import (
     _collapsed_stages,
+    _link_stays_contractible,
     Barcode,
     Interval,
     PointCloud,
@@ -303,6 +305,30 @@ class TestReduceFiltration:
         filt = vr_filtration(PointCloud.from_points([(0, 0), (1, 0), (0, 1)]))
         assert reduce_filtration(filt) is reduce_filtration(filt)
 
+    def test_stages_equal_each_stage_graphs_own_reduction(self):
+        rng = random.Random(507)
+        filts = [vr_filtration(random_cloud(rng, max_points=10)) for _ in range(4)]
+        filts += [vr_filtration(pc, ts) for pc in tied_clouds()[::4] for ts in (None, [1, 2], [0, 1, 2, 5])]
+        filts.append(vr_filtration(PointCloud.from_distance_matrix(SIX_POINT_ROWS)))
+        filts.append(vr_filtration(PointCloud.from_distance_matrix(LATE_LINK_EDGE_ROWS), [1, 2]))
+        cloud = uniform_cloud(rng, 30)
+        filts.append(vr_filtration(cloud, degree_thresholds(cloud, (2, 4, 6))))
+        for filt in filts:
+            n = filt.cloud.n
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            for edge_extended, reduce in ((False, contractible_reduction), (True, edge_extended_reduction)):
+                stages = reduce_filtration(filt, edge_extended)
+                assert [stage.index for stage in stages] == list(range(filt.stage_count))
+                for stage, t in zip(stages, filt.thresholds):
+                    g = Graph(range(n), [e for e in pairs if filt.cloud.pair_key(*e) <= t])
+                    reduced, trace = reduce(g)
+                    assert stage.threshold == t
+                    assert stage.graph == g
+                    assert stage.reduced == reduced
+                    assert [(step.apex, step.link) for step in stage.trace] == [
+                        (step.apex, step.link) for step in trace
+                    ]
+
 
 
 # --------------------------------------------------------- persistent ranks
@@ -436,22 +462,31 @@ class TestBarcode:
 # ------------------------------------------------------------------ collapse
 
 
-def replay_collapse(filt):
+def replay_collapse(filt, contractible=greedy_contractible):
     """The collapse of the filtration recomputed from the definitions: the
     final graph's edges, latest entry first and then in descending order,
-    each dropped when its common neighborhood passes the memo-free greedy
-    test at every stage from its entry on, in the filtration left so far.
-    Returns the surviving edges' entry stages."""
+    each dropped when its common neighborhood passes the test (by default
+    the memo-free greedy test) at every stage from its entry on, in the
+    filtration left so far. The stage graph changes only at stages where
+    an edge still left enters, so the edge's entry stage and those later
+    stages are the ones tested. Returns the surviving edges' entry stages."""
     final = filt.graphs[-1]
     left = {e: filt.stage_of_key(filt.cloud.pair_key(*e)) for e in final.edges}
     for e in sorted(left, key=lambda e: (left[e], e), reverse=True):
-        stages = range(left[e], filt.stage_count)
-        if all(
-            greedy_contractible(
-                Graph(final.vertices, [f for f, t in left.items() if t <= j]).common_neighborhood(*e)
-            )
-            for j in stages
-        ):
+        s = left[e]
+        g = Graph(final.vertices, [f for f, t in left.items() if t <= s])
+        later: dict[int, list] = {}
+        for f, t in left.items():
+            if t > s:
+                later.setdefault(t, []).append(f)
+        passes = contractible(g.common_neighborhood(*e))
+        for t in sorted(later):
+            if not passes:
+                break
+            for f in later[t]:
+                g = g.glue_edge(*f)
+            passes = contractible(g.common_neighborhood(*e))
+        if passes:
             del left[e]
     return left
 
@@ -505,6 +540,40 @@ LATE_LINK_EDGE_ROWS = [
 ]
 
 
+# Random search found these matrices, every distance a stage. In the
+# first, the edge (3, 4) enters at stage 1 and vertex 1 is an apex of its
+# link at every stage: vertex 6 joins the link at stage 2, the stage at
+# which the kept edge (1, 6) enters. In the other two, a link vertex
+# adjacent to every other one is no apex: in the second, one of its kept
+# edges to a link vertex enters after that vertex joins; in the third, it
+# joins the link after the edge enters.
+APEX_EDGE_WITH_JOIN_ROWS = [
+    [0, 3, 1, 1, 3, 2, 1],
+    [3, 0, 3, 1, 1, 1, 2],
+    [1, 3, 0, 1, 2, 1, 2],
+    [1, 1, 1, 0, 1, 3, 1],
+    [3, 1, 2, 1, 0, 2, 2],
+    [2, 1, 1, 3, 2, 0, 1],
+    [1, 2, 2, 1, 2, 1, 0],
+]
+APEX_EDGE_AFTER_JOIN_ROWS = [
+    [0, 1, 3, 3, 3, 1],
+    [1, 0, 4, 3, 1, 1],
+    [3, 4, 0, 3, 1, 1],
+    [3, 3, 3, 0, 1, 4],
+    [3, 1, 1, 1, 0, 1],
+    [1, 1, 1, 4, 1, 0],
+]
+APEX_JOINS_LATE_ROWS = [
+    [0, 1, 3, 1, 4, 4],
+    [1, 0, 4, 4, 2, 1],
+    [3, 4, 0, 4, 1, 4],
+    [1, 4, 4, 0, 4, 1],
+    [4, 2, 1, 4, 0, 4],
+    [4, 1, 4, 1, 4, 0],
+]
+
+
 class TestCollapse:
     def test_dropped_edges_replay_with_memo_free_deletion_test(self):
         rng = random.Random(8128)
@@ -521,6 +590,36 @@ class TestCollapse:
             assert survivors == replay_collapse(filt)
             dropped += filt.graphs[-1].m - len(survivors)
         assert dropped > 0
+
+    def test_apex_check_matches_replay(self):
+        for rows in (APEX_EDGE_WITH_JOIN_ROWS, APEX_EDGE_AFTER_JOIN_ROWS, APEX_JOINS_LATE_ROWS):
+            filt = vr_filtration(PointCloud.from_distance_matrix(rows))
+            assert _collapsed_stages(filt) == replay_collapse(filt)
+        # near-complete links at every stage; the package's greedy test,
+        # which checks cones first, keeps the replay fast
+        filt = vr_filtration(uniform_cloud(random.Random(60), 60))
+        survivors = _collapsed_stages(filt)
+        assert survivors == replay_collapse(filt, is_strong_contractible)
+        assert len(survivors) < filt.graphs[-1].m
+
+    def test_apex_check_needs_every_kept_edge_by_its_join(self, monkeypatch):
+        # The edge (0, 1) enters at stage 1 with common neighbors 2 and 3;
+        # 3 joins its link at stage 2 through the kept edge (0, 3), and
+        # the kept edge (2, 3) enters at the stage given.
+        adj = {0: 0b1110, 1: 0b1101, 2: 0b1011, 3: 0b0111}
+
+        def kept(e23):
+            return {0: {3: 2}, 1: {}, 2: {3: e23}, 3: {0: 2, 2: e23}}
+
+        def no_sweep(*args):
+            raise AssertionError("the sweep ran although 2 is an apex at every stage")
+
+        # with 3: the link is a cone on 2 at every stage
+        with monkeypatch.context() as m:
+            m.setattr(persistence, "_contractible", no_sweep)
+            assert _link_stays_contractible(adj, kept(2), 0, 1, 1)
+        # a stage after 3: at stage 2 the link is two points
+        assert not _link_stays_contractible(adj, kept(3), 0, 1, 1)
 
     def test_cached_across_dimensions_and_fields(self):
         filt = vr_filtration(random_cloud(random.Random(12)))
