@@ -25,7 +25,11 @@ automorphism generators of the seeded graphs, on their own ids and
 relabelled onto sparse ones, and the collapse search's verdict, witness
 and node count on seeded random graphs at three budgets, with the free
 pairs and maximal faces of seeded complexes given by random maximal
-faces. It uses only the standard library, numpy and long-standing
+faces. Its trace_walks section gives, for every seeded graph and both
+reductions, what each trace consumer (replay, parsing against the
+graph, cycle pushing, collapse lifting) returns or raises on the
+graph's own trace and on the next graph's, and the errors of malformed
+trace texts. It uses only the standard library, numpy and long-standing
 public API, and runs in well under a minute.
 """
 
@@ -48,7 +52,7 @@ from graphcollapse.canon import canonical_labelling
 from graphcollapse.census import CensusConfig, build_census, format_level
 from graphcollapse.cli import main as cli_main
 from graphcollapse.complexes import SimplicialComplex, clique_complex, collapse_via_trace, is_collapsible
-from graphcollapse.contract import contractible_reduction, edge_extended_reduction
+from graphcollapse.contract import ReductionTrace, contractible_reduction, edge_extended_reduction
 from graphcollapse.graphs import Graph, to_edge_list_text
 from graphcollapse.homology import (
     ChainVector,
@@ -165,6 +169,56 @@ def graph_outputs(g: Graph, rng: random.Random) -> dict:
             })
     out["induced"] = {"subgraph_edges": [list(e) for e in kept], "maps": maps}
     return out
+
+
+def outcome(call) -> list:
+    """["ok", result] or [exception type name, message]."""
+    try:
+        return ["ok", call()]
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+MALFORMED_TRACES = (
+    "trace 1\nV x\n",
+    "trace 1\nE 1 y\n",
+    "trace 1\nV -1\n",
+    "trace 2\nV 0\nE 3 3\n",
+    "trace 1\nE 0 1 2\n",
+    "trace one\n",
+)
+
+
+def trace_walks(graphs: list) -> dict:
+    """Every trace consumer on each seeded graph's own trace and on the
+    next graph's, for both reductions, and malformed trace texts parsed
+    with and without a graph."""
+    out = []
+    for k, g in enumerate(graphs):
+        other = graphs[(k + 1) % len(graphs)]
+        point = ChainVector(0, {(g.vertices[0],): 1})
+        entry = {}
+        for name, reduce in REDUCTIONS:
+            trace = reduce(g)[1]
+            stale = reduce(other)[1]
+            entry[name] = {
+                "replay": [list(e) for e in trace.replay(g).edges],
+                "text_roundtrip": ReductionTrace.from_text(trace.to_text(), g) == trace,
+                "stale": {
+                    "replay": outcome(lambda: [list(e) for e in stale.replay(g).edges]),
+                    "from_text": outcome(
+                        lambda: [sorted(s.link) for s in ReductionTrace.from_text(stale.to_text(), g)]
+                    ),
+                    "push": outcome(lambda: chain(push_cycle_sequence(point, g, stale))),
+                    "collapse": outcome(lambda: len(collapse_via_trace(g, stale))),
+                },
+            }
+        out.append(entry)
+    malformed = [
+        [outcome(lambda: ReductionTrace.from_text(text, h).to_text()) for h in (None, graphs[0])]
+        for text in MALFORMED_TRACES
+    ]
+    return {"graphs": out, "malformed": malformed}
 
 
 def acceptance_clouds() -> list:
@@ -422,6 +476,7 @@ def main() -> None:
         "projective_plane": projective_plane(),
         "canonical_labellings": canonical_labellings(graphs),
         "collapse_search": collapse_search(),
+        "trace_walks": trace_walks(graphs),
     }
     json.dump(doc, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")

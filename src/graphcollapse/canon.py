@@ -92,6 +92,19 @@ class CanonicalForm:
         return self.data
 
 
+def _upper_triangle(masks, order) -> int:
+    """The upper triangle of the adjacency matrix with rows and columns
+    in the given order, read row by row into one integer, first entry
+    highest. masks[x] is the adjacency mask of vertex x."""
+    enc = 0
+    n = len(order)
+    for i in range(n):
+        row = masks[order[i]]
+        for j in range(i + 1, n):
+            enc = (enc << 1) | (row >> order[j] & 1)
+    return enc
+
+
 def _refine(cells: list[list[int]], nbrs: list[list[int]]) -> list[list[int]]:
     """Stable iterated refinement by neighbor color multisets, on cells
     of vertex positions in color order (the color of a vertex is the
@@ -138,14 +151,6 @@ def canonical_labelling(g: Graph) -> tuple[tuple[int, ...], tuple[Automorphism, 
     best: list = [None, None]  # [encoding, order]
     gens: list[Automorphism] = []  # automorphisms found, by vertex id
 
-    def encode(order: list[int]) -> int:
-        enc = 0
-        for i in range(n):
-            row = adj[order[i]]
-            for j in range(i + 1, n):
-                enc = (enc << 1) | (row >> order[j] & 1)
-        return enc
-
     def in_known_orbit(w: int, tried: list[int], fixed: tuple[int, ...]) -> bool:
         if not tried:
             return False
@@ -168,7 +173,7 @@ def canonical_labelling(g: Graph) -> tuple[tuple[int, ...], tuple[Automorphism, 
         at = next((c for c, cell in enumerate(cells) if len(cell) > 1), None)
         if at is None:
             order = [cell[0] for cell in cells]
-            enc = encode(order)
+            enc = _upper_triangle(adj, order)
             if best[0] is None or enc < best[0]:
                 best[0] = enc
                 best[1] = order
@@ -203,39 +208,20 @@ def form_in_order(g: Graph, order: tuple[int, ...]) -> CanonicalForm:
     """The byte encoding of g with its vertices taken in the given order;
     the canonical form when the order is canonical_order(g)."""
     n = len(order)
-    bits = []
-    for i in range(n):
-        mask = g.adjacency_mask(order[i]) if n else 0
-        for j in range(i + 1, n):
-            bits.append(mask >> order[j] & 1)
-    payload = bytearray(n.to_bytes(2, "big"))
-    acc = 0
-    filled = 0
-    for b in bits:
-        acc = (acc << 1) | b
-        filled += 1
-        if filled == 8:
-            payload.append(acc)
-            acc = 0
-            filled = 0
-    if filled:
-        payload.append(acc << (8 - filled))
-    return CanonicalForm(bytes(payload))
+    nbits = n * (n - 1) // 2
+    enc = _upper_triangle(g._adj, order)
+    return CanonicalForm(n.to_bytes(2, "big") + (enc << -nbits % 8).to_bytes((nbits + 7) // 8, "big"))
 
 
 def graph_from_canonical(form: CanonicalForm) -> Graph:
     """Reconstruct the representative graph on vertices 0..n-1."""
-    data = form.data
     n = form.vertex_count
-    bits = []
-    for byte in data[2:]:
-        for k in range(7, -1, -1):
-            bits.append(byte >> k & 1)
+    k = n * (n - 1) // 2
+    enc = int.from_bytes(form.data[2:], "big") >> -k % 8
     edges = []
-    idx = 0
     for i in range(n):
         for j in range(i + 1, n):
-            if bits[idx]:
+            k -= 1
+            if enc >> k & 1:
                 edges.append((i, j))
-            idx += 1
     return Graph(range(n), edges)

@@ -459,39 +459,19 @@ def collapse_via_trace(g: Graph, trace: ReductionTrace) -> tuple[FreePair, ...]:
     reduction trace.
 
     Works for vertex and edge deletions alike: the deleted element plays
-    the role of the cone apex over its (common) neighborhood. Each step
-    is checked against the graph as it stands, then the link's collapse
-    is lifted from one greedy scan of the link (_lift), joined to the
-    apex, and closed by (apex, apex + point). The adjacency is updated in
-    place.
+    the role of the cone apex over its (common) neighborhood. The trace is
+    walked and checked as replay does it; each step's link collapse is
+    lifted from one greedy scan of the link (_lift) on the live masks,
+    joined to the apex, and closed by (apex, apex + point).
     """
     pairs: list[FreePair] = []
-    adj = {v: g.adjacency_mask(v) for v in g.vertices}  # what is left, updated in place
-    for step in trace:
-        apex = step.apex
-        # an apex is one vertex or one edge: keep is its (common) neighborhood
-        first, last, vertex = apex[0], apex[-1], len(apex) == 1
-        if first not in adj or not (vertex or adj[first] >> last & 1):
-            raise ValueError(f"simplex {list(apex)} is not in the graph")
-        keep = adj[first] & adj[last]
-        if keep != _mask_of(step.link):
-            raise ValueError(
-                f"trace does not match graph: link of {apex} is {list(iter_bits(keep))}, "
-                f"recorded {sorted(step.link)}"
-            )
+    adj = dict(g._adj)
+    for apex, keep in trace._checked_walk(adj):
         lift = _lift(adj, keep, {}, {})
         if lift is None:
             raise ValueError(f"link of {apex} is not strongly contractible; trace is invalid")
         link_pairs, point = lift
         am = _mask_of(apex)
-        for sm, tm in link_pairs:
-            pairs.append(FreePair(_tuple_of(sm | am), _tuple_of(tm | am)))
+        pairs.extend(FreePair(_tuple_of(sm | am), _tuple_of(tm | am)) for sm, tm in link_pairs)
         pairs.append(FreePair(apex, _tuple_of(am | point)))
-        if vertex:
-            del adj[first]
-            for w in iter_bits(keep):
-                adj[w] &= ~am
-        else:
-            adj[first] &= ~(1 << last)
-            adj[last] &= ~(1 << first)
     return tuple(pairs)

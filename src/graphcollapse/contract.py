@@ -23,19 +23,21 @@ the recursion only enters neighborhoods and vertex deletions. Within a
 call, a graph is therefore named exactly by its vertex mask over the
 input's adjacency, and verdicts are memoized by mask for that call only.
 Nothing is shared between calls.
+
+Every trace consumer (replay, parsing against a graph, cycle pushing in
+homology, collapse lifting in complexes) reads one walk, _walk, which
+applies the steps in place to one copy of the graph's adjacency masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 from itertools import combinations
-from operator import and_
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import GraphFormatError
-from .graphs import Graph, iter_bits
+from .graphs import Graph, _subgraph, iter_bits
 
 __all__ = [
     "Step",
@@ -196,20 +198,39 @@ class Step:
         return tuple(sorted(self.element))
 
 
-def _link(g: Graph, apex: tuple[int, ...]) -> Graph:
-    """The link of the apex in the clique complex of g: the subgraph
-    induced on the vertices adjacent to every apex vertex. Raises
-    ValueError when the apex is not a clique of g."""
-    if not all(map(g.has_vertex, apex)) or not all(g.has_edge(u, v) for u, v in combinations(apex, 2)):
+def _apex_link(adj: dict[int, int], apex: tuple[int, ...]) -> int:
+    """The link of the apex, one vertex or one edge, in the clique complex
+    of the graph with adjacency masks adj: the mask of the vertices
+    adjacent to every apex vertex. Raises ValueError unless the apex is a
+    clique of that graph."""
+    u, v = apex[0], apex[-1]
+    if u not in adj or v not in adj or not (len(apex) == 1 or adj[u] >> v & 1):
         raise ValueError(f"simplex {list(apex)} is not in the graph")
-    return g._induced_mask(reduce(and_, map(g.adjacency_mask, apex)))
+    return adj[u] & adj[v]
 
 
-def _delete(g: Graph, apex: tuple[int, ...]) -> Graph:
-    """g without the apex vertex or edge, so without the apex's star."""
-    if len(apex) == 1:
-        return g.delete_vertex(apex[0])
-    return g.delete_edge(*apex)
+def _walk(adj: dict[int, int], apexes: Iterable[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Apply trace steps to adj in place, the one walk every trace
+    consumer reads.
+
+    At each apex, which must be a clique of what is left (else
+    ValueError), yields the apex and its link mask, then deletes the apex
+    vertex or edge, changing only the masks of the deleted element's
+    neighbors. The consumer reads adj, as it stands before the deletion,
+    while the walk is suspended. adj must be the caller's own copy of a
+    graph's masks: graphs share theirs.
+    """
+    for apex in apexes:
+        link = _apex_link(adj, apex)
+        yield apex, link
+        if len(apex) == 1:
+            v = apex[0]
+            for w in iter_bits(adj.pop(v)):
+                adj[w] ^= 1 << v
+        else:
+            u, v = apex
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
 
 
 # Trace-format line tag by apex size - 1.
@@ -236,24 +257,32 @@ class ReductionTrace:
     def deleted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(s.element for s in self.steps if s.kind == EDGE_STEP)
 
+    def _checked_walk(self, adj: dict[int, int]) -> Iterator[tuple[tuple[int, ...], int]]:
+        """_walk over the steps, checking each live link against the
+        recorded one. Errors name the step."""
+        i = 0
+        try:
+            for apex, link in _walk(adj, [step.apex for step in self.steps]):
+                live = frozenset(iter_bits(link))
+                if live != self.steps[i].link:
+                    raise ValueError(
+                        f"link of {list(apex)} is {sorted(live)}, trace recorded {sorted(self.steps[i].link)}"
+                    )
+                yield apex, link
+                i += 1
+        except ValueError as exc:
+            raise ValueError(f"trace step {i}: {exc}") from None
+
     def replay(self, g: Graph) -> Graph:
         """Apply the deletions to g, validating each step.
 
         Checks that each deleted element exists and that the recorded
         neighborhood snapshot matches the graph at that point.
         """
-        for i, step in enumerate(self.steps):
-            try:
-                live = frozenset(_link(g, step.apex).vertices)
-            except ValueError as exc:
-                raise ValueError(f"trace step {i}: {exc}") from None
-            if live != step.link:
-                raise ValueError(
-                    f"trace step {i}: link of {list(step.apex)} is {sorted(live)}, "
-                    f"trace recorded {sorted(step.link)}"
-                )
-            g = _delete(g, step.apex)
-        return g
+        adj = dict(g._adj)
+        for _ in self._checked_walk(adj):
+            pass
+        return Graph._from_masks(tuple(sorted(adj)), adj)
 
     def to_text(self) -> str:
         lines = [f"trace {len(self.steps)}"]
@@ -289,15 +318,19 @@ class ReductionTrace:
             tag, *ids = line.split()
             if tag not in _TAGS or _TAGS.index(tag) != len(ids) - 1:
                 raise GraphFormatError(source, lineno, f"expected 'V v' or 'E u v', got {line!r}")
-            apexes.append(tuple(sorted(map(int, ids))))
-        steps = []
-        for apex in apexes:
-            link = frozenset()
-            if g is not None:
-                link = frozenset(_link(g, apex).vertices)
-                g = _delete(g, apex)
-            steps.append(Step._at(apex, link))
-        return cls(tuple(steps))
+            try:
+                apex = tuple(sorted(map(int, ids)))
+            except ValueError:
+                raise GraphFormatError(source, lineno, f"expected integer vertex ids, got {line!r}") from None
+            if apex[0] < 0:
+                raise GraphFormatError(source, lineno, f"vertex id {apex[0]} is negative")
+            if len(set(apex)) < len(apex):
+                raise GraphFormatError(source, lineno, f"edge step needs two distinct vertices, got {line!r}")
+            apexes.append(apex)
+        if g is None:
+            return cls(tuple(map(Step._at, apexes)))
+        walk = _walk(dict(g._adj), apexes)
+        return cls(tuple(Step._at(apex, frozenset(iter_bits(link))) for apex, link in walk))
 
 
 # -- reductions ------------------------------------------------------------------
@@ -328,7 +361,7 @@ def _reduce(g: Graph, edge_extended: bool, known: dict) -> tuple[Graph, Reductio
             steps.append(_step(VERTEX_STEP, v, adj[v] & mask, known))
             mask ^= 1 << v
         if deleted:
-            g = g._induced_mask(rest)
+            g = _subgraph(adj, rest)
             adj = g._adj
         if not edge_extended:
             break

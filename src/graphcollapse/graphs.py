@@ -123,14 +123,13 @@ class Graph:
             if not self.has_vertex(v):
                 raise ValueError(f"vertex {v} is not in the graph")
             keep |= 1 << v
-        vs = tuple(v for v in self._vertices if keep >> v & 1)
-        return Graph._from_masks(vs, {v: self._adj[v] & keep for v in vs})
+        return _subgraph(self._adj, keep)
 
     def neighborhood(self, v: int) -> "Graph":
         """Subgraph induced on the neighbors of v. v itself is excluded."""
         if v not in self._adj:
             raise ValueError(f"vertex {v} is not in the graph")
-        return self._induced_mask(self._adj[v])
+        return _subgraph(self._adj, self._adj[v])
 
     def common_neighborhood(self, u: int, v: int) -> "Graph":
         """Subgraph induced on the common neighbors of u and v.
@@ -143,18 +142,14 @@ class Graph:
             raise ValueError(f"vertex {v} is not in the graph")
         if u == v:
             raise ValueError(f"common neighborhood needs two distinct vertices, got {u} twice")
-        return self._induced_mask(self._adj[u] & self._adj[v])
-
-    def _induced_mask(self, keep: int) -> "Graph":
-        vs = _mask_to_tuple(keep)
-        return Graph._from_masks(vs, {v: self._adj[v] & keep for v in vs})
+        return _subgraph(self._adj, self._adj[u] & self._adj[v])
 
     # -- elementary transformations ------------------------------------------
 
     def delete_vertex(self, v: int) -> "Graph":
         if v not in self._adj:
             raise ValueError(f"cannot delete vertex {v}: not in the graph")
-        return self._induced_mask(self._vmask & ~(1 << v))
+        return _subgraph(self._adj, self._vmask & ~(1 << v))
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
@@ -268,6 +263,13 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
+
+
+def _subgraph(adj: Mapping[int, int], keep: int) -> Graph:
+    """The subgraph induced on the vertex mask keep over the adjacency
+    masks adj, original ids kept. adj is read, never changed."""
+    vs = _mask_to_tuple(keep)
+    return Graph._from_masks(vs, {v: adj[v] & keep for v in vs})
 
 
 # -- file formats -------------------------------------------------------------

@@ -16,15 +16,16 @@ bases and induced-map matrices require a prime field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from . import exactla
 from .complexes import DEFAULT_FACE_BUDGET, Simplex, enumerate_cliques
-from .contract import ReductionTrace, _delete, _link, is_strong_contractible
+from .contract import ReductionTrace, _apex_link, _walk, is_strong_contractible
 from .errors import InternalInconsistencyError
-from .graphs import Graph
+from .graphs import Graph, _subgraph
 
 __all__ = [
     "Coefficients",
@@ -164,13 +165,12 @@ class ChainVector:
         return ChainVector(self._dim, {s: coeffs.normalize(c) for s, c in self._terms.items()})
 
     def supported_on_cliques(self, g: Graph) -> bool:
-        return all(
-            g.has_vertex(v) for s in self._terms for v in s
-        ) and all(
-            g.has_edge(s[i], s[j])
-            for s in self._terms
-            for i in range(len(s))
-            for j in range(i + 1, len(s))
+        return self._on_cliques(g._adj)
+
+    def _on_cliques(self, adj: Mapping[int, int]) -> bool:
+        """supported_on_cliques for the graph with adjacency masks adj."""
+        return all(v in adj for s in self._terms for v in s) and all(
+            adj[u] >> v & 1 for s in self._terms for u, v in combinations(s, 2)
         )
 
     def __eq__(self, other) -> bool:
@@ -459,26 +459,28 @@ def _solve_in_link(
     return _column_to_chain(sol, target_dim, domain)
 
 
-def _push(c: ChainVector, apex: tuple[int, ...], g: Graph, coeffs: Coefficients) -> ChainVector:
+def _push(c: ChainVector, apex: tuple[int, ...], adj: Mapping[int, int], coeffs: Coefficients) -> ChainVector:
     """Rewrite the cycle c, within its homology class in the clique
-    complex of g, as a cycle with no simplex containing the ascending
-    apex (one vertex or one edge of g).
+    complex of the graph with adjacency masks adj, as a cycle with no
+    simplex containing the ascending apex (one vertex or one edge).
 
     Requires the link of the apex to be strongly contractible, unless c
     has too low a dimension to contain the apex, in which case c comes
     back reduced and otherwise unchanged. With c = a + join(apex, b), the
     output is c - (-1)**len(apex) * boundary(join(apex, x)) for a chain x
     of the link with boundary(x) = b: a 0-chain on the least link vertex
-    when b is the empty simplex, a solve in the link otherwise.
+    when b is the empty simplex, a solve in the link otherwise. Only the
+    link's graph is built; adj is read, never changed.
     """
     c = c.reduce(coeffs)
-    if not c.supported_on_cliques(g):
+    if not c._on_cliques(adj):
         raise ValueError("cycle is not supported on cliques of the graph")
     if not boundary(c).reduce(coeffs).is_zero:
         raise ValueError("chain is not a cycle")
-    link = _link(g, apex)
+    link_mask = _apex_link(adj, apex)
     if c.dim < len(apex) - 1:
         return c
+    link = _subgraph(adj, link_mask)
     if not is_strong_contractible(link):
         raise ValueError(f"link of {list(apex)} is not strongly contractible")
     b = _split(c, apex)[1].reduce(coeffs)
@@ -499,7 +501,7 @@ def push_cycle(c: ChainVector, v: int, g: Graph, coeffs: Coefficients = Coeffici
     complex of g, as a cycle avoiding vertex v. Requires the neighborhood
     of v to be strongly contractible; the result lives in the clique
     complex of g minus v."""
-    return _push(c, (v,), g, coeffs)
+    return _push(c, (v,), g._adj, coeffs)
 
 
 def push_cycle_edge(
@@ -510,7 +512,7 @@ def push_cycle_edge(
     neighborhood of u and v to be strongly contractible when c has
     dimension 1 or more; the result lives in the clique complex of g
     minus the edge."""
-    return _push(c, (min(u, v), max(u, v)), g, coeffs)
+    return _push(c, (min(u, v), max(u, v)), g._adj, coeffs)
 
 
 def push_cycle_sequence(
@@ -518,10 +520,12 @@ def push_cycle_sequence(
 ) -> ChainVector:
     """Push a cycle through every step of a reduction trace of g. The
     result is a cycle of the reduced graph's clique complex, homologous
-    to c under the inclusion of that complex into the original one."""
-    for step in trace:
-        c = _push(c, step.apex, g, coeffs)
-        g = _delete(g, step.apex)
+    to c under the inclusion of that complex into the original one.
+    Recorded links are not compared, so a trace parsed without a graph
+    works too."""
+    adj = dict(g._adj)
+    for apex, _ in _walk(adj, [step.apex for step in trace]):
+        c = _push(c, apex, adj, coeffs)
     return c
 
 

@@ -338,7 +338,7 @@ class TestCollapseViaTrace:
 
     def test_stale_trace_rejected(self):
         _, trace = contractible_reduction(complete(4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trace step"):
             collapse_via_trace(cycle(4), trace)
 
 

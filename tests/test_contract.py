@@ -14,6 +14,8 @@ from graphcollapse import (
 )
 from graphcollapse import clique_complex, collapse_via_trace
 from graphcollapse.contract import Step, TransformKind
+from graphcollapse.errors import GraphFormatError
+from graphcollapse.homology import ChainVector, push_cycle_sequence
 from graphcollapse.factories import complete, cycle, edgeless, octahedron, path
 
 from helpers import (
@@ -178,6 +180,12 @@ class TestTraceFormat:
         _, trace = contractible_reduction(complete(4))
         with pytest.raises(ValueError, match="trace step"):
             trace.replay(cycle(4))
+        # Parsing takes the links from the graph it is given, so it finds
+        # the stale trace's vertices and records cycle(4)'s links instead.
+        parsed = ReductionTrace.from_text(trace.to_text(), cycle(4))
+        assert parsed != trace and parsed.steps[0].link == frozenset({1, 3})
+        with pytest.raises(ValueError, match=r"link of \[0\] is not strongly contractible"):
+            push_cycle_sequence(ChainVector(0, {(0,): 1}), cycle(4), trace)
 
     def test_replay_rejects_edge_step_off_the_graph(self):
         missing = ReductionTrace.from_text("trace 1\nE 2 0\n")
@@ -187,6 +195,21 @@ class TestTraceFormat:
         with pytest.raises(ValueError, match="trace step"):
             stale.replay(cycle(4))
         assert stale.replay(complete(3)) == complete(3).delete_edge(0, 1)
+        with pytest.raises(ValueError, match=r"simplex \[0, 2\] is not in the graph"):
+            ReductionTrace.from_text("trace 1\nE 2 0\n", cycle(4))
+        with pytest.raises(ValueError, match=r"simplex \[0, 2\] is not in the graph"):
+            push_cycle_sequence(ChainVector(0, {(0,): 1}), cycle(4), missing)
+
+    @pytest.mark.parametrize("reduce", [contractible_reduction, edge_extended_reduction])
+    def test_trace_consumers_leave_the_graph_alone(self, reduce):
+        for g in (g8(), gstar(), path(30)):
+            before = dict(g._adj)
+            reduced, trace = reduce(g)
+            assert trace.replay(g) == reduced
+            assert ReductionTrace.from_text(trace.to_text(), g) == trace
+            push_cycle_sequence(ChainVector(0, {(g.vertices[-1],): 1}), g, trace)
+            collapse_via_trace(g, trace)
+            assert g._adj == before
 
     def test_apex_is_the_ascending_simplex(self):
         assert Step("vertex", 3).apex == (3,)
@@ -204,6 +227,17 @@ class TestTraceFormat:
             ReductionTrace.from_text("trace 2\nV 0\n")
         with pytest.raises(ValueError):
             ReductionTrace.from_text("trace 1\nQ 3\n")
+        for body, message in [
+            ("V x", "integer vertex ids"),
+            ("E 1 y", "integer vertex ids"),
+            ("V -1", "negative"),
+            ("E 2 -3", "negative"),
+            ("E 3 3", "two distinct vertices"),
+        ]:
+            with pytest.raises(GraphFormatError, match=message) as err:
+                ReductionTrace.from_text(f"trace 2\nV 0\n{body}\n", source="t.txt")
+            assert err.value.line == 3
+            assert str(err.value).startswith("t.txt:3: ")
 
     def test_steps_carry_links(self):
         _, trace = contractible_reduction(complete(3))
@@ -300,6 +334,10 @@ class TestLargeInputs:
         assert reduced.n == 1
         assert len(trace) == 1199
         assert len(collapse_via_trace(g, trace)) == 1199
+        assert trace.replay(g) == reduced
+        assert ReductionTrace.from_text(trace.to_text(), g) == trace
+        point = ChainVector(0, {(0,): 1})
+        assert push_cycle_sequence(point, g, trace) == ChainVector(0, {reduced.vertices: 1})
 
     def test_long_path_collapse_replays_to_a_point(self):
         g = path(1200)

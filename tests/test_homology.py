@@ -536,6 +536,24 @@ class TestPushCycle:
                 rows.append([int(x) % 2 for x in coords])
             assert exactla.rank_mod_p(np.array(rows), 2) == len(reps_up)
 
+    @pytest.mark.parametrize("reduce", [contractible_reduction, edge_extended_reduction])
+    def test_bare_trace_pushes_like_the_full_trace(self, reduce):
+        # A trace parsed without a graph has no links to compare; pushing
+        # along it must still give the full trace's chains.
+        rng = random.Random(2207)
+        graphs = [g8(), gstar(), octahedron(), cycle(6)]
+        for n in rng.choices(range(5, 10), k=12):
+            graphs.append(Graph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]))
+        for g in graphs:
+            _, trace = reduce(g)
+            bare = ReductionTrace.from_text(trace.to_text())
+            assert all(not step.link for step in bare) and bare.to_text() == trace.to_text()
+            for coeffs in (GF2, GF3):
+                for grp in homology(g, coeffs).groups:
+                    for z in grp.representatives:
+                        full = push_cycle_sequence(z, g, trace, coeffs)
+                        assert push_cycle_sequence(z, g, bare, coeffs) == full
+
     @pytest.mark.parametrize("coeffs", [GF2, GF3, ZZ], ids=str)
     def test_one_cycle_pushed_off_an_edge(self, coeffs):
         triangle = complete(3)
