@@ -8,8 +8,9 @@ leaves them byte-identical:
 Run it the same way in a checkout of the parent commit and diff the two
 files. It covers the prime-field wrappers (ranks, free-variables-zero
 solutions, kernel bases), integer invariant factors, homology over
-GF(2), GF(3) and the integers with representatives, pushed cycles and
-induced-map matrices, both reductions' traces with their collapse
+GF(2), GF(3) and the integers with representatives, pushed cycles with
+the coordinates of their classes in the reduced graph's homology basis
+(over GF(2) and GF(3) for integer pushes), induced-map matrices, both reductions' traces with their collapse
 pairs, the barcodes of the 50 acceptance clouds and both reductions of
 each of their stage graphs (trace, each step's link and the reduced
 graph's edges), the barcodes of two seeded 40-point clouds with every
@@ -59,6 +60,7 @@ from graphcollapse.homology import (
     Coefficients,
     boundary,
     clique_basis,
+    express_in_homology_basis,
     homology,
     induced_map,
     push_cycle_sequence,
@@ -115,6 +117,16 @@ def geometric_graph(rng: random.Random) -> Graph:
     ])
 
 
+def homology_class(z: ChainVector, reduced: Graph, coeffs: Coefficients):
+    """Coordinates of the class of the cycle z, reduced over coeffs, in the
+    representative basis of the reduced graph's homology, so a class is
+    compared even where the pushed chain differs."""
+    grp = homology(reduced, coeffs, max_dim=z.dim).group(z.dim)
+    reps = grp.representatives if grp else ()
+    coords = express_in_homology_basis(z.reduce(coeffs), reps, reduced, z.dim, coeffs)
+    return None if coords is None else coords.tolist()
+
+
 def integer_cycle(g: Graph, dim: int, rng: random.Random):
     """A signed sum of boundaries of (dim+1)-cliques: an integer
     dim-cycle, or None if g has no such cliques."""
@@ -127,10 +139,10 @@ def integer_cycle(g: Graph, dim: int, rng: random.Random):
 
 def graph_outputs(g: Graph, rng: random.Random) -> dict:
     out = {"edges": [list(e) for e in g.edges], "integers": homology(g, Coefficients.integers()).to_text()}
-    traces = {}
+    traces, reduced_graphs = {}, {}
     for name, reduce in REDUCTIONS:
         reduced, trace = reduce(g)
-        traces[name] = trace
+        traces[name], reduced_graphs[name] = trace, reduced
         out[name] = {
             "trace": trace.to_text(),
             "reduced": [list(e) for e in reduced.edges],
@@ -140,18 +152,25 @@ def graph_outputs(g: Graph, rng: random.Random) -> dict:
         h = homology(g, coeffs)
         field = out[str(coeffs)] = {"text": h.to_text(), "groups": []}
         for grp in h.groups:
-            pushed = {
-                name: [chain(push_cycle_sequence(z, g, trace, coeffs)) for z in grp.representatives]
-                for name, trace in traces.items()
-            }
-            field["groups"].append({"reps": [chain(z) for z in grp.representatives], "pushed": pushed})
+            pushed, classes = {}, {}
+            for name, trace in traces.items():
+                cycles = [push_cycle_sequence(z, g, trace, coeffs) for z in grp.representatives]
+                pushed[name] = [chain(c) for c in cycles]
+                classes[name] = [homology_class(c, reduced_graphs[name], coeffs) for c in cycles]
+            field["groups"].append({
+                "reps": [chain(z) for z in grp.representatives],
+                "pushed": pushed,
+                "pushed_classes": classes,
+            })
     out["integer_pushes"] = pushes = []
     for dim in (1, 2):
         z = integer_cycle(g, dim, rng)
         if z is None:
             continue
         for name, trace in traces.items():
-            pushes.append([dim, name, chain(push_cycle_sequence(z, g, trace, Coefficients.integers()))])
+            c = push_cycle_sequence(z, g, trace, Coefficients.integers())
+            classes = [homology_class(c, reduced_graphs[name], coeffs) for coeffs in FIELDS]
+            pushes.append([dim, name, chain(c), classes])
     # an induced map from a spanning subgraph missing a few edges
     kept = [e for e in g.edges if rng.random() < 0.8]
     g0 = Graph(g.vertices, kept)

@@ -47,6 +47,8 @@ DEFAULT_COLLAPSE_BUDGET = 1_000_000
 def _mask_of(simplex: Iterable[int]) -> int:
     mask = 0
     for v in simplex:
+        if v < 0:
+            raise ValueError(f"vertex id {v} is negative")
         mask |= 1 << v
     return mask
 

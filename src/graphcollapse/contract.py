@@ -112,15 +112,16 @@ def _contractible(adj: dict[int, int], mask: int, memo: dict[int, bool]) -> bool
     return verdict
 
 
-def _is_cone(adj: dict[int, int], mask: int) -> bool:
-    """Whether some vertex of mask is adjacent to all the others."""
+def _is_cone(adj: dict[int, int], mask: int) -> int:
+    """The bit of the lowest vertex of mask adjacent to all the others,
+    or 0 if there is none."""
     rest = mask
     while rest:
         low = rest & -rest
         if (adj[low.bit_length() - 1] | low) & mask == mask:
-            return True
+            return low
         rest ^= low
-    return False
+    return 0
 
 
 def _contractible_any_order(adj: dict[int, int], mask: int, memo: dict[int, bool]) -> bool:

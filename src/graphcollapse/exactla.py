@@ -9,7 +9,7 @@ sparse elimination splits off every ±1 pivot it can find, each a unit
 factor, and Smith normal form runs only on the block the unit pivots
 leave, which is empty on most boundary matrices. Smith normal form
 itself is plain row/column reduction on Python ints with
-smallest-magnitude pivoting; `solve_integer` reads its transforms.
+smallest-magnitude pivoting.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "smith_normal_form",
     "invariant_factors",
     "invariant_factors_of_columns",
-    "solve_integer",
 ]
 
 MAX_MODULUS = 1 << 31
@@ -326,27 +325,3 @@ def invariant_factors(a) -> tuple[int, ...]:
         raise ValueError(f"expected a matrix, got array of ndim {arr.ndim}")
     return invariant_factors_of_columns([dict(enumerate(col)) for col in arr.T.tolist()])
 
-
-def solve_integer(a, b) -> Optional[list[int]]:
-    """One integer solution of a x = b, or None if there is none."""
-    arr = np.array(a, dtype=object)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of ndim {arr.ndim}")
-    rows, cols = arr.shape
-    rhs = [int(v) for v in np.array(b, dtype=object).reshape(-1)]
-    if len(rhs) != rows:
-        raise ValueError(f"shape mismatch: {arr.shape} vs rhs of length {len(rhs)}")
-    s, left, right = smith_normal_form(arr)
-    c = [sum(left[i][k] * rhs[k] for k in range(rows)) for i in range(rows)]
-    y = [0] * cols
-    for i in range(rows):
-        d = s[i][i] if i < min(rows, cols) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            q, r = divmod(c[i], d)
-            if r != 0:
-                return None
-            y[i] = q
-    return [sum(right[i][k] * y[k] for k in range(cols)) for i in range(cols)]

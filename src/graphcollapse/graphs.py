@@ -99,7 +99,7 @@ class Graph:
         return bool(self._vmask >> v & 1) if v >= 0 else False
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u in self._adj and bool(self._adj[u] >> v & 1)
+        return u in self._adj and v in self._adj and bool(self._adj[u] >> v & 1)
 
     def adjacency_mask(self, v: int) -> int:
         return self._adj[v]

@@ -9,6 +9,10 @@ pushes along a whole reduction trace transports homology classes from
 a graph to its reduced form, which is what makes maps induced by
 subgraph inclusion computable on reduced complexes.
 
+A push solves no linear system: the greedy scan that accepts a link
+is read as a chain contraction of it (_bound), over a prime field and
+the integers alike. The input cycle is checked once per call.
+
 Betti numbers and torsion work over the integers; explicit homology
 bases and induced-map matrices require a prime field.
 """
@@ -23,9 +27,9 @@ import numpy as np
 
 from . import exactla
 from .complexes import DEFAULT_FACE_BUDGET, Simplex, enumerate_cliques
-from .contract import ReductionTrace, _apex_link, _walk, is_strong_contractible
+from .contract import ReductionTrace, _contractible, _first_hit_deletions, _is_cone, _walk
 from .errors import InternalInconsistencyError
-from .graphs import Graph, _subgraph
+from .graphs import Graph
 
 __all__ = [
     "Coefficients",
@@ -110,6 +114,15 @@ class ChainVector:
         object.__setattr__(self, "_dim", dim)
         object.__setattr__(self, "_terms", {s: c for s, c in clean.items() if c})
 
+    @classmethod
+    def _of(cls, dim: int, terms: Mapping[Simplex, int]) -> "ChainVector":
+        # Trusted fast path: increasing tuples of dim + 1 vertices, int
+        # coefficients; only the zero coefficients are dropped.
+        chain = cls.__new__(cls)
+        object.__setattr__(chain, "_dim", dim)
+        object.__setattr__(chain, "_terms", {s: c for s, c in terms.items() if c})
+        return chain
+
     def __setattr__(self, name, value):
         raise AttributeError("ChainVector is immutable")
 
@@ -145,7 +158,7 @@ class ChainVector:
         terms = dict(self._terms)
         for s, c in other._terms.items():
             terms[s] = terms.get(s, 0) + sign * c
-        return ChainVector(dim, terms)
+        return ChainVector._of(dim, terms)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -154,21 +167,18 @@ class ChainVector:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return ChainVector(self._dim, {s: -c for s, c in self._terms.items()})
+        return ChainVector._of(self._dim, {s: -c for s, c in self._terms.items()})
 
     def __rmul__(self, scalar: int):
         if not isinstance(scalar, int):
             return NotImplemented
-        return ChainVector(self._dim, {s: scalar * c for s, c in self._terms.items()})
+        return ChainVector._of(self._dim, {s: scalar * c for s, c in self._terms.items()})
 
     def reduce(self, coeffs: Coefficients) -> "ChainVector":
-        return ChainVector(self._dim, {s: coeffs.normalize(c) for s, c in self._terms.items()})
+        return ChainVector._of(self._dim, {s: coeffs.normalize(c) for s, c in self._terms.items()})
 
     def supported_on_cliques(self, g: Graph) -> bool:
-        return self._on_cliques(g._adj)
-
-    def _on_cliques(self, adj: Mapping[int, int]) -> bool:
-        """supported_on_cliques for the graph with adjacency masks adj."""
+        adj = g._adj
         return all(v in adj for s in self._terms for v in s) and all(
             adj[u] >> v & 1 for s in self._terms for u, v in combinations(s, 2)
         )
@@ -196,14 +206,14 @@ def boundary(chain: ChainVector, g: Optional[Graph] = None) -> ChainVector:
     if g is not None and not chain.supported_on_cliques(g):
         raise ValueError("chain is not supported on cliques of the graph")
     if chain.dim <= 0:
-        return ChainVector(max(chain.dim - 1, -1))
+        return ChainVector._of(max(chain.dim - 1, -1), {})
     terms: dict[Simplex, int] = {}
     for simplex, coeff in chain._terms.items():
         for k in range(len(simplex)):
             face = simplex[:k] + simplex[k + 1:]
             sign = 1 if k % 2 == 0 else -1
             terms[face] = terms.get(face, 0) + sign * coeff
-    return ChainVector(chain.dim - 1, terms)
+    return ChainVector._of(chain.dim - 1, terms)
 
 
 def join_vertex(v: int, chain: ChainVector) -> ChainVector:
@@ -211,7 +221,7 @@ def join_vertex(v: int, chain: ChainVector) -> ChainVector:
     (-1)**(insert position), so boundary(v * q) = q - v * boundary(q)
     for q of positive dimension."""
     if chain.is_zero:
-        return ChainVector(chain.dim + 1)
+        return ChainVector._of(chain.dim + 1, {})
     terms: dict[Simplex, int] = {}
     for simplex, coeff in chain._terms.items():
         if v in simplex:
@@ -220,7 +230,7 @@ def join_vertex(v: int, chain: ChainVector) -> ChainVector:
         bigger = tuple(sorted(simplex + (v,)))
         sign = 1 if pos % 2 == 0 else -1
         terms[bigger] = terms.get(bigger, 0) + sign * coeff
-    return ChainVector(chain.dim + 1, terms)
+    return ChainVector._of(chain.dim + 1, terms)
 
 
 def _join(apex: tuple[int, ...], chain: ChainVector) -> ChainVector:
@@ -247,7 +257,7 @@ def _split(chain: ChainVector, apex: tuple[int, ...]) -> tuple[ChainVector, Chai
             simplex = simplex[:pos] + simplex[pos + 1:]
             coeff = -coeff if pos % 2 else coeff
         b[simplex] = coeff
-    return ChainVector(chain.dim, a), ChainVector(chain.dim - len(apex), b)
+    return ChainVector._of(chain.dim, a), ChainVector._of(chain.dim - len(apex), b)
 
 
 def split_at_vertex(chain: ChainVector, v: int) -> tuple[ChainVector, ChainVector]:
@@ -437,63 +447,72 @@ def betti_numbers(
 # -- transporting cycles along reductions -------------------------------------
 
 
-def _solve_in_link(
-    b: ChainVector, link: Graph, target_dim: int, coeffs: Coefficients
-) -> ChainVector:
-    """Chain x of target_dim in the clique complex of the link with
-    boundary(x) = b. Exists whenever the link is strongly contractible
-    and b is a cycle (with zero coefficient sum in dimension 0)."""
-    domain = clique_basis(link, target_dim)
-    codomain = clique_basis(link, target_dim - 1)
-    cols = _boundary_columns(domain, codomain)
-    rhs = _chain_to_column(b, codomain, coeffs)
-    if coeffs.is_field:
-        sol = exactla.solve_columns(cols, rhs, coeffs.modulus)
-    else:
-        sol = exactla.solve_integer(exactla.dense(cols, len(codomain)), exactla.dense([rhs], len(codomain)))
-        sol = None if sol is None else dict(enumerate(sol))
-    if sol is None:
-        raise InternalInconsistencyError(
-            "no preimage under the boundary in a contractible link"
-        )
-    return _column_to_chain(sol, target_dim, domain)
+def _bound(b: ChainVector, adj: Mapping[int, int], mask: int, memo: dict[int, bool]) -> ChainVector:
+    """A chain x with boundary(x) = b (mod p for a cycle mod p) on the
+    cliques of the strongly contractible subgraph induced by mask, for a
+    cycle b there (coefficient sum zero in dimension 0), or a multiple of
+    the empty simplex. x is read off the greedy scan that accepts mask:
+    - dimension -1: b's coefficient on the least vertex;
+    - a cone on w: w joined to the part a of b avoiding w, since
+      b = a + w * q is a cycle exactly when q = -boundary(a);
+    - otherwise, at each vertex v the scan deletes, b = a + v * q with q
+      a cycle of v's accepted link. With y = _bound(q) there,
+      b + boundary(v * y) = a + y avoids v, and x collects -v * y. The
+      cycle left on the last vertex is zero.
+    memo holds greedy verdicts by vertex mask over adj.
+    """
+    if b.dim == -1:
+        return ChainVector._of(0, {((mask & -mask).bit_length() - 1,): b.coefficient(())})
+    w = _is_cone(adj, mask).bit_length() - 1
+    if w >= 0:
+        return join_vertex(w, _split(b, (w,))[0])
+    x = ChainVector._of(b.dim + 1, {})
+    for v in _first_hit_deletions(adj, mask, memo)[0]:
+        mask ^= 1 << v
+        a, q = _split(b, (v,))
+        if not q.is_zero:
+            y = _bound(q, adj, adj[v] & mask, memo)
+            b = a + y
+            x = x - join_vertex(v, y)
+    return x
 
 
-def _push(c: ChainVector, apex: tuple[int, ...], adj: Mapping[int, int], coeffs: Coefficients) -> ChainVector:
-    """Rewrite the cycle c, within its homology class in the clique
-    complex of the graph with adjacency masks adj, as a cycle with no
-    simplex containing the ascending apex (one vertex or one edge).
+def _push(c: ChainVector, g: Graph, apexes: Iterable[tuple[int, ...]], coeffs: Coefficients) -> ChainVector:
+    """Rewrite the cycle c of g's clique complex, within its homology
+    class, as a cycle with no simplex containing any of the ascending
+    apexes (a vertex or an edge each), deleted in turn along the trace
+    walk. c is checked once, up front.
 
-    Requires the link of the apex to be strongly contractible, unless c
-    has too low a dimension to contain the apex, in which case c comes
-    back reduced and otherwise unchanged. With c = a + join(apex, b), the
-    output is c - (-1)**len(apex) * boundary(join(apex, x)) for a chain x
-    of the link with boundary(x) = b: a 0-chain on the least link vertex
-    when b is the empty simplex, a solve in the link otherwise. Only the
-    link's graph is built; adj is read, never changed.
+    With c = a + join(apex, b), c becomes
+    c - (-1)**len(apex) * boundary(join(apex, x)) for x = _bound(b) in
+    the apex's link, which must be strongly contractible unless c has
+    too low a dimension to contain the apex.
     """
     c = c.reduce(coeffs)
-    if not c._on_cliques(adj):
+    if not c.supported_on_cliques(g):
         raise ValueError("cycle is not supported on cliques of the graph")
     if not boundary(c).reduce(coeffs).is_zero:
         raise ValueError("chain is not a cycle")
-    link_mask = _apex_link(adj, apex)
-    if c.dim < len(apex) - 1:
-        return c
-    link = _subgraph(adj, link_mask)
-    if not is_strong_contractible(link):
-        raise ValueError(f"link of {list(apex)} is not strongly contractible")
-    b = _split(c, apex)[1].reduce(coeffs)
-    if b.is_zero:
-        return c
-    if b.dim == -1:
-        x = ChainVector(0, {(min(link.vertices),): b.coefficient(())})
-    else:
-        x = _solve_in_link(b, link, b.dim + 1, coeffs)
-    out = (c - (-1) ** len(apex) * boundary(_join(apex, x))).reduce(coeffs)
-    if not _split(out, apex)[1].is_zero:
-        raise InternalInconsistencyError(f"push failed to eliminate {list(apex)}")
-    return out
+    adj = dict(g._adj)
+    memo: dict[int, bool] = {}
+    for apex, link in _walk(adj, apexes):
+        if len(apex) == 2:
+            # Verdicts name induced subgraphs by vertex mask. Deleting
+            # this edge changes those holding both its ends; the masks of
+            # this step lie in its link and hold neither.
+            memo = {}
+        if c.dim < len(apex) - 1:
+            continue
+        if not _contractible(adj, link, memo):
+            raise ValueError(f"link of {list(apex)} is not strongly contractible")
+        b = _split(c, apex)[1]
+        if b.is_zero:
+            continue
+        x = _bound(b, adj, link, memo)
+        c = (c - (-1) ** len(apex) * boundary(_join(apex, x))).reduce(coeffs)
+        if not _split(c, apex)[1].is_zero:
+            raise InternalInconsistencyError(f"push failed to eliminate {list(apex)}")
+    return c
 
 
 def push_cycle(c: ChainVector, v: int, g: Graph, coeffs: Coefficients = Coefficients(2)) -> ChainVector:
@@ -501,7 +520,7 @@ def push_cycle(c: ChainVector, v: int, g: Graph, coeffs: Coefficients = Coeffici
     complex of g, as a cycle avoiding vertex v. Requires the neighborhood
     of v to be strongly contractible; the result lives in the clique
     complex of g minus v."""
-    return _push(c, (v,), g._adj, coeffs)
+    return _push(c, g, [(v,)], coeffs)
 
 
 def push_cycle_edge(
@@ -512,7 +531,7 @@ def push_cycle_edge(
     neighborhood of u and v to be strongly contractible when c has
     dimension 1 or more; the result lives in the clique complex of g
     minus the edge."""
-    return _push(c, (min(u, v), max(u, v)), g._adj, coeffs)
+    return _push(c, g, [(min(u, v), max(u, v))], coeffs)
 
 
 def push_cycle_sequence(
@@ -523,10 +542,7 @@ def push_cycle_sequence(
     to c under the inclusion of that complex into the original one.
     Recorded links are not compared, so a trace parsed without a graph
     works too."""
-    adj = dict(g._adj)
-    for apex, _ in _walk(adj, [step.apex for step in trace]):
-        c = _push(c, apex, adj, coeffs)
-    return c
+    return _push(c, g, [step.apex for step in trace], coeffs)
 
 
 # -- induced maps ----------------------------------------------------------

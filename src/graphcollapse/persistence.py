@@ -149,12 +149,14 @@ class PointCloud:
         return f
 
     def pair_key(self, i: int, j: int) -> Fraction:
-        if i == j:
-            return _ZERO
         if i > j:
             i, j = j, i
         if i < 0:
             raise IndexError(f"no point {i}")
+        if i == j:
+            if i >= self._n:
+                raise IndexError(f"no point {i}")
+            return _ZERO
         key = self._rows[i][j - i - 1]
         # a cached zero is falsy and takes the slow path, which returns it
         return self._fractions.get(key) or self._fraction(key)

@@ -135,6 +135,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="empty simplex"):
             SimplicialComplex.from_maximal([[]])
 
+    def test_negative_vertex_ids_rejected(self):
+        with pytest.raises(ValueError, match="vertex id -1 is negative"):
+            SimplicialComplex([(-1,)])
+        with pytest.raises(ValueError, match="vertex id -1 is negative"):
+            SimplicialComplex.from_maximal([[0, -1]])
+        with pytest.raises(ValueError, match="vertex id -1 is negative"):
+            SimplicialComplex.from_text("0 1 -1\n")
+
     def test_face_order(self):
         cx = clique_complex(path(3))
         assert cx.faces == ((0,), (1,), (2,), (0, 1), (1, 2))

@@ -233,27 +233,3 @@ class TestInvariantFactors:
         with pytest.raises(ValueError, match="ndim"):
             exactla.invariant_factors([1, 2, 3])
 
-
-class TestSolveInteger:
-    def test_known(self):
-        a = np.array([[2]])
-        assert exactla.solve_integer(a, np.array([4]))[0] == 2
-        assert exactla.solve_integer(a, np.array([3])) is None
-
-    @given(int_matrices(max_dim=4), st.data())
-    @settings(max_examples=50)
-    def test_roundtrip(self, a, data):
-        x = np.array(
-            data.draw(
-                st.lists(st.integers(-5, 5), min_size=a.shape[1], max_size=a.shape[1])
-            ),
-            dtype=np.int64,
-        )
-        b = a @ x
-        got = exactla.solve_integer(a, b)
-        assert got is not None
-        assert (a @ got == b).all()
-
-    def test_unsolvable_over_rationals_too(self):
-        a = np.array([[1, 0], [0, 0]])
-        assert exactla.solve_integer(a, np.array([1, 1])) is None

@@ -66,6 +66,9 @@ class TestAccessors:
         assert not g.has_edge(0, 1)
         assert not g.has_edge(2, 3)
         assert g.has_vertex(5) and not g.has_vertex(6)
+        assert not g.has_edge(0, -1) and not g.has_edge(-1, 0)
+        with pytest.raises(ValueError, match="cannot delete edge"):
+            g.delete_edge(0, -1)
 
     def test_is_complete(self):
         assert complete(4).is_complete()

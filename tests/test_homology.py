@@ -412,23 +412,66 @@ class TestHomologyGroups:
 # --------------------------------------------------------- pushing cycles
 
 
-def _is_gf2_boundary(diff, g):
-    """diff (a 1-chain) bounds in the clique complex of g, mod 2."""
-    basis1 = clique_basis(g, 1)
-    index = {s: i for i, s in enumerate(basis1)}
-    tri = clique_basis(g, 2)
-    rows = []
-    for a, b, c in tri:
-        rows.append(
-            (1 << index[(a, b)]) | (1 << index[(a, c)]) | (1 << index[(b, c)])
-        )
-    target = 0
-    for s, coeff in diff.reduce(GF2).items():
-        if coeff % 2:
-            target |= 1 << index[s]
-    if target == 0:
+def _is_boundary(diff, g, coeffs):
+    """diff bounds in the clique complex of g over coeffs: adding it to
+    the boundary columns changes their rank mod p, or over the integers
+    their invariant factors."""
+    basis = clique_basis(g, diff.dim)
+    index = {s: i for i, s in enumerate(basis)}
+    cols = [
+        {index[t[:k] + t[k + 1:]]: (-1) ** k for k in range(len(t))}
+        for t in clique_basis(g, diff.dim + 1)
+    ]
+    target = {index[s]: c for s, c in diff.reduce(coeffs).items()}
+    if not target:
         return True
-    return gf2_rank(rows + [target]) == gf2_rank(rows)
+    if not coeffs.is_field:
+        factors = exactla.invariant_factors_of_columns
+        return factors(cols + [target]) == factors(cols)
+
+    def rank(columns):
+        rows = [[col.get(i, 0) for i in range(len(basis))] for col in columns]
+        return len(reference_rref(rows, coeffs.modulus)[1]) if rows else 0
+
+    return rank(cols + [target]) == rank(cols)
+
+
+def _fundamental_cycles(g):
+    """Integer 1-cycles: each edge off a breadth-first spanning forest,
+    closed through the forest, walked from its lower end."""
+    parent = {}
+    for root in g.vertices:
+        if root in parent:
+            continue
+        parent[root] = None
+        queue = [root]
+        for u in queue:
+            for w in g.neighbors(u):
+                if w not in parent:
+                    parent[w] = u
+                    queue.append(w)
+
+    def to_root(v):
+        walk = [v]
+        while parent[walk[-1]] is not None:
+            walk.append(parent[walk[-1]])
+        return walk
+
+    cycles = []
+    for u, v in g.edges:
+        if parent[u] == v or parent[v] == u:
+            continue
+        up, down = to_root(v), to_root(u)
+        while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+            up.pop()
+            down.pop()
+        walk = [u] + up + down[-2::-1]
+        terms = {}
+        for a, b in zip(walk, walk[1:]):
+            key = (min(a, b), max(a, b))
+            terms[key] = terms.get(key, 0) + (1 if a < b else -1)
+        cycles.append(ChainVector(1, terms))
+    return cycles
 
 
 SQUARE = ChainVector(1, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): -1})
@@ -476,7 +519,10 @@ class TestPushCycle:
             ((0, 1), 1), ((0, 3), 1), ((1, 2), 1), ((2, 3), 1)
         ]
 
-    def test_push_properties_on_random_graphs(self):
+    @pytest.mark.parametrize("coeffs", [GF2, GF3, ZZ], ids=str)
+    def test_push_properties_on_random_graphs(self, coeffs):
+        # Over the integers homology has no representatives; the integer
+        # 1-cycles pushed are the fundamental cycles of a spanning forest.
         rng = random.Random(4021)
         checked = 0
         while checked < 25:
@@ -493,15 +539,29 @@ class TestPushCycle:
             if not steps:
                 continue
             v = steps[0].element
-            reps = homology(g).group(1).representatives if len(betti_numbers(g)) > 1 else ()
-            if not reps:
+            h = homology(g, coeffs, max_dim=1)
+            if not h.betti(1):
                 continue
-            for z in reps:
-                out = push_cycle(z, v, g)
+            cycles = h.group(1).representatives if coeffs.is_field else _fundamental_cycles(g)
+            for z in cycles:
+                assert boundary(z).reduce(coeffs).is_zero
+                out = push_cycle(z, v, g, coeffs)
                 assert all(v not in s for s in out.support)
-                assert boundary(out).reduce(GF2).is_zero
-                assert _is_gf2_boundary(z - out, g)
+                assert out.supported_on_cliques(g.delete_vertex(v))
+                assert boundary(out).reduce(coeffs).is_zero
+                assert _is_boundary(z - out, g, coeffs)
             checked += 1
+
+    @pytest.mark.parametrize("coeffs", [GF2, GF3, ZZ], ids=str)
+    def test_push_through_a_path_link(self, coeffs):
+        # vertex 4 is coned over the path 0-1-2-3, a strongly contractible
+        # link that is not a cone, and 5 closes a hole around it
+        g = Graph(range(6), [(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4), (0, 5), (3, 5)])
+        z = ChainVector(1, {(0, 4): 1, (3, 4): -1, (3, 5): 1, (0, 5): -1})
+        out = push_cycle(z, 4, g, coeffs)
+        want = ChainVector(1, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 5): 1, (0, 5): -1})
+        assert out == want.reduce(coeffs)
+        assert _is_boundary(z - out, g, coeffs)
 
     def test_sequence_carries_basis_to_basis(self):
         rng = random.Random(913)

@@ -61,7 +61,7 @@ class TestPointCloud:
         assert pc.distinct_keys() == (Fraction(1), Fraction(2))
         assert pc.pair_key(0, 1) == 1
         assert pc.pair_key(0, 2) == pc.pair_key(2, 0) == 2
-        for i, j in ((-1, 2), (0, 4), (4, 1)):
+        for i, j in ((-1, 2), (0, 4), (4, 1), (4, 4), (-1, -1)):
             with pytest.raises(LookupError):
                 pc.pair_key(i, j)
 
