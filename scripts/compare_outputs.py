@@ -19,7 +19,7 @@ float point clouds, the keys of seeded dissimilarity matrices with
 mixed denominators, the stage edge sets of seeded clouds and matrices
 under explicit fractional and float thresholds together with
 `graphcollapse vr` stdout and exit code on the same inputs, the text of
-every census level through n=7, the integer homology of a clique
+every census level through n=7 and the sha256 of level 8's, the integer homology of a clique
 complex with torsion (a subdivided projective plane) from the library
 and the `homology --integers` command, and the canonical orders and
 automorphism generators of the seeded graphs, on their own ids and
@@ -36,6 +36,7 @@ public API, and runs in well under a minute.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -474,14 +475,18 @@ def collapse_search() -> dict:
     return {"searches": searches, "complexes": complexes}
 
 
-def census_levels() -> dict:
-    census = build_census(CensusConfig(max_n=7, jobs=1))
-    return {n: format_level(n, entries) for n, entries in census.levels.items()}
+def census_levels() -> tuple[dict, str]:
+    """The text of every census level through n=7, and the sha256 of the
+    text of level 8, from one build."""
+    census = build_census(CensusConfig(max_n=8, jobs=1))
+    texts = {n: format_level(n, entries) for n, entries in census.levels.items()}
+    return {n: texts[n] for n in range(1, 8)}, hashlib.sha256(texts[8].encode()).hexdigest()
 
 
 def main() -> None:
     rng = random.Random(20181)
     graphs = [random_graph(rng) for _ in range(40)] + [geometric_graph(rng) for _ in range(20)]
+    census, census8 = census_levels()
     doc = {
         "linear_algebra": linear_algebra(rng),
         "graphs": [graph_outputs(g, rng) for g in graphs],
@@ -491,7 +496,8 @@ def main() -> None:
         "cloud_keys": cloud_keys(),
         "matrix_keys": matrix_keys(),
         "explicit_filtrations": explicit_filtrations(),
-        "census": census_levels(),
+        "census": census,
+        "census8": census8,
         "projective_plane": projective_plane(),
         "canonical_labellings": canonical_labellings(graphs),
         "collapse_search": collapse_search(),

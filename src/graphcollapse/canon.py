@@ -13,15 +13,27 @@ all leaves is label-invariant. Automorphisms discovered from equal leaf
 encodings prune sibling branches in the same orbit, which keeps highly
 symmetric inputs (complete graphs, cycles) tractable.
 
-The search runs on vertex positions (ranks of the ids), not on ids. A
-partition is a list of cells in color order, each a list of positions
-in ascending order, so a vertex's color is the index of its cell.
-Refinement splits each cell by its members' sorted neighbor colors,
-buckets the members by that signature and orders the pieces by it, and
-stops as soon as a pass splits nothing. Individualizing w puts w in a
-cell of its own just ahead of the rest of its cell. A vertex's new
-color is the rank of its (color, signature) pair among all vertices',
-which does not depend on the ids.
+One private search, `_search(adj)`, runs on adjacency masks over
+positions 0..n-1 and returns the least encoding as an integer, the
+order reaching it and the automorphisms found, all on positions. The
+public functions take a Graph's ids to positions (ranks of the ids) and
+back; the census hands it masks directly and builds each form from the
+returned encoding. A partition is a list of cells in color order, each
+a list of positions in ascending order, so a vertex's color is the
+index of its cell. Refinement splits each cell by its members' neighbor
+color multisets, buckets the members by that signature and orders the
+pieces by it, and stops as soon as a pass splits nothing.
+Individualizing w puts w in a cell of its own just ahead of the rest of
+its cell. A vertex's new color is the rank of its (color, signature)
+pair among all vertices', which does not depend on the ids.
+
+The signature is one integer, not a sorted tuple of neighbor colors.
+With C cells and B a power of two above n, a neighbor of color c adds
+B^C - B^(C-1-c). Between vertices of one degree d the sum is d B^C less
+a base-B number whose digits count the neighbors of each color, color 0
+most significant, so the sums order exactly as the sorted color tuples
+do. Every cell is degree-homogeneous except in the root's first pass,
+where all colors are 0 and both orders put lower degrees first.
 
 The automorphisms the search records generate the whole automorphism
 group. Let l be the first leaf reached with the least encoding, on the
@@ -34,21 +46,25 @@ subtree would have reached the least encoding first), and each later one
 is either searched, which records such an automorphism, or pruned as the
 image of an earlier one under recorded automorphisms fixing v1, ..., vi.
 So the recorded automorphisms reach the whole G_i-orbit of v(i+1), and
-by induction from G_k = 1 they generate G_0, the whole group.
+by induction from G_k = 1 they generate G_0, the whole group. Each tree
+node keeps the recorded automorphisms that fix its path and the orbit
+of its searched children under them, and takes in each automorphism
+recorded below it that fixes its path as it is found, so a sibling is
+pruned by one set lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 
 __all__ = [
     "CanonicalForm",
     "canonical_form",
     "canonical_labelling",
     "canonical_order",
-    "form_in_order",
     "graph_from_canonical",
 ]
 
@@ -95,13 +111,18 @@ class CanonicalForm:
 def _upper_triangle(masks, order) -> int:
     """The upper triangle of the adjacency matrix with rows and columns
     in the given order, read row by row into one integer, first entry
-    highest. masks[x] is the adjacency mask of vertex x."""
+    highest. masks[x] is the adjacency mask of vertex x. Each row is
+    gathered in an int of its own and joined to the result once:
+    shifting the growing result once per bit would cost time quadratic
+    in the n(n-1)/2 bits."""
     enc = 0
     n = len(order)
-    for i in range(n):
+    for i in range(n - 1):
         row = masks[order[i]]
+        bits = 0
         for j in range(i + 1, n):
-            enc = (enc << 1) | (row >> order[j] & 1)
+            bits = bits << 1 | row >> order[j] & 1
+        enc = enc << n - 1 - i | bits
     return enc
 
 
@@ -109,89 +130,157 @@ def _refine(cells: list[list[int]], nbrs: list[list[int]]) -> list[list[int]]:
     """Stable iterated refinement by neighbor color multisets, on cells
     of vertex positions in color order (the color of a vertex is the
     index of its cell). Each pass splits every cell by its members'
-    sorted neighbor colors, pieces in signature order; it stops as soon
-    as a pass splits nothing."""
+    integer signatures (see the module docstring), pieces in signature
+    order; it stops as soon as a pass splits nothing."""
     n = len(nbrs)
-    colors = [0] * n
-    while len(cells) < n:
-        for c, cell in enumerate(cells):
+    width = n.bit_length()
+    weight = [0] * n
+    count = len(cells)
+    while count < n:
+        shift = width * count
+        top = 1 << shift
+        for cell in cells:
+            shift -= width
+            w = top - (1 << shift)
             for i in cell:
-                colors[i] = c
+                weight[i] = w
         split: list[list[int]] = []
         for cell in cells:
             if len(cell) == 1:
                 split.append(cell)
                 continue
-            by_sig: dict[tuple[int, ...], list[int]] = {}
+            by_sig: dict[int, list[int]] = {}
             for i in cell:
-                by_sig.setdefault(tuple(sorted([colors[u] for u in nbrs[i]])), []).append(i)
+                by_sig.setdefault(sum(map(weight.__getitem__, nbrs[i])), []).append(i)
             if len(by_sig) == 1:
                 split.append(cell)
             else:
                 split.extend(by_sig[s] for s in sorted(by_sig))
-        if len(split) == len(cells):
+        if len(split) == count:
             break
         cells = split
+        count = len(cells)
     return cells
 
 
-def canonical_labelling(g: Graph) -> tuple[tuple[int, ...], tuple[Automorphism, ...]]:
-    """The vertex ordering realizing the canonical form, and automorphisms
-    of g (as vertex maps) that generate its automorphism group, both from
-    one search."""
-    vs = g.vertices
-    n = len(vs)
+def _close(orbit: set[int], frontier: list[int], maps: list[Automorphism]) -> None:
+    """Add to orbit, in place, everything the maps reach from frontier."""
+    while frontier:
+        x = frontier.pop()
+        for p in maps:
+            y = p[x]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+
+
+def _search(adj: list[int]) -> tuple[int, list[int], list[Automorphism]]:
+    """The least upper-triangle encoding of the graph with adjacency
+    masks adj over positions 0..n-1, the first order found that reaches
+    it, and automorphisms that generate the graph's automorphism group.
+    Each automorphism maps the best order known when it was found, key
+    by key in that order, onto the order of a leaf of equal encoding."""
+    n = len(adj)
     if n <= 1:
-        return vs, ()
-    ids = sorted(vs)
-    pos = {v: i for i, v in enumerate(ids)}
-    nbrs = [[pos[u] for u in g.neighbors(v)] for v in ids]
-    adj = [sum(1 << u for u in row) for row in nbrs]
-
+        return 0, list(range(n)), []
+    nbrs = [list(iter_bits(m)) for m in adj]
     best: list = [None, None]  # [encoding, order]
-    gens: list[Automorphism] = []  # automorphisms found, by vertex id
+    gens: list[Automorphism] = []
+    path: list[int] = []  # the vertex individualized at each depth
+    # Per node on the path: the recorded automorphisms fixing the node's
+    # path prefix, and the orbit of its searched children under them.
+    nodes: list[tuple[list[Automorphism], set[int]]] = []
 
-    def in_known_orbit(w: int, tried: list[int], fixed: tuple[int, ...]) -> bool:
-        if not tried:
-            return False
-        fixing = [p for p in gens if all(p[ids[x]] == ids[x] for x in fixed)]
-        if not fixing:
-            return False
-        orbit = {ids[t] for t in tried}
-        grew = True
-        while grew:
-            grew = False
-            for p in fixing:
-                for x in list(orbit):
-                    y = p[x]
-                    if y not in orbit:
-                        orbit.add(y)
-                        grew = True
-        return ids[w] in orbit
-
-    def descend(cells: list[list[int]], fixed: tuple[int, ...]) -> None:
-        at = next((c for c, cell in enumerate(cells) if len(cell) > 1), None)
-        if at is None:
+    def descend(cells: list[list[int]]) -> None:
+        for at, target in enumerate(cells):
+            if len(target) > 1:
+                break
+        else:
             order = [cell[0] for cell in cells]
             enc = _upper_triangle(adj, order)
             if best[0] is None or enc < best[0]:
                 best[0] = enc
                 best[1] = order
             elif enc == best[0] and order != best[1]:
-                gens.append({ids[best[1][i]]: ids[order[i]] for i in range(n)})
+                p = dict(zip(best[1], order))
+                gens.append(p)
+                for depth, (fixing, orbit) in enumerate(nodes):
+                    if depth and p[path[depth - 1]] != path[depth - 1]:
+                        break
+                    fixing.append(p)
+                    grown = [y for y in map(p.__getitem__, orbit) if y not in orbit]
+                    orbit.update(grown)
+                    _close(orbit, grown, fixing)
             return
-        target = cells[at]
-        tried: list[int] = []
+        if nodes:
+            v = path[-1]
+            fixing = [p for p in nodes[-1][0] if p[v] == v]
+        else:
+            fixing = []
+        orbit: set[int] = set()
+        nodes.append((fixing, orbit))
         for w in target:
-            if in_known_orbit(w, tried, fixed):
+            if w in orbit:
                 continue
             # Split w off just ahead of its cell, then restabilize.
             rest = [i for i in target if i != w]
-            descend(_refine(cells[:at] + [[w], rest] + cells[at + 1:], nbrs), fixed + (w,))
-            tried.append(w)
+            path.append(w)
+            descend(_refine(cells[:at] + [[w], rest] + cells[at + 1:], nbrs))
+            path.pop()
+            orbit.add(w)
+            _close(orbit, [w], fixing)
+        nodes.pop()
 
-    descend(_refine([list(range(n))], nbrs), ())
-    return tuple(ids[i] for i in best[1]), tuple(gens)
+    descend(_refine([list(range(n))], nbrs))
+    return best[0], best[1], gens
+
+
+def _form(n: int, enc: int) -> CanonicalForm:
+    """The form of an n-vertex graph whose upper triangle, read as by
+    _upper_triangle, is enc."""
+    nbits = n * (n - 1) // 2
+    return CanonicalForm(n.to_bytes(2, "big") + (enc << -nbits % 8).to_bytes((nbits + 7) // 8, "big"))
+
+
+def _sorted_forms(n: int, encodings: Iterable[int]) -> tuple[CanonicalForm, ...]:
+    """The forms of n-vertex graphs with the given encodings, ascending.
+    Forms of one vertex count order as their encodings do."""
+    return tuple(_form(n, enc) for enc in sorted(encodings))
+
+
+def _position_masks(g: Graph) -> tuple[tuple[int, ...], list[int]]:
+    """g's vertex ids, ascending, and its adjacency masks over their
+    positions in that order."""
+    ids = g.vertices
+    pos = {v: i for i, v in enumerate(ids)}
+    return ids, [sum(1 << pos[u] for u in iter_bits(g._adj[v])) for v in ids]
+
+
+def _masks_from_form(form: CanonicalForm) -> list[int]:
+    """The adjacency masks of the form's representative on 0..n-1."""
+    n = form.vertex_count
+    k = n * (n - 1) // 2
+    enc = int.from_bytes(form.data[2:], "big") >> -k % 8
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            k -= 1
+            if enc >> k & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def canonical_labelling(g: Graph) -> tuple[tuple[int, ...], tuple[Automorphism, ...]]:
+    """The vertex ordering realizing the canonical form, and automorphisms
+    of g (as vertex maps) that generate its automorphism group, both from
+    one search."""
+    ids, adj = _position_masks(g)
+    _, order, gens = _search(adj)
+    return (
+        tuple(ids[i] for i in order),
+        tuple({ids[x]: ids[y] for x, y in p.items()} for p in gens),
+    )
 
 
 def canonical_order(g: Graph) -> tuple[int, ...]:
@@ -201,27 +290,10 @@ def canonical_order(g: Graph) -> tuple[int, ...]:
 
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form of g."""
-    return form_in_order(g, canonical_order(g))
-
-
-def form_in_order(g: Graph, order: tuple[int, ...]) -> CanonicalForm:
-    """The byte encoding of g with its vertices taken in the given order;
-    the canonical form when the order is canonical_order(g)."""
-    n = len(order)
-    nbits = n * (n - 1) // 2
-    enc = _upper_triangle(g._adj, order)
-    return CanonicalForm(n.to_bytes(2, "big") + (enc << -nbits % 8).to_bytes((nbits + 7) // 8, "big"))
+    return _form(g.n, _search(_position_masks(g)[1])[0])
 
 
 def graph_from_canonical(form: CanonicalForm) -> Graph:
     """Reconstruct the representative graph on vertices 0..n-1."""
-    n = form.vertex_count
-    k = n * (n - 1) // 2
-    enc = int.from_bytes(form.data[2:], "big") >> -k % 8
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            k -= 1
-            if enc >> k & 1:
-                edges.append((i, j))
-    return Graph(range(n), edges)
+    adj = _masks_from_form(form)
+    return Graph._from_masks(tuple(range(len(adj))), dict(enumerate(adj)))

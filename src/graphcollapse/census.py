@@ -10,8 +10,16 @@ each isomorphism class is produced exactly once and nothing is
 deduplicated. Every connected graph arises this way because some vertex
 of any connected graph can be removed without disconnecting it.
 
+Generation runs on adjacency masks over positions 0..n-1. Each parent
+form is decoded straight into masks, the components left by deleting
+each vertex come from a mask search, and each child's masks go to the
+canonical search (canon._search), whose least encoding is the child's
+form: no Graph is built and no order encoded twice. Classification
+hands the forms themselves, which pickle, to classify_graph.
+
 Census files are plain text, one level per file, so long runs can stop
-and resume between levels.
+and resume between levels. A resumed level must hold each form once and
+the published number of graphs.
 """
 
 from __future__ import annotations
@@ -25,15 +33,17 @@ from typing import Iterable, Optional
 from .canon import (
     Automorphism,
     CanonicalForm,
+    _form,
+    _masks_from_form,
+    _search,
+    _sorted_forms,
     canonical_form,
-    canonical_labelling,
-    form_in_order,
     graph_from_canonical,
 )
 from .complexes import DEFAULT_COLLAPSE_BUDGET, _lift, _replay, clique_complex, is_collapsible
 from .contract import is_strong_contractible_any_order
 from .errors import GraphFormatError, InternalInconsistencyError, check_jobs
-from .graphs import Graph, iter_bits
+from .graphs import Graph, _component_masks, iter_bits
 
 __all__ = [
     "MAX_CENSUS_N",
@@ -128,7 +138,7 @@ def _rivals(child_adj: list[int], cuts: list[list[int]], s: int) -> Optional[lis
     the parent minus v meets k's neighbors s."""
     k = len(cuts)
     deg = [m.bit_count() for m in child_adj]
-    candidates = [v for v in range(k) if deg[v] >= deg[k] and all(c & s for c in cuts[v])]
+    candidates = [v for v in range(k) if deg[v] >= deg[k] and all(map(s.__and__, cuts[v]))]
     if any(deg[v] > deg[k] for v in candidates):
         return None
     mine = sorted(deg[u] for u in iter_bits(s))
@@ -170,31 +180,35 @@ def _extend_level(parent_forms: Iterable[CanonicalForm]) -> tuple[CanonicalForm,
     to an automorphism of P taking S to S', so S and S' are the same
     orbit representative. A repeated form means this argument or the
     automorphisms found broke, and raises InternalInconsistencyError.
+
+    Everything runs on masks: the parent's masks are decoded from its
+    form, one search on them gives Aut(P), and one search on each
+    child's masks gives its order, its automorphisms and the encoding
+    that becomes its form. Children are keyed by encoding alone, which
+    names a graph only among graphs of one vertex count, so all parents
+    must have one vertex count.
     """
-    seen: dict[bytes, CanonicalForm] = {}
+    seen: set[int] = set()
+    size = 0
     for form in parent_forms:
-        parent = graph_from_canonical(form)
-        k = parent.n
-        adj = [parent.adjacency_mask(v) for v in range(k)]
-        cuts = [
-            [sum(1 << u for u in comp) for comp in parent.delete_vertex(v).connected_components()]
-            for v in range(k)
-        ]
-        vertices = tuple(range(k + 1))
-        for s in _subset_orbit_representatives(k, canonical_labelling(parent)[1]):
+        adj = _masks_from_form(form)
+        k = size = len(adj)
+        everything = (1 << k) - 1
+        cuts = [_component_masks(adj, everything ^ 1 << v) for v in range(k)]
+        for s in _subset_orbit_representatives(k, _search(adj)[2]):
             child_adj = [adj[v] | (s >> v & 1) << k for v in range(k)] + [s]
             rivals = _rivals(child_adj, cuts, s)
             if rivals is None:
                 continue
-            child = Graph._from_masks(vertices, dict(zip(vertices, child_adj)))
-            order, gens = canonical_labelling(child)
+            enc, order, gens = _search(child_adj)
             if rivals and k not in _orbit(max(rivals + [k], key=order.index), gens):
                 continue
-            f = form_in_order(child, order)
-            if bytes(f) in seen:
-                raise InternalInconsistencyError(f"canonical augmentation produced {f.hex()} twice")
-            seen[bytes(f)] = f
-    return tuple(seen[b] for b in sorted(seen))
+            if enc in seen:
+                raise InternalInconsistencyError(
+                    f"canonical augmentation produced {_form(k + 1, enc).hex()} twice"
+                )
+            seen.add(enc)
+    return _sorted_forms(size + 1, seen)
 
 
 def _level(n: int, parents: tuple[CanonicalForm, ...]) -> tuple[CanonicalForm, ...]:
@@ -232,17 +246,16 @@ def classify_graph(g: Graph, collapse_budget: int = DEFAULT_COLLAPSE_BUDGET) -> 
     return True, True
 
 
-def _classify_payload(payload: tuple[str, int]) -> tuple[str, bool, Optional[bool]]:
-    hex_form, budget = payload
-    g = graph_from_canonical(CanonicalForm.from_hex(hex_form))
-    strong, collapsible = classify_graph(g, budget)
-    return hex_form, strong, collapsible
+def _classify_payload(payload: tuple[CanonicalForm, int]) -> tuple[CanonicalForm, bool, Optional[bool]]:
+    form, budget = payload
+    strong, collapsible = classify_graph(graph_from_canonical(form), budget)
+    return form, strong, collapsible
 
 
 def _classify_level(
     forms: tuple[CanonicalForm, ...], config: CensusConfig
 ) -> tuple[CensusEntry, ...]:
-    payloads = [(f.hex(), config.collapse_budget) for f in forms]
+    payloads = [(f, config.collapse_budget) for f in forms]
     if config.jobs == 1 or len(payloads) < 4:
         results = [_classify_payload(p) for p in payloads]
     else:
@@ -250,8 +263,8 @@ def _classify_level(
             chunk = max(1, len(payloads) // (config.jobs * 8))
             results = list(pool.map(_classify_payload, payloads, chunksize=chunk))
     entries = []
-    for form, (hex_form, strong, collapsible) in zip(forms, results):
-        if form.hex() != hex_form:
+    for form, (classified, strong, collapsible) in zip(forms, results):
+        if classified != form:
             raise InternalInconsistencyError("classification results out of order")
         entries.append(CensusEntry(form, form.vertex_count, strong, collapsible))
     return tuple(entries)
@@ -326,6 +339,7 @@ def parse_level(text: str, source: str = "<census>") -> tuple[int, tuple[CensusE
     if len(body) != count:
         raise GraphFormatError(source, lineno, f"header says {count} entries, file has {len(body)}")
     entries = []
+    seen: set[CanonicalForm] = set()
     for lineno, line in body:
         fields = line.split()
         if len(fields) != 3:
@@ -341,6 +355,9 @@ def parse_level(text: str, source: str = "<census>") -> tuple[int, tuple[CensusE
             raise GraphFormatError(source, lineno, f"bad flag {c_flag!r}")
         if form.vertex_count != n:
             raise GraphFormatError(source, lineno, f"form has {form.vertex_count} vertices, file is level {n}")
+        if form in seen:
+            raise GraphFormatError(source, lineno, f"canonical form {hex_form} is repeated")
+        seen.add(form)
         entries.append(
             CensusEntry(form, n, s_flag == "1", None if c_flag == "?" else c_flag == "1")
         )
@@ -362,6 +379,11 @@ def build_census(config: CensusConfig = CensusConfig(), out_dir=None) -> Census:
             level_n, entries = parse_level(path.read_text(), source=str(path))
             if level_n != n:
                 raise GraphFormatError(str(path), 1, f"expected level {n}, found {level_n}")
+            if len(entries) != KNOWN_CONNECTED_COUNTS[n]:
+                raise GraphFormatError(
+                    str(path), 1,
+                    f"level {n} has {len(entries)} graphs, not the {KNOWN_CONNECTED_COUNTS[n]} connected ones",
+                )
             levels[n] = entries
             prev_forms = tuple(e.form for e in entries)
             _log.info("level %d: loaded %d graphs", n, len(entries))

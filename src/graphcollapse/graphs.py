@@ -204,21 +204,7 @@ class Graph:
 
         The empty graph has zero components.
         """
-        seen = 0
-        comps = []
-        for start in self._vertices:
-            if seen >> start & 1:
-                continue
-            comp = 1 << start
-            frontier = [start]
-            while frontier:
-                v = frontier.pop()
-                new = self._adj[v] & ~comp
-                comp |= new
-                frontier.extend(_mask_to_tuple(new))
-            seen |= comp
-            comps.append(frozenset(_mask_to_tuple(comp)))
-        return tuple(comps)
+        return tuple(frozenset(iter_bits(c)) for c in _component_masks(self._adj, self._vmask))
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
@@ -263,6 +249,24 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
+
+
+def _component_masks(adj: Mapping[int, int], keep: int) -> list[int]:
+    """The vertex masks of the connected components of the subgraph that
+    the adjacency masks adj induce on the vertex mask keep, ordered by
+    least vertex."""
+    comps = []
+    while keep:
+        comp = frontier = keep & -keep
+        while frontier:
+            reach = 0
+            for u in iter_bits(frontier):
+                reach |= adj[u]
+            frontier = reach & keep & ~comp
+            comp |= frontier
+        comps.append(comp)
+        keep ^= comp
+    return comps
 
 
 def _subgraph(adj: Mapping[int, int], keep: int) -> Graph:

@@ -486,7 +486,9 @@ def _push(c: ChainVector, g: Graph, apexes: Iterable[tuple[int, ...]], coeffs: C
     With c = a + join(apex, b), c becomes
     c - (-1)**len(apex) * boundary(join(apex, x)) for x = _bound(b) in
     the apex's link, which must be strongly contractible unless c has
-    too low a dimension to contain the apex.
+    too low a dimension to contain the apex. A step whose apex is not
+    inside the vertex support of c leaves c as it is, unsplit; its link
+    is still checked.
     """
     c = c.reduce(coeffs)
     if not c.supported_on_cliques(g):
@@ -495,6 +497,7 @@ def _push(c: ChainVector, g: Graph, apexes: Iterable[tuple[int, ...]], coeffs: C
         raise ValueError("chain is not a cycle")
     adj = dict(g._adj)
     memo: dict[int, bool] = {}
+    support = _vertex_support(c)
     for apex, link in _walk(adj, apexes):
         if len(apex) == 2:
             # Verdicts name induced subgraphs by vertex mask. Deleting
@@ -505,6 +508,8 @@ def _push(c: ChainVector, g: Graph, apexes: Iterable[tuple[int, ...]], coeffs: C
             continue
         if not _contractible(adj, link, memo):
             raise ValueError(f"link of {list(apex)} is not strongly contractible")
+        if not all(support >> v & 1 for v in apex):
+            continue
         b = _split(c, apex)[1]
         if b.is_zero:
             continue
@@ -512,7 +517,17 @@ def _push(c: ChainVector, g: Graph, apexes: Iterable[tuple[int, ...]], coeffs: C
         c = (c - (-1) ** len(apex) * boundary(_join(apex, x))).reduce(coeffs)
         if not _split(c, apex)[1].is_zero:
             raise InternalInconsistencyError(f"push failed to eliminate {list(apex)}")
+        support = _vertex_support(c)
     return c
+
+
+def _vertex_support(c: ChainVector) -> int:
+    """The mask of the vertices of c's simplices."""
+    support = 0
+    for simplex in c._terms:
+        for v in simplex:
+            support |= 1 << v
+    return support
 
 
 def push_cycle(c: ChainVector, v: int, g: Graph, coeffs: Coefficients = Coefficients(2)) -> ChainVector:

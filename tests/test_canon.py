@@ -170,3 +170,15 @@ class TestPinnedSearch:
         want_order, want_gens = reference_canonical_labelling(g)
         assert order == want_order
         assert [list(p.items()) for p in gens] == [list(p.items()) for p in want_gens]
+
+    @pytest.mark.parametrize("n,steps", [(10, (1, 3)), (10, (2, 3)), (13, (1, 5))])
+    def test_matches_dict_based_search_on_circulants(self, n, steps):
+        # Vertex-transitive graphs where an automorphism found below a
+        # node can move the node's path: a node that also pruned with
+        # such automorphisms records other generators. Random graphs
+        # through n=10 have too few automorphisms to show it.
+        g = Graph(range(n), {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps})
+        order, gens = canonical_labelling(g)
+        want_order, want_gens = reference_canonical_labelling(g)
+        assert order == want_order
+        assert [list(p.items()) for p in gens] == [list(p.items()) for p in want_gens]

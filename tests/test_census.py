@@ -1,5 +1,6 @@
 """Exhaustive small-graph catalogue and the implication survey built on it."""
 
+import hashlib
 import logging
 import os
 
@@ -55,6 +56,14 @@ class TestGeneration:
         reference = reference_levels(7)
         for n in range(1, 8):
             assert [bytes(e.form) for e in census7.levels[n]] == [bytes(f) for f in reference[n]]
+
+    def test_level_eight_matches_pinned_digest(self):
+        # sha256 of the sorted hex forms, one per line: no reference
+        # generation is cheap enough to check this level form by form
+        forms = generate_connected(8)[8]
+        assert len(forms) == KNOWN_CONNECTED_COUNTS[8] == 11117
+        digest = hashlib.sha256("\n".join(sorted(f.hex() for f in forms)).encode()).hexdigest()
+        assert digest == "b4a32a57082a54a7783c46acc456b61d8753c0fecaf1c57ef46018aceeec6bd2"
 
     def test_a_repeated_child_is_an_internal_error(self):
         parents = generate_connected(4)[4]
@@ -159,6 +168,15 @@ class TestPersistenceOfLevels:
         assert all("loaded" in line for line in caplog.messages)
         assert resumed.counts() == {1: 1, 2: 1, 3: 2, 4: 6}
 
+    def test_resume_rejects_a_level_with_the_wrong_count(self, tmp_path):
+        build_census(CensusConfig(max_n=4), out_dir=tmp_path)
+        level = tmp_path / "census_n4.txt"
+        header, *body = level.read_text().splitlines()
+        level.write_text("\n".join(["census 4 5"] + body[:5]) + "\n")
+        assert parse_level(level.read_text())[0] == 4
+        with pytest.raises(GraphFormatError, match="level 4 has 5 graphs, not the 6 connected ones"):
+            build_census(CensusConfig(max_n=5), out_dir=tmp_path)
+
     def test_format_parse_roundtrip(self, census7):
         text = format_level(5, census7.levels[5])
         n, entries = parse_level(text)
@@ -178,6 +196,7 @@ class TestPersistenceOfLevels:
             ("census 3\n", "expected header"),
             ("census 3 1\n000360 5 1\n", "bad flag"),
             ("census 3 2\n000360 1 1\n", "header says 2 entries"),
+            ("census 3 2\n000360 1 1\n000360 1 1\n", "<census>:3: canonical form 000360 is repeated"),
         ],
     )
     def test_malformed_levels(self, text, fragment):

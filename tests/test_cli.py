@@ -240,6 +240,24 @@ class TestCensusCommand:
         assert rc == 3
         assert "max_n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit,fragment",
+        [
+            (lambda lines: lines[:2] + lines[1:], ":3: canonical form 000360 is repeated"),
+            (lambda lines: lines[:-1], ":1: level 3 has 1 graphs, not the 2 connected ones"),
+        ],
+        ids=["repeated-form", "missing-form"],
+    )
+    def test_resuming_from_a_damaged_level_is_malformed_input(self, tmp_path, capsys, edit, fragment):
+        assert main(["census", "--max-n", "3", "--out", str(tmp_path)]) == 0
+        level = tmp_path / "census_n3.txt"
+        header, *body = edit(level.read_text().splitlines())
+        level.write_text("\n".join([f"census 3 {len(body)}"] + body) + "\n")
+        capsys.readouterr()
+        assert main(["census", "--max-n", "4", "--out", str(tmp_path)]) == 3
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "census_n4.txt").exists()
+
 
 class TestErrors:
     def test_no_arguments_is_usage_error(self, capsys):

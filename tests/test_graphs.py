@@ -85,6 +85,11 @@ class TestAccessors:
         )
         assert not g.is_connected()
         assert cycle(5).is_connected()
+        sparse = Graph([2, 7, 40, 41, 90], [(40, 2), (41, 90), (90, 7)])
+        assert sparse.connected_components() == (
+            frozenset({2, 40}),
+            frozenset({7, 41, 90}),
+        )
 
 
 class TestSubgraphs:
