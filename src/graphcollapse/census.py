@@ -19,12 +19,12 @@ hands the forms themselves, which pickle, to classify_graph.
 
 Census files are plain text, one level per file, so long runs can stop
 and resume between levels. A resumed level must hold each form once and
-the published number of graphs.
+the published number of graphs, and, when a larger level is generated
+from it, only canonical forms.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,7 +42,7 @@ from .canon import (
 )
 from .complexes import DEFAULT_COLLAPSE_BUDGET, _lift, _replay, clique_complex, is_collapsible
 from .contract import is_strong_contractible_any_order
-from .errors import GraphFormatError, InternalInconsistencyError, check_jobs
+from .errors import GraphFormatError, InputError, InternalInconsistencyError, check_jobs
 from .graphs import Graph, _component_masks, iter_bits
 
 __all__ = [
@@ -187,6 +187,11 @@ def _extend_level(parent_forms: Iterable[CanonicalForm]) -> tuple[CanonicalForm,
     that becomes its form. Children are keyed by encoding alone, which
     names a graph only among graphs of one vertex count, so all parents
     must have one vertex count.
+
+    The search on each parent also checks it: a parent whose least
+    encoding is not its own form was not canonical, and raises
+    InputError. A resumed census level gets this check only when it is
+    used as parents, that is, when a larger level is generated from it.
     """
     seen: set[int] = set()
     size = 0
@@ -195,7 +200,12 @@ def _extend_level(parent_forms: Iterable[CanonicalForm]) -> tuple[CanonicalForm,
         k = size = len(adj)
         everything = (1 << k) - 1
         cuts = [_component_masks(adj, everything ^ 1 << v) for v in range(k)]
-        for s in _subset_orbit_representatives(k, _search(adj)[2]):
+        enc, _, gens = _search(adj)
+        if _form(k, enc) != form:
+            raise InputError(
+                f"form {form.hex()} is not canonical: its graph's form is {_form(k, enc).hex()}"
+            )
+        for s in _subset_orbit_representatives(k, gens):
             child_adj = [adj[v] | (s >> v & 1) << k for v in range(k)] + [s]
             rivals = _rivals(child_adj, cuts, s)
             if rivals is None:
@@ -259,6 +269,8 @@ def _classify_level(
     if config.jobs == 1 or len(payloads) < 4:
         results = [_classify_payload(p) for p in payloads]
     else:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
             chunk = max(1, len(payloads) // (config.jobs * 8))
             results = list(pool.map(_classify_payload, payloads, chunksize=chunk))

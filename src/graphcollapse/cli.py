@@ -145,7 +145,7 @@ def _cmd_vr(args) -> int:
     else:
         with open(args.matrix) as fh:
             cloud = parse_distance_matrix(fh.read(), source=args.matrix)
-    thresholds = _parse_threshold_list(args.thresholds) if args.thresholds else None
+    thresholds = _parse_threshold_list(args.thresholds) if args.thresholds is not None else None
     _check_max_dim(args.max_dim)
     filt = vr_filtration(cloud, thresholds)
     bc = barcode(filt, max_dim=args.max_dim)

@@ -8,15 +8,24 @@ Integer invariant factors come from the same `{row: coeff}` columns:
 sparse elimination splits off every ±1 pivot it can find, each a unit
 factor, and Smith normal form runs only on the block the unit pivots
 leave, which is empty on most boundary matrices. Smith normal form
-itself is plain row/column reduction on Python ints with
+itself is plain row/column reduction on lists of Python ints with
 smallest-magnitude pivoting.
+
+numpy is the output format only. It is imported inside the functions
+that read an array-like argument or return an ndarray: `dense`,
+`rank_mod_p`, `solve_mod_p`, `nullspace_mod_p`, and the readers of the
+public `smith_normal_form` and `invariant_factors`. Echelon,
+`solve_columns` and `invariant_factors_of_columns` work on `{row:
+coeff}` columns and never load it, so neither do homology over any
+coefficients nor the command line.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Optional
+from typing import TYPE_CHECKING, Hashable, Mapping, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "check_prime",
@@ -47,6 +56,8 @@ def check_prime(p: int) -> None:
 
 
 def _as_matrix(a) -> np.ndarray:
+    import numpy as np
+
     m = np.array(a, dtype=np.int64)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
@@ -116,6 +127,8 @@ def _columns(a) -> list[dict[int, int]]:
 
 def dense(cols, rows: int) -> np.ndarray:
     """The int64 matrix with the given sparse columns."""
+    import numpy as np
+
     mat = np.zeros((rows, len(cols)), dtype=np.int64)
     for j, col in enumerate(cols):
         for i, c in col.items():
@@ -130,6 +143,8 @@ def rank_mod_p(a, p: int) -> int:
 
 def solve_mod_p(a, b, p: int) -> Optional[np.ndarray]:
     """One solution of a x = b mod p (free variables zero), or None."""
+    import numpy as np
+
     m = _as_matrix(a)
     rhs = np.array(b, dtype=np.int64).reshape(-1)
     if rhs.shape[0] != m.shape[0]:
@@ -158,17 +173,30 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _object_matrix(a):
+    """a as a 2d numpy array of Python objects."""
+    import numpy as np
+
+    arr = np.array(a, dtype=object)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a matrix, got array of ndim {arr.ndim}")
+    return arr
+
+
 def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Diagonalize an integer matrix: returns (s, l, r) with l a r = s,
     l and r unimodular, s diagonal with s[0][0] | s[1][1] | ...
 
     Diagonal entries are nonnegative. Accepts any 2d array-like of ints.
     """
-    arr = np.array(a, dtype=object)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of ndim {arr.ndim}")
-    rows, cols = arr.shape
-    s = [[int(arr[i, j]) for j in range(cols)] for i in range(rows)]
+    arr = _object_matrix(a)
+    return _smith([[int(x) for x in row] for row in arr.tolist()], arr.shape[1])
+
+
+def _smith(s: list[list[int]], cols: int) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """smith_normal_form of the matrix with the given rows of Python
+    ints and cols columns; s is reduced in place and returned."""
+    rows = len(s)
     left = _identity(rows)
     right = _identity(cols)
 
@@ -269,7 +297,7 @@ def invariant_factors_of_columns(cols) -> tuple[int, ...]:
     clear that row from every other column, which leaves the pivot's row
     and column a `[±1]` block of its own. Every step is unimodular, so
     the matrix is `[±1] ⊕ ... ⊕ M'`, and only the remainder `M'` goes
-    through `smith_normal_form`. A row -> columns index makes clearing a
+    through Smith normal form. A row -> columns index makes clearing a
     row touch only the columns in it. The columns given are not changed.
     """
     work: list[Optional[dict[int, int]]] = [{r: int(c) for r, c in col.items() if c} for col in cols]
@@ -313,15 +341,12 @@ def invariant_factors_of_columns(cols) -> tuple[int, ...]:
     if not rest:
         return (1,) * units
     live = sorted({r for col in rest for r in col})
-    s, _, _ = smith_normal_form([[col.get(r, 0) for col in rest] for r in live])
+    s, _, _ = _smith([[col.get(r, 0) for col in rest] for r in live], len(rest))
     return (1,) * units + tuple(s[t][t] for t in range(min(len(live), len(rest))) if s[t][t])
 
 
 def invariant_factors(a) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, in divisibility order. Accepts
     any 2d array-like of ints, Python ints beyond int64 included."""
-    arr = np.array(a, dtype=object)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of ndim {arr.ndim}")
-    return invariant_factors_of_columns([dict(enumerate(col)) for col in arr.T.tolist()])
+    return invariant_factors_of_columns([dict(enumerate(col)) for col in _object_matrix(a).T.tolist()])
 

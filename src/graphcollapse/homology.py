@@ -15,21 +15,28 @@ the integers alike. The input cycle is checked once per call.
 
 Betti numbers and torsion work over the integers; explicit homology
 bases and induced-map matrices require a prime field.
+
+Everything here computes on sparse `{index: coeff}` columns of Python
+ints. The three results that are int64 ndarrays (`BoundaryMatrix.matrix`,
+the coordinates from `express_in_homology_basis` and `InducedMap.matrix`)
+are built at the end by `exactla.dense`, which alone imports numpy;
+`homology()` and cycle pushing never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from . import exactla
 from .complexes import DEFAULT_FACE_BUDGET, Simplex, enumerate_cliques
 from .contract import ReductionTrace, _contractible, _first_hit_deletions, _is_cone, _walk
 from .errors import InternalInconsistencyError
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Coefficients",
@@ -575,13 +582,19 @@ def express_in_homology_basis(
     modulo boundaries. Field coefficients only."""
     if not coeffs.is_field:
         raise ValueError("homology coordinates need field coefficients")
+    coords = _coordinates(z, reps, g, dim, coeffs)
+    return None if coords is None else exactla.dense([coords], len(reps)).reshape(-1)
+
+
+def _coordinates(
+    z: ChainVector, reps: tuple[ChainVector, ...], g: Graph, dim: int, coeffs: Coefficients
+) -> Optional[dict[int, int]]:
+    """express_in_homology_basis as a sparse {rep index: coeff} column."""
     basis = clique_basis(g, dim)
     cols = [_chain_to_column(r, basis, coeffs) for r in reps]
     cols += _boundary_columns(clique_basis(g, dim + 1), basis)
     sol = exactla.solve_columns(cols, _chain_to_column(z, basis, coeffs), coeffs.modulus)
-    if sol is None:
-        return None
-    return np.array([sol.get(j, 0) for j in range(len(reps))], dtype=np.int64)
+    return None if sol is None else {j: c for j, c in sol.items() if j < len(reps)}
 
 
 @dataclass(frozen=True)
@@ -631,13 +644,13 @@ def induced_map(
     h1 = homology(r1, coeffs, max_dim=dim)
     reps0 = h0.group(dim).representatives if h0.group(dim) else ()
     reps1 = h1.group(dim).representatives if h1.group(dim) else ()
-    mat = np.zeros((len(reps1), len(reps0)), dtype=np.int64)
-    for j, z in enumerate(reps0):
+    cols = []
+    for z in reps0:
         pushed = push_cycle_sequence(z, g1, trace1, coeffs)
-        coords = express_in_homology_basis(pushed, reps1, r1, dim, coeffs)
+        coords = _coordinates(pushed, reps1, r1, dim, coeffs)
         if coords is None:
             raise InternalInconsistencyError(
                 "pushed cycle is not expressible in the reduced homology basis"
             )
-        mat[:, j] = coords
-    return InducedMap(dim, coeffs, g0, g1, reps0, reps1, mat)
+        cols.append(coords)
+    return InducedMap(dim, coeffs, g0, g1, reps0, reps1, exactla.dense(cols, len(reps1)))

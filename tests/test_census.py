@@ -23,7 +23,7 @@ from graphcollapse.census import (
     generate_connected,
     parse_level,
 )
-from graphcollapse.errors import GraphFormatError, InternalInconsistencyError
+from graphcollapse.errors import GraphFormatError, InputError, InternalInconsistencyError
 from graphcollapse.factories import complete, cycle, octahedron, path
 
 from helpers import connected_count_brute, gstar, reference_levels
@@ -176,6 +176,17 @@ class TestPersistenceOfLevels:
         assert parse_level(level.read_text())[0] == 4
         with pytest.raises(GraphFormatError, match="level 4 has 5 graphs, not the 6 connected ones"):
             build_census(CensusConfig(max_n=5), out_dir=tmp_path)
+
+    def test_resume_rejects_a_non_canonical_parent_form(self, tmp_path):
+        # 0003a0 is the path 0-2-1, a valid encoding of P3 whose
+        # canonical form is 000360: the triangle's line now names P3
+        # twice, in two different bytes.
+        build_census(CensusConfig(max_n=3), out_dir=tmp_path)
+        level = tmp_path / "census_n3.txt"
+        level.write_text(level.read_text().replace("0003e0", "0003a0"))
+        with pytest.raises(InputError, match="form 0003a0 is not canonical: its graph's form is 000360"):
+            build_census(CensusConfig(max_n=4), out_dir=tmp_path)
+        assert not (tmp_path / "census_n4.txt").exists()
 
     def test_format_parse_roundtrip(self, census7):
         text = format_level(5, census7.levels[5])

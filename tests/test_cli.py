@@ -196,6 +196,14 @@ class TestVr:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["", ","])
+    def test_empty_threshold_list(self, tmp_path, capsys, text):
+        pts = write_text(tmp_path, SQUARE_POINTS, "pts.txt")
+        assert main(["vr", "--points", pts, "--thresholds", text]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: threshold list is empty\n"
+
     def test_malformed_points(self, tmp_path, capsys):
         bad = write_text(tmp_path, "0 0\nx y\n", "bad.txt")
         rc = main(["vr", "--points", bad])
@@ -245,8 +253,13 @@ class TestCensusCommand:
         [
             (lambda lines: lines[:2] + lines[1:], ":3: canonical form 000360 is repeated"),
             (lambda lines: lines[:-1], ":1: level 3 has 1 graphs, not the 2 connected ones"),
+            # the triangle's line becomes a second, non-canonical encoding of P3
+            (
+                lambda lines: [ln.replace("0003e0", "0003a0") for ln in lines],
+                "error: form 0003a0 is not canonical: its graph's form is 000360",
+            ),
         ],
-        ids=["repeated-form", "missing-form"],
+        ids=["repeated-form", "missing-form", "non-canonical-form"],
     )
     def test_resuming_from_a_damaged_level_is_malformed_input(self, tmp_path, capsys, edit, fragment):
         assert main(["census", "--max-n", "3", "--out", str(tmp_path)]) == 0
@@ -257,6 +270,13 @@ class TestCensusCommand:
         assert main(["census", "--max-n", "4", "--out", str(tmp_path)]) == 3
         assert fragment in capsys.readouterr().err
         assert not (tmp_path / "census_n4.txt").exists()
+
+    def test_parallel_run_prints_the_serial_output(self, capsys):
+        assert main(["census", "--max-n", "5", "--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["census", "--max-n", "5", "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert "n 5 21" in serial
 
 
 class TestErrors:
