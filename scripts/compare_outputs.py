@@ -30,7 +30,12 @@ faces. Its trace_walks section gives, for every seeded graph and both
 reductions, what each trace consumer (replay, parsing against the
 graph, cycle pushing, collapse lifting) returns or raises on the
 graph's own trace and on the next graph's, and the errors of malformed
-trace texts. It uses only the standard library, numpy and long-standing
+trace texts. Its text_formats section gives what each text reader
+(edge list, adjacency matrix, trace, census level, points, distance
+matrix, barcode CSV, complex) returns or raises on fixed valid and
+malformed texts with blank lines, comment lines and bad rows after
+blank lines, and what Census.load makes of a level file whose name and
+header disagree. It uses only the standard library, numpy and long-standing
 public API, and runs in well under a minute.
 """
 
@@ -51,11 +56,11 @@ import numpy as np
 
 from graphcollapse import exactla
 from graphcollapse.canon import canonical_labelling
-from graphcollapse.census import CensusConfig, build_census, format_level
+from graphcollapse.census import Census, CensusConfig, build_census, format_level, parse_level
 from graphcollapse.cli import main as cli_main
 from graphcollapse.complexes import SimplicialComplex, clique_complex, collapse_via_trace, is_collapsible
 from graphcollapse.contract import ReductionTrace, contractible_reduction, edge_extended_reduction
-from graphcollapse.graphs import Graph, to_edge_list_text
+from graphcollapse.graphs import Graph, parse_adjacency_matrix, parse_edge_list, to_edge_list_text
 from graphcollapse.homology import (
     ChainVector,
     Coefficients,
@@ -66,7 +71,15 @@ from graphcollapse.homology import (
     induced_map,
     push_cycle_sequence,
 )
-from graphcollapse.persistence import PointCloud, barcode, reduce_filtration, vr_filtration
+from graphcollapse.persistence import (
+    PointCloud,
+    barcode,
+    parse_barcode_csv,
+    parse_distance_matrix,
+    parse_points,
+    reduce_filtration,
+    vr_filtration,
+)
 
 PRIMES = (2, 3, 5, 7, 2**31 - 1)
 FIELDS = (Coefficients(2), Coefficients(3))
@@ -239,6 +252,118 @@ def trace_walks(graphs: list) -> dict:
         for text in MALFORMED_TRACES
     ]
     return {"graphs": out, "malformed": malformed}
+
+
+def graph_result(g: Graph) -> list:
+    return [list(g.vertices), [list(e) for e in g.edges]]
+
+
+def cloud_result(pc: PointCloud) -> list:
+    return [pc.n, [str(pc.pair_key(i, j)) for i in range(pc.n) for j in range(i + 1, pc.n)]]
+
+
+def intervals_result(intervals) -> list:
+    return [
+        [iv.dim, iv.birth_index, iv.death_index, str(iv.birth), None if iv.death is None else str(iv.death)]
+        for iv in intervals
+    ]
+
+
+CSV_HEAD = "dim,birth_index,death_index,birth_eps,death_eps\n"
+
+TEXT_FORMATS = (
+    ("edge_list", parse_edge_list, graph_result, (
+        "3 2\n0 1\n1 2\n",
+        "# a path\n\n3 2\n\n0 1\n   # between edges\n1 2\n\n",
+        "",
+        "# nothing but comments\n\n",
+        "\n\n3\n",
+        "3 2\n0 1\n\n\n1 x\n",
+        "3 2\n0 1\n\n# one edge short\n",
+        "3 1\n\n0 5\n",
+    )),
+    ("adjacency_matrix", parse_adjacency_matrix, graph_result, (
+        "0 1\n1 0\n",
+        "# two vertices\n\n0,1\n\n1,0\n",
+        "\n# none\n",
+        "0 1\n\n\n1 2\n",
+        "0 1 0\n1 0\n0 0 0\n",
+        "0 1\n\n0 0\n",
+    )),
+    ("trace", ReductionTrace.from_text, ReductionTrace.to_text, (
+        "trace 2\nV 0\nE 1 2\n",
+        "# steps\n\ntrace 2\n\nV 0\n# the edge\nE 2 1\n\n",
+        "\n# empty\n",
+        "trace 2\nV 0\n\n\nE 1 y\n",
+        "\n\ntrace 3\nV 0\n",
+    )),
+    ("census_level", parse_level, lambda r: format_level(*r), (
+        "census 3 2\n000360 1 1\n0003e0 0 0\n",
+        "# level 3\n\ncensus 3 2\n\n000360 1 1\n# triangle\n0003e0 0 ?\n",
+        "# empty\n\n",
+        "census 3 2\n000360 1 1\n\n\n0003e0 0 x\n",
+        "\n\ncensus 3\n",
+        "census 3 1\n\n\n0003e0 1 1\n000360 1 1\n",
+    )),
+    ("points", parse_points, cloud_result, (
+        "0 0\n1 0\n0 1.5\n",
+        "# a triangle\n\n0,0\n\n1, 0\n  # last\n0 3/2\n",
+        "\n# no points\n",
+        "0 0\n1 0\n\n\n0 x\n",
+        "0 0\n\n\n1 0 0\n",
+        "0 0\n1/0 1\n",
+    )),
+    ("distance_matrix", parse_distance_matrix, cloud_result, (
+        "0 1\n1 0\n",
+        "# two points\n\n0, 2.5\n\n2.5, 0\n",
+        "\n# no rows\n",
+        "0 1\n\n\n1 x\n",
+        "0 1 2\n\n\n1 0\n2 0 0\n",
+        "\n\n0 1\n2 0\n",
+    )),
+    ("barcode_csv", parse_barcode_csv, intervals_result, (
+        CSV_HEAD + "0,0,1,0,3/2\n0,0,-1,0,inf\n",
+        CSV_HEAD + "\n0,0,1,0,3/2\n\n0,0,-1,0,inf\n\n",
+        "",
+        "nope\n",
+        "\n\nnope\n",
+        "\n\n" + CSV_HEAD + "0,0,-1,0,inf\n",
+        CSV_HEAD + "\n\n0,0,1,0,x\n",
+        CSV_HEAD + "0,0,1,0,3/2\n\n\n0,0\n",
+        CSV_HEAD + "\n\n0,0,-1,0,5\n",
+        "# a comment\n" + CSV_HEAD + "0,0,-1,0,inf\n",
+        CSV_HEAD + "# a comment\n0,0,-1,0,inf\n",
+    )),
+    ("complex", SimplicialComplex.from_text, SimplicialComplex.to_text, (
+        "0 1 2\n2 3\n",
+        "# a triangle and an edge\n\n0 1 2\n\n  # then\n3 2\n",
+        "",
+        "0 1\n\n\n0 x\n",
+        "0 1\n\n\n0 -1\n",
+    )),
+)
+
+
+def mislabelled_level() -> list:
+    """Census.load on a directory whose census_n5.txt holds level 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "census_n5.txt"), "w") as fh:
+            fh.write("census 3 2\n000360 1 1\n0003e0 0 0\n")
+        result = outcome(lambda: sorted(Census.load(tmp).counts().items()))
+    if result[0] != "ok":
+        result[1] = result[1].replace(tmp, "<dir>")
+    return result
+
+
+def text_formats() -> dict:
+    """Each text reader's result or error on fixed valid and malformed
+    texts, with its default source name."""
+    out = {
+        name: [[text, outcome(lambda: show(read(text)))] for text in texts]
+        for name, read, show, texts in TEXT_FORMATS
+    }
+    out["census_load_mislabelled"] = mislabelled_level()
+    return out
 
 
 def acceptance_clouds() -> list:
@@ -502,6 +627,7 @@ def main() -> None:
         "canonical_labellings": canonical_labellings(graphs),
         "collapse_search": collapse_search(),
         "trace_walks": trace_walks(graphs),
+        "text_formats": text_formats(),
     }
     json.dump(doc, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")

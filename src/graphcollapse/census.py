@@ -18,9 +18,10 @@ form: no Graph is built and no order encoded twice. Classification
 hands the forms themselves, which pickle, to classify_graph.
 
 Census files are plain text, one level per file, so long runs can stop
-and resume between levels. A resumed level must hold each form once and
-the published number of graphs, and, when a larger level is generated
-from it, only canonical forms.
+and resume between levels. A level file is named for the level its
+header gives. A resumed level must hold each form once and the
+published number of graphs, and, when a larger level is generated from
+it, only canonical forms.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .canon import (
 from .complexes import DEFAULT_COLLAPSE_BUDGET, _lift, _replay, clique_complex, is_collapsible
 from .contract import is_strong_contractible_any_order
 from .errors import GraphFormatError, InputError, InternalInconsistencyError, check_jobs
-from .graphs import Graph, _component_masks, iter_bits
+from .graphs import Graph, _component_masks, _content_lines, iter_bits
 
 __all__ = [
     "MAX_CENSUS_N",
@@ -247,8 +248,7 @@ def classify_graph(g: Graph, collapse_budget: int = DEFAULT_COLLAPSE_BUDGET) -> 
     face, hence a vertex: the True answer is verified, not assumed.
     Otherwise an exhaustive collapse search decides, budget permitting.
     """
-    adj = {v: g.adjacency_mask(v) for v in g.vertices}
-    lift = _lift(adj, sum(1 << v for v in adj), {}, {})
+    lift = _lift(g._adj, g._vmask, {}, {})
     if lift is None:
         return False, is_collapsible(clique_complex(g), budget=collapse_budget).collapsible
     if len(_replay(clique_complex(g)._masks, lift[0])) != 1:
@@ -311,11 +311,7 @@ class Census:
     @classmethod
     def load(cls, directory) -> "Census":
         directory = Path(directory)
-        levels = {}
-        for path in sorted(directory.glob("census_n*.txt")):
-            n, entries = parse_level(path.read_text(), source=str(path))
-            levels[n] = entries
-        return cls(levels)
+        return cls(dict(_read_level(path) for path in sorted(directory.glob("census_n*.txt"))))
 
 
 def _flag_text(value: Optional[bool]) -> str:
@@ -332,11 +328,7 @@ def format_level(n: int, entries: tuple[CensusEntry, ...]) -> str:
 
 
 def parse_level(text: str, source: str = "<census>") -> tuple[int, tuple[CensusEntry, ...]]:
-    lines = [
-        (i, ln.strip())
-        for i, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = _content_lines(text)
     if not lines:
         raise GraphFormatError(source, 1, "empty census file")
     lineno, header = lines[0]
@@ -376,6 +368,15 @@ def parse_level(text: str, source: str = "<census>") -> tuple[int, tuple[CensusE
     return n, tuple(entries)
 
 
+def _read_level(path: Path) -> tuple[int, tuple[CensusEntry, ...]]:
+    """parse_level on the file at path, which must be census_n<n>.txt for
+    the level n its header names."""
+    n, entries = parse_level(path.read_text(), source=str(path))
+    if path.name != f"census_n{n}.txt":
+        raise GraphFormatError(str(path), 1, f"expected level {path.stem.removeprefix('census_n')}, found {n}")
+    return n, entries
+
+
 def build_census(config: CensusConfig = CensusConfig(), out_dir=None) -> Census:
     """Generate, classify, and optionally persist every level up to
     config.max_n. Levels already saved under out_dir are loaded instead
@@ -388,9 +389,7 @@ def build_census(config: CensusConfig = CensusConfig(), out_dir=None) -> Census:
     for n in range(1, config.max_n + 1):
         path = directory / f"census_n{n}.txt" if directory else None
         if path is not None and path.exists():
-            level_n, entries = parse_level(path.read_text(), source=str(path))
-            if level_n != n:
-                raise GraphFormatError(str(path), 1, f"expected level {n}, found {level_n}")
+            entries = _read_level(path)[1]
             if len(entries) != KNOWN_CONNECTED_COUNTS[n]:
                 raise GraphFormatError(
                     str(path), 1,

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .contract import ReductionTrace, _first_hit_deletions
-from .errors import BudgetExceededError, InternalInconsistencyError
-from .graphs import Graph, iter_bits
+from .errors import BudgetExceededError, GraphFormatError, InternalInconsistencyError
+from .graphs import Graph, _content_lines, _mask_to_tuple, iter_bits
 
 __all__ = [
     "Simplex",
@@ -51,10 +51,6 @@ def _mask_of(simplex: Iterable[int]) -> int:
             raise ValueError(f"vertex id {v} is negative")
         mask |= 1 << v
     return mask
-
-
-def _tuple_of(mask: int) -> Simplex:
-    return tuple(iter_bits(mask))
 
 
 def _cofaces(masks: Iterable[int]) -> dict[int, int]:
@@ -121,8 +117,8 @@ class SimplicialComplex:
         for m in masks:
             for v in iter_bits(m):
                 if m != 1 << v and m ^ 1 << v not in masks:
-                    missing = _tuple_of(m ^ 1 << v)
-                    raise ValueError(f"face set is not downward closed: {_tuple_of(m)} present, {missing} missing")
+                    missing = _mask_to_tuple(m ^ 1 << v)
+                    raise ValueError(f"face set is not downward closed: {_mask_to_tuple(m)} present, {missing} missing")
         self._masks = masks
         self._faces = None
         self._hash = None
@@ -163,7 +159,7 @@ class SimplicialComplex:
     def faces(self) -> tuple[Simplex, ...]:
         """All faces sorted by (dimension, lexicographic)."""
         if self._faces is None:
-            self._faces = tuple(sorted((_tuple_of(m) for m in self._masks), key=lambda t: (len(t), t)))
+            self._faces = tuple(sorted((_mask_to_tuple(m) for m in self._masks), key=lambda t: (len(t), t)))
         return self._faces
 
     @property
@@ -181,11 +177,11 @@ class SimplicialComplex:
         union = 0
         for m in self._masks:
             union |= m
-        return _tuple_of(union)
+        return _mask_to_tuple(union)
 
     @property
     def maximal_faces(self) -> tuple[Simplex, ...]:
-        maximal = [_tuple_of(m) for m, y in _cofaces(self._masks).items() if not y]
+        maximal = [_mask_to_tuple(m) for m, y in _cofaces(self._masks).items() if not y]
         return tuple(sorted(maximal, key=lambda t: (len(t), t)))
 
     def euler_characteristic(self) -> int:
@@ -199,7 +195,7 @@ class SimplicialComplex:
 
     def one_skeleton(self) -> Graph:
         vertices = [m.bit_length() - 1 for m in self._masks if m.bit_count() == 1]
-        edges = [_tuple_of(m) for m in self._masks if m.bit_count() == 2]
+        edges = [_mask_to_tuple(m) for m in self._masks if m.bit_count() == 2]
         return Graph(vertices, edges)
 
     # -- free pairs and collapses -------------------------------------------
@@ -212,7 +208,7 @@ class SimplicialComplex:
         for sm in up:
             tm = _free_tau(up, sm)
             if tm:
-                pairs.append(FreePair(_tuple_of(sm), _tuple_of(tm)))
+                pairs.append(FreePair(_mask_to_tuple(sm), _mask_to_tuple(tm)))
         pairs.sort(key=lambda p: (p.tau, p.sigma))
         return pairs
 
@@ -239,12 +235,18 @@ class SimplicialComplex:
 
     @classmethod
     def from_text(cls, text: str) -> "SimplicialComplex":
+        """Parse one face per line, vertex ids separated by whitespace;
+        the complex is the downward closure of the faces."""
         maximal = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            maximal.append(tuple(int(t) for t in line.split()))
+        for lineno, line in _content_lines(text):
+            try:
+                face = [int(t) for t in line.split()]
+            except ValueError:
+                raise GraphFormatError("<complex>", lineno, f"expected integer vertex ids, got {line!r}") from None
+            negative = [v for v in face if v < 0]
+            if negative:
+                raise GraphFormatError("<complex>", lineno, f"vertex id {negative[0]} is negative")
+            maximal.append(face)
         return cls.from_maximal(maximal)
 
     def __eq__(self, other) -> bool:
@@ -364,7 +366,7 @@ def is_collapsible(cx: SimplicialComplex, budget: int = DEFAULT_COLLAPSE_BUDGET)
         return CollapseVerdict(NOT_COLLAPSIBLE, None, 0)
     # With faces ranked highest dimension first, then lexicographically, pairs
     # are tried in (tau rank, sigma rank) order; a state's key has a bit per rank.
-    order = sorted(cx._masks, key=lambda m: (-m.bit_count(), _tuple_of(m)))
+    order = sorted(cx._masks, key=lambda m: (-m.bit_count(), _mask_to_tuple(m)))
     rank = {m: k for k, m in enumerate(order)}
     up = _cofaces(order)
     dead: set[int] = set()
@@ -376,7 +378,7 @@ def is_collapsible(cx: SimplicialComplex, budget: int = DEFAULT_COLLAPSE_BUDGET)
     while True:
         if len(up) == 1:
             tried = (pairs[i - 1] for _, pairs, i in frames)
-            witness = tuple(FreePair(_tuple_of(order[s]), _tuple_of(order[t])) for t, s in tried)
+            witness = tuple(FreePair(_mask_to_tuple(order[s]), _mask_to_tuple(order[t])) for t, s in tried)
             return CollapseVerdict(COLLAPSIBLE, witness, nodes)
         if key not in dead:
             nodes += 1
@@ -450,7 +452,7 @@ def _replay(faces: Iterable[int], pairs: Iterable[MaskPair]) -> dict[int, int]:
     up = _cofaces(faces)
     for sm, tm in pairs:
         if sm not in up or _free_tau(up, sm) != tm or up[sm] & (up[sm] - 1):
-            raise InternalInconsistencyError(f"({_tuple_of(sm)}, {_tuple_of(tm)}) is not a free pair, or not elementary")
+            raise InternalInconsistencyError(f"({_mask_to_tuple(sm)}, {_mask_to_tuple(tm)}) is not a free pair, or not elementary")
         _flip(up, sm, tm)
     return up
 
@@ -474,6 +476,6 @@ def collapse_via_trace(g: Graph, trace: ReductionTrace) -> tuple[FreePair, ...]:
             raise ValueError(f"link of {apex} is not strongly contractible; trace is invalid")
         link_pairs, point = lift
         am = _mask_of(apex)
-        pairs.extend(FreePair(_tuple_of(sm | am), _tuple_of(tm | am)) for sm, tm in link_pairs)
-        pairs.append(FreePair(apex, _tuple_of(am | point)))
+        pairs.extend(FreePair(_mask_to_tuple(sm | am), _mask_to_tuple(tm | am)) for sm, tm in link_pairs)
+        pairs.append(FreePair(apex, _mask_to_tuple(am | point)))
     return tuple(pairs)

@@ -37,7 +37,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .errors import GraphFormatError
-from .graphs import Graph, _subgraph, iter_bits
+from .graphs import Graph, _content_lines, _subgraph, iter_bits
 
 __all__ = [
     "Step",
@@ -296,11 +296,7 @@ class ReductionTrace:
     def from_text(cls, text: str, g: Optional[Graph] = None, source: str = "<trace>") -> "ReductionTrace":
         """Parse the trace format. If g is given, deletions are replayed
         against it so links are filled in and validated."""
-        lines = [
-            (i, ln.strip())
-            for i, ln in enumerate(text.splitlines(), start=1)
-            if ln.strip() and not ln.strip().startswith("#")
-        ]
+        lines = _content_lines(text)
         if not lines:
             raise GraphFormatError(source, 1, "empty trace, expected 'trace k' header")
         lineno, header = lines[0]

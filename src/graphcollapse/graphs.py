@@ -280,10 +280,13 @@ def _subgraph(adj: Mapping[int, int], keep: int) -> Graph:
 #
 # Edge list:          first line "n m", then m lines "u v" with 0-based ids.
 # Adjacency matrix:   n lines of n entries, each 0 or 1.
-# Lines starting with "#" and blank lines are skipped in both formats.
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
+    """The stripped lines of text that carry content, each with its
+    1-based line number in text; blank lines and lines starting with "#"
+    are skipped. Every text format of the package is read through this,
+    so all share the rule and their errors name the file's own lines."""
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

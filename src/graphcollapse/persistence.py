@@ -30,13 +30,13 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import exactla
 from .complexes import DEFAULT_FACE_BUDGET, enumerate_cliques
 from .contract import ReductionTrace, _contractible, _reduce
 from .errors import GraphFormatError
-from .graphs import Graph, iter_bits
+from .graphs import Graph, _content_lines, iter_bits
 from .homology import Coefficients
 
 __all__ = [
@@ -165,21 +165,26 @@ class PointCloud:
         return tuple(map(self._fraction, sorted(set().union(*self._rows))))
 
 
+def _fraction_rows(text: str, source: str, what: str) -> Iterator[tuple[int, list[Fraction]]]:
+    """The numbered content lines of text as rows of exact Fractions,
+    entries separated by commas or whitespace; a token that is no
+    number is a bad `what`."""
+    for lineno, line in _content_lines(text):
+        row = []
+        for tok in line.replace(",", " ").split():
+            try:
+                row.append(Fraction(tok))
+            except (ValueError, ZeroDivisionError):
+                raise GraphFormatError(source, lineno, f"bad {what} {tok!r}")
+        yield lineno, row
+
+
 def parse_points(text: str, source: str = "<points>") -> PointCloud:
     """One point per line, coordinates separated by commas or whitespace.
     Decimal strings are read exactly (1.5 becomes 3/2)."""
     pts = []
     dim = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        coords = []
-        for tok in line.replace(",", " ").split():
-            try:
-                coords.append(Fraction(tok))
-            except (ValueError, ZeroDivisionError):
-                raise GraphFormatError(source, lineno, f"bad coordinate {tok!r}")
+    for lineno, coords in _fraction_rows(text, source, "coordinate"):
         if dim is None:
             dim = len(coords)
         elif len(coords) != dim:
@@ -195,32 +200,17 @@ def parse_points(text: str, source: str = "<points>") -> PointCloud:
 def parse_distance_matrix(text: str, source: str = "<matrix>") -> PointCloud:
     """Square symmetric matrix, one row per line, entries separated by
     commas or whitespace, zero diagonal."""
-    rows = []
-    numbered = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        entries = []
-        for tok in line.replace(",", " ").split():
-            try:
-                entries.append(Fraction(tok))
-            except (ValueError, ZeroDivisionError):
-                raise GraphFormatError(source, lineno, f"bad entry {tok!r}")
-        rows.append(entries)
-        numbered.append(lineno)
+    rows = list(_fraction_rows(text, source, "entry"))
     if not rows:
         raise GraphFormatError(source, 1, "no matrix rows found")
     n = len(rows)
-    for k, r in enumerate(rows):
-        if len(r) != n:
-            raise GraphFormatError(
-                source, numbered[k], f"row has {len(r)} entries, expected {n}"
-            )
+    for lineno, row in rows:
+        if len(row) != n:
+            raise GraphFormatError(source, lineno, f"row has {len(row)} entries, expected {n}")
     try:
-        return PointCloud.from_distance_matrix(rows)
+        return PointCloud.from_distance_matrix([row for _, row in rows])
     except ValueError as exc:
-        raise GraphFormatError(source, numbered[0], str(exc))
+        raise GraphFormatError(source, rows[0][0], str(exc))
 
 
 # -- filtrations --------------------------------------------------------------
@@ -549,11 +539,11 @@ def format_barcode_csv(bc: Barcode) -> str:
 
 
 def parse_barcode_csv(text: str, source: str = "<csv>") -> tuple[Interval, ...]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != CSV_HEADER:
-        raise GraphFormatError(source, 1, f"expected header {CSV_HEADER!r}")
+    lines = _content_lines(text)
+    if not lines or lines[0][1] != CSV_HEADER:
+        raise GraphFormatError(source, lines[0][0] if lines else 1, f"expected header {CSV_HEADER!r}")
     out = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 5:
             raise GraphFormatError(source, lineno, f"expected 5 fields, got {len(parts)}")

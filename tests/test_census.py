@@ -177,6 +177,11 @@ class TestPersistenceOfLevels:
         with pytest.raises(GraphFormatError, match="level 4 has 5 graphs, not the 6 connected ones"):
             build_census(CensusConfig(max_n=5), out_dir=tmp_path)
 
+    def test_load_rejects_a_level_under_another_level_name(self, tmp_path):
+        (tmp_path / "census_n5.txt").write_text(format_level(3, build_census(CensusConfig(max_n=3)).levels[3]))
+        with pytest.raises(GraphFormatError, match="census_n5.txt:1: expected level 5, found 3"):
+            Census.load(tmp_path)
+
     def test_resume_rejects_a_non_canonical_parent_form(self, tmp_path):
         # 0003a0 is the path 0-2-1, a valid encoding of P3 whose
         # canonical form is 000360: the triangle's line now names P3

@@ -22,6 +22,7 @@ from graphcollapse.complexes import (
     SimplicialComplex,
 )
 from graphcollapse.contract import ReductionTrace
+from graphcollapse.errors import GraphFormatError
 from graphcollapse.factories import complete, cycle, octahedron, path
 from graphcollapse.graphs import Graph
 
@@ -367,6 +368,19 @@ class TestSerialization:
     def test_from_text_errors(self):
         with pytest.raises(ValueError):
             SimplicialComplex.from_text("0 x\n")
+
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("0 1\n\n# next\n0 x\n", 4, "expected integer vertex ids, got '0 x'"),
+            ("0 1\n\n\n2 -1\n", 4, "vertex id -1 is negative"),
+        ],
+    )
+    def test_from_text_errors_name_the_line(self, text, line, message):
+        with pytest.raises(GraphFormatError) as err:
+            SimplicialComplex.from_text(text)
+        assert err.value.line == line
+        assert str(err.value) == f"<complex>:{line}: {message}"
 
 
 class TestEquality:

@@ -16,6 +16,7 @@ from graphcollapse.homology import Coefficients
 from graphcollapse.persistence import (
     _collapsed_stages,
     _link_stays_contractible,
+    CSV_HEADER,
     Barcode,
     Interval,
     PointCloud,
@@ -671,12 +672,19 @@ class TestBarcodeCsv:
         "text,fragment",
         [
             ("nope\n", "expected header"),
+            ("\n\nnope\n", "<csv>:3: expected header"),
             ("dim,birth_index,death_index,birth_eps,death_eps\n0,0\n",
              "expected 5 fields"),
             ("dim,birth_index,death_index,birth_eps,death_eps\n0,0,-1,0,5\n",
              "requires death_eps inf"),
+            ("dim,birth_index,death_index,birth_eps,death_eps\n\n\n0,0,1,0,x\n",
+             "<csv>:4: bad field"),
         ],
     )
     def test_malformed(self, text, fragment):
         with pytest.raises(GraphFormatError, match=fragment):
             parse_barcode_csv(text)
+
+    def test_comment_lines_are_skipped(self):
+        text = "# a barcode\n" + CSV_HEADER + "\n# dimension 0\n0,0,-1,0,inf\n"
+        assert parse_barcode_csv(text) == (Interval(0, 0, None, Fraction(0), None),)
