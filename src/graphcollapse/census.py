@@ -368,13 +368,20 @@ def parse_level(text: str, source: str = "<census>") -> tuple[int, tuple[CensusE
     return n, tuple(entries)
 
 
-def _read_level(path: Path) -> tuple[int, tuple[CensusEntry, ...]]:
+def _read_level(path: Path, complete: bool = False) -> tuple[int, tuple[CensusEntry, ...]]:
     """parse_level on the file at path, which must be census_n<n>.txt for
-    the level n its header names."""
-    n, entries = parse_level(path.read_text(), source=str(path))
+    the level n its header names and, if complete, must hold all
+    KNOWN_CONNECTED_COUNTS[n] connected graphs on n vertices. Either
+    fault names the header's line."""
+    text = path.read_text()
+    n, entries = parse_level(text, source=str(path))
     if path.name != f"census_n{n}.txt":
-        raise GraphFormatError(str(path), 1, f"expected level {path.stem.removeprefix('census_n')}, found {n}")
-    return n, entries
+        fault = f"expected level {path.stem.removeprefix('census_n')}, found {n}"
+    elif complete and len(entries) != KNOWN_CONNECTED_COUNTS[n]:
+        fault = f"level {n} has {len(entries)} graphs, not the {KNOWN_CONNECTED_COUNTS[n]} connected ones"
+    else:
+        return n, entries
+    raise GraphFormatError(str(path), _content_lines(text)[0][0], fault)
 
 
 def build_census(config: CensusConfig = CensusConfig(), out_dir=None) -> Census:
@@ -389,12 +396,7 @@ def build_census(config: CensusConfig = CensusConfig(), out_dir=None) -> Census:
     for n in range(1, config.max_n + 1):
         path = directory / f"census_n{n}.txt" if directory else None
         if path is not None and path.exists():
-            entries = _read_level(path)[1]
-            if len(entries) != KNOWN_CONNECTED_COUNTS[n]:
-                raise GraphFormatError(
-                    str(path), 1,
-                    f"level {n} has {len(entries)} graphs, not the {KNOWN_CONNECTED_COUNTS[n]} connected ones",
-                )
+            entries = _read_level(path, complete=True)[1]
             levels[n] = entries
             prev_forms = tuple(e.form for e in entries)
             _log.info("level %d: loaded %d graphs", n, len(entries))

@@ -4,6 +4,12 @@ All prime-field elimination runs in one sparse kernel, `Echelon`, on
 `{row: coeff}` columns of Python ints; the ndarray wrappers read ranks,
 free-variables-zero solutions and standard kernel bases off it, and cap
 the modulus below 2**31 so every residue fits their int64 results.
+Columns added with a tag carry the relation each reduced vector
+satisfies, from which kernel bases, solutions and homology
+representatives are read. Columns added without one keep only the
+vector and its pivot row: `rank_mod_p` and the rank-only passes with
+clearing that compute Betti numbers without representatives in
+`homology` and every barcode in `persistence` read nothing else.
 Integer invariant factors come from the same `{row: coeff}` columns:
 sparse elimination splits off every ±1 pivot it can find, each a unit
 factor, and Smith normal form runs only on the block the unit pivots
@@ -22,7 +28,7 @@ coefficients nor the command line.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Mapping, Optional
+from typing import TYPE_CHECKING, Hashable, KeysView, Mapping, Optional
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,17 +74,24 @@ class Echelon:
     """Span over GF(p) of the sparse `{row: coeff}` columns added so far.
 
     Each stored vector is keyed by its highest row, where its coefficient
-    is 1, and carries the combination `{tag: coeff}` of added columns it
-    equals. The columns given to the constructor are added under tags
-    0, 1, ...; `relations` holds, in order, the relations of those that
-    depend on earlier ones, which is the standard kernel basis, and
-    `last_pivot` is the row of the latest stored vector. The modulus is
-    trusted to be prime: callers check it where it enters.
+    is 1; `pivot_rows` reads those keys and `last_pivot` is the row of
+    the latest one. A column added under a tag also carries the
+    combination `{tag: coeff}` of added columns its vector equals, so a
+    dependent one yields its relation. A column added without a tag
+    stores its vector alone, which is all a rank or a pivot pairing
+    reads. One Echelon tracks relations for all of its columns or for
+    none: mixing the two raises ValueError, so no relation is ever read
+    off a vector whose combination was not kept. The columns given to
+    the constructor are added under tags 0, 1, ...; `relations` holds,
+    in order, the relations of those that depend on earlier ones, which
+    is the standard kernel basis. The modulus is trusted to be prime:
+    callers check it where it enters.
     """
 
     def __init__(self, p: int, cols=()):
         self.p = p
         self._pivots: dict[int, tuple[dict[int, int], dict[Hashable, int]]] = {}
+        self._tagged: Optional[bool] = None
         self.last_pivot: Optional[int] = None
         self.relations = [rel for j, col in enumerate(cols) if (rel := self.add(col, j)) is not None]
 
@@ -86,13 +99,26 @@ class Echelon:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def add(self, col: Mapping[int, int], tag: Hashable) -> Optional[dict[Hashable, int]]:
-        """Add a column under a new tag. Returns None if it enlarges the
-        span, else its relation `{tag: 1, ...}`: the one zero combination
-        of it and earlier columns that enlarged the span."""
+    @property
+    def pivot_rows(self) -> KeysView[int]:
+        """The rows of the stored vectors, a live read-only view."""
+        return self._pivots.keys()
+
+    def add(self, col: Mapping[int, int], tag: Optional[Hashable] = None) -> Optional[dict[Hashable, int]]:
+        """Add a column, under a new tag or none. Returns None if it
+        enlarges the span. Otherwise a tagged column returns its relation
+        `{tag: 1, ...}`, the one zero combination of it and earlier
+        columns that enlarged the span, and an untagged one returns {}."""
+        tagged = tag is not None
+        if self._tagged is None:
+            self._tagged = tagged
+        elif self._tagged is not tagged:
+            raise ValueError("an Echelon tracks relations for all of its columns or for none")
         p = self.p
         vec = {r: c % p for r, c in col.items() if c % p}
-        combo: dict[Hashable, int] = {tag: 1}
+        # an untagged column's combination stays empty, as do those it
+        # reduces against
+        combo: dict[Hashable, int] = {tag: 1} if tagged else {}
         while vec:
             top = max(vec)
             if top not in self._pivots:
@@ -138,7 +164,10 @@ def dense(cols, rows: int) -> np.ndarray:
 
 def rank_mod_p(a, p: int) -> int:
     check_prime(p)
-    return Echelon(p, _columns(a)).rank
+    ech = Echelon(p)
+    for col in _columns(a):
+        ech.add(col)
+    return ech.rank
 
 
 def solve_mod_p(a, b, p: int) -> Optional[np.ndarray]:

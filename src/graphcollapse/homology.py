@@ -399,8 +399,13 @@ def homology(
     max_dim (default: the dimension of the complex).
 
     Over a field, each group carries an explicit basis of representative
-    cycles unless with_representatives is false. Over the integers,
-    ranks come with torsion coefficients and no representatives.
+    cycles unless with_representatives is false. The representatives
+    come from one relation-tracking pass that reduces every boundary
+    column. Without them, the ranks come from a rank-only pass from the
+    top dimension down with clearing, which skips, unbuilt, the column
+    of every simplex that is a pivot row of the boundary above. Over the
+    integers, ranks come with torsion coefficients and no
+    representatives.
     """
     if max_dim is not None and max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
@@ -411,18 +416,21 @@ def homology(
     top = max(by_size) - 1
     hi = top if max_dim is None else min(top, max_dim)
     bases = {n: tuple(sorted(by_size.get(n + 1, ()))) for n in range(hi + 2)}
-    cols = {n: _boundary_columns(bases[n], bases[n - 1]) for n in range(1, hi + 2)}
-
-    if coeffs.is_field:
-        # images[n] spans the image of the boundary from dimension n, and
-        # the relations among its columns are a basis of the n-cycles
-        images = {n: exactla.Echelon(coeffs.modulus, c) for n, c in cols.items()}
-        ranks = {n: ech.rank for n, ech in images.items()}
-        cycles = {n: ech.relations for n, ech in images.items()}
-        cycles[0] = [{i: 1} for i in range(len(bases[0]))]
+    if coeffs.is_field and not with_representatives:
+        ranks = _cleared_ranks(bases, coeffs.modulus)
     else:
-        factors = {n: exactla.invariant_factors_of_columns(c) for n, c in cols.items()}
-        ranks = {n: len(f) for n, f in factors.items()}
+        cols = {n: _boundary_columns(bases[n], bases[n - 1]) for n in range(1, hi + 2)}
+        if coeffs.is_field:
+            # images[n] spans the image of the boundary from dimension n,
+            # and the relations among its columns are a basis of the
+            # n-cycles
+            images = {n: exactla.Echelon(coeffs.modulus, c) for n, c in cols.items()}
+            ranks = {n: ech.rank for n, ech in images.items()}
+            cycles = {n: ech.relations for n, ech in images.items()}
+            cycles[0] = [{i: 1} for i in range(len(bases[0]))]
+        else:
+            factors = {n: exactla.invariant_factors_of_columns(c) for n, c in cols.items()}
+            ranks = {n: len(f) for n, f in factors.items()}
     ranks[0] = 0
     groups = []
     for n in range(hi + 1):
@@ -443,6 +451,26 @@ def homology(
         torsion = () if coeffs.is_field else tuple(d for d in factors[n + 1] if d > 1)
         groups.append(HomologyGroup(n, betti, torsion, tuple(reps)))
     return Homology(coeffs, tuple(groups))
+
+
+def _cleared_ranks(bases: Mapping[int, tuple[Simplex, ...]], p: int) -> dict[int, int]:
+    """The rank over GF(p) of the boundary from each positive dimension
+    n of bases, reduced from the top dimension down with clearing (the
+    twist of Chen and Kerber): the column of a simplex that is the pivot
+    row of a column of the boundary above lies in the span of the
+    columns before it (a reduced column is a cycle with that simplex on
+    top), so it is neither built nor reduced, and the rank and the other
+    pivots stay as they were."""
+    ranks = {}
+    cleared: Iterable[int] = ()
+    for n in range(len(bases) - 1, 0, -1):
+        live = tuple(s for i, s in enumerate(bases[n]) if i not in cleared)
+        ech = exactla.Echelon(p)
+        for col in _boundary_columns(live, bases[n - 1]):
+            ech.add(col)
+        ranks[n] = ech.rank
+        cleared = ech.pivot_rows
+    return ranks
 
 
 def betti_numbers(

@@ -8,13 +8,17 @@ given. Filtration stages are the distinct pair keys with 0 always
 included, or explicit thresholds; a filtration is an edge list, each
 edge with its entry stage, and builds its stage graphs only on demand.
 
-A barcode is one column reduction of a collapsed filtration: an edge is
+A barcode is a column reduction of a collapsed filtration: an edge is
 dropped from every stage from its entry on when its common neighborhood
 is strongly contractible at each of them (the edge collapse of
 Boissonnat and Pritam, with cones widened to strongly contractible
 neighborhoods), which leaves the persistence module unchanged over any
 field. Most such neighborhoods are cones on one vertex at every stage,
-and that is checked before any stage is swept. `reduce_filtration`
+and that is checked before any stage is swept. The reduction keeps no
+relations and clears: the rows of a clique's column are the cliques one
+vertex smaller, so the dimensions are independent and are reduced one
+at a time, largest first, each skipping the cliques that the one above
+already paired. `reduce_filtration`
 gives each stage graph's own reduction, with traces, in one pass over
 the nested stages that shares the steps they have in common. A direct
 column reduction of the full filtered boundary matrix is the oracle for
@@ -122,14 +126,9 @@ class PointCloud:
         for i, r in enumerate(mat):
             if len(r) != n:
                 raise ValueError(f"row {i} has {len(r)} entries, expected {n}")
-        for i in range(n):
-            if mat[i][i] != 0:
-                raise ValueError(f"diagonal entry ({i}, {i}) is {mat[i][i]}, expected 0")
-            for j in range(i + 1, n):
-                if mat[i][j] != mat[j][i]:
-                    raise ValueError(f"matrix not symmetric at ({i}, {j})")
-                if mat[i][j] < 0:
-                    raise ValueError(f"negative entry at ({i}, {j})")
+        fault = _distance_fault(mat)
+        if fault is not None:
+            raise ValueError(fault[1])
         den = math.lcm(*(x.denominator for r in mat for x in r))
         keys = [[x.numerator * (den // x.denominator) for x in r[i + 1:]] for i, r in enumerate(mat)]
         return cls(n, keys, den, squared=False)
@@ -163,6 +162,21 @@ class PointCloud:
 
     def distinct_keys(self) -> tuple[Fraction, ...]:
         return tuple(map(self._fraction, sorted(set().union(*self._rows))))
+
+
+def _distance_fault(mat: list[list[Fraction]]) -> Optional[tuple[int, str]]:
+    """The first entry that keeps the square matrix mat from being a
+    dissimilarity matrix, as the row it is read from and the reason, or
+    None. Asymmetry at (i, j), i < j, shows only once row j is read."""
+    for i, row in enumerate(mat):
+        if row[i] != 0:
+            return i, f"diagonal entry ({i}, {i}) is {row[i]}, expected 0"
+        for j in range(i + 1, len(mat)):
+            if row[j] != mat[j][i]:
+                return j, f"matrix not symmetric at ({i}, {j})"
+            if row[j] < 0:
+                return i, f"negative entry at ({i}, {j})"
+    return None
 
 
 def _fraction_rows(text: str, source: str, what: str) -> Iterator[tuple[int, list[Fraction]]]:
@@ -207,10 +221,12 @@ def parse_distance_matrix(text: str, source: str = "<matrix>") -> PointCloud:
     for lineno, row in rows:
         if len(row) != n:
             raise GraphFormatError(source, lineno, f"row has {len(row)} entries, expected {n}")
+    mat = [row for _, row in rows]
     try:
-        return PointCloud.from_distance_matrix([row for _, row in rows])
-    except ValueError as exc:
-        raise GraphFormatError(source, rows[0][0], str(exc))
+        return PointCloud.from_distance_matrix(mat)
+    except ValueError:
+        i, reason = _distance_fault(mat)
+        raise GraphFormatError(source, rows[i][0], reason) from None
 
 
 # -- filtrations --------------------------------------------------------------
@@ -468,15 +484,21 @@ def _collapsed_stages(filt: Filtration) -> dict[tuple[int, int], int]:
 def barcode(
     filt: Filtration, max_dim: int = 1, coeffs: Coefficients = Coefficients(2)
 ) -> Barcode:
-    """Stage-indexed barcode, by one column reduction of the collapsed
-    filtration.
+    """Stage-indexed barcode, by column reduction of the collapsed
+    filtration with clearing.
 
     The cliques of the collapsed final graph with at most max_dim + 2
-    vertices enter at the stage of their latest edge and are reduced in
-    the oracle's order in one `exactla.Echelon`. A column that stores a
-    new pivot kills the class born at that row; pairs within one stage
-    are invisible at stage granularity and are dropped, and classes
-    never killed become essential intervals.
+    vertices enter at the stage of their latest edge, in the oracle's
+    order. A column's rows are cliques one vertex smaller, so no two
+    sizes share a pivot: each size is reduced on its own, in that
+    order, in a rank-only `exactla.Echelon`, which gives the oracle's
+    pairs. Sizes go from the largest down, and a clique that is the
+    pivot row of a column of the size above is not reduced: it is
+    killed there, and its own column reduces to zero. A column that
+    stores a new pivot kills the class born at that row, and pairs
+    within one stage are invisible at stage granularity and are dropped.
+    Any other column of a reported size reduces to zero and starts an
+    essential interval.
     """
     if max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
@@ -490,23 +512,26 @@ def barcode(
         for c in cliques
     )
     index = {c: k for k, (_, _, c) in enumerate(entries)}
-    ech = exactla.Echelon(coeffs.modulus)
+    of_size: dict[int, list[int]] = {size: [] for size in range(1, max_dim + 3)}
+    for k, (_, size, _) in enumerate(entries):
+        of_size[size].append(k)
     ts = filt.thresholds
     intervals: list[Interval] = []
-    unpaired: set[int] = set()
-    for k, (stage, size, c) in enumerate(entries):
-        faces = {index[c[:i] + c[i + 1:]]: (-1) ** i for i in range(size)} if size > 1 else {}
-        if ech.add(faces, k) is not None:
-            unpaired.add(k)
-            continue
-        birth, b_size, _ = entries[ech.last_pivot]
-        unpaired.remove(ech.last_pivot)
-        if b_size <= max_dim + 1 and birth < stage:
-            intervals.append(Interval(b_size - 1, birth, stage, ts[birth], ts[stage]))
-    for k in unpaired:
-        stage, size, _ = entries[k]
-        if size <= max_dim + 1:
-            intervals.append(Interval(size - 1, stage, None, ts[stage], None))
+    cleared: Iterable[int] = ()
+    for size in range(max_dim + 2, 0, -1):
+        ech = exactla.Echelon(coeffs.modulus)
+        for k in of_size[size]:
+            if k in cleared:
+                continue
+            stage, _, c = entries[k]
+            faces = {index[c[:i] + c[i + 1:]]: (-1) ** i for i in range(size)} if size > 1 else {}
+            if ech.add(faces) is None:
+                birth = entries[ech.last_pivot][0]
+                if birth < stage:
+                    intervals.append(Interval(size - 2, birth, stage, ts[birth], ts[stage]))
+            elif size <= max_dim + 1:
+                intervals.append(Interval(size - 1, stage, None, ts[stage], None))
+        cleared = ech.pivot_rows
     intervals.sort(key=_interval_sort_key)
     return Barcode(max_dim, ts, tuple(intervals))
 

@@ -182,6 +182,20 @@ class TestPersistenceOfLevels:
         with pytest.raises(GraphFormatError, match="census_n5.txt:1: expected level 5, found 3"):
             Census.load(tmp_path)
 
+    def test_wrong_count_names_the_header_line_after_a_note(self, tmp_path):
+        build_census(CensusConfig(max_n=3), out_dir=tmp_path)
+        level = tmp_path / "census_n3.txt"
+        header, *body = level.read_text().splitlines()
+        level.write_text("\n".join(["# note", "census 3 1", body[0]]) + "\n")
+        with pytest.raises(GraphFormatError, match="census_n3.txt:2: level 3 has 1 graphs, not the 2 connected ones"):
+            build_census(CensusConfig(max_n=4), out_dir=tmp_path)
+
+    def test_level_name_mismatch_names_the_header_line_after_a_note(self, tmp_path):
+        text = format_level(3, build_census(CensusConfig(max_n=3)).levels[3])
+        (tmp_path / "census_n5.txt").write_text("# note\n" + text)
+        with pytest.raises(GraphFormatError, match="census_n5.txt:2: expected level 5, found 3"):
+            Census.load(tmp_path)
+
     def test_resume_rejects_a_non_canonical_parent_form(self, tmp_path):
         # 0003a0 is the path 0-2-1, a valid encoding of P3 whose
         # canonical form is 000360: the triangle's line now names P3

@@ -144,6 +144,37 @@ class TestEchelon:
         assert ech.add({0: 1, 1: 2, 2: 2}, "c") is not None
         assert ech.last_pivot == 1
 
+    @given(int_matrices(max_dim=6), st.sampled_from([2, 3, 5]))
+    def test_untagged_columns_enlarge_the_span_as_tagged_ones_do(self, a, p):
+        tagged, untagged = exactla.Echelon(p), exactla.Echelon(p)
+        for j, col in enumerate(np.array(a).T.tolist()):
+            col = {i: c for i, c in enumerate(col) if c}
+            rel = tagged.add(col, j)
+            assert (untagged.add(col) is None) == (rel is None)
+            assert untagged.last_pivot == tagged.last_pivot
+        assert untagged.rank == tagged.rank
+        assert set(untagged.pivot_rows) == set(tagged.pivot_rows)
+
+    def test_untagged_dependent_column_returns_an_empty_relation(self):
+        ech = exactla.Echelon(3)
+        assert ech.add({0: 1, 1: 1}) is None
+        assert ech.add({0: 2, 1: 2}) == {}
+        assert ech.rank == 1
+        assert list(ech.pivot_rows) == [1]
+        assert not hasattr(ech.pivot_rows, "add")
+
+    def test_tagged_and_untagged_columns_do_not_mix(self):
+        untagged = exactla.Echelon(2)
+        untagged.add({0: 1})
+        with pytest.raises(ValueError, match="all of its columns or for none"):
+            untagged.add({0: 1}, "a")
+        tagged = exactla.Echelon(2, [{0: 1}])
+        with pytest.raises(ValueError, match="all of its columns or for none"):
+            tagged.add({1: 1})
+        # a refused column leaves the span as it was
+        assert untagged.rank == tagged.rank == 1
+        assert tagged.add({0: 1}, "b") == {"b": 1, 0: 1}
+
 
 class TestSmith:
     @given(int_matrices(max_dim=4))

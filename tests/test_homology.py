@@ -317,6 +317,29 @@ class TestBetti:
             assert betti_numbers(g, GF2, max_dim=dim)[dim] >= betti_q
             assert betti_numbers(g, GF3, max_dim=dim)[dim] >= betti_q
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rank_only_path_matches_representatives_path(self, p):
+        # without representatives the boundaries are reduced top down with
+        # clearing; with them, every column is reduced with its relation
+        coeffs = Coefficients(p)
+        rng = random.Random(1811)
+        graphs = [rp2_subdivision(), octahedron()]
+        for _ in range(25):
+            n = rng.randint(5, 11)
+            q = rng.uniform(0.3, 0.8)
+            graphs.append(Graph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < q]))
+        for g in graphs:
+            want = homology(g, coeffs).betti_vector
+            if p == 2:
+                assert want == tuple(brute_betti_gf2(g, len(want) - 1))
+            for max_dim in (None, *range(len(want))):
+                fast = homology(g, coeffs, max_dim=max_dim, with_representatives=False)
+                assert fast.betti_vector == want[: None if max_dim is None else max_dim + 1]
+                assert all(grp.representatives == () and grp.torsion == () for grp in fast.groups)
+        assert homology(rp2_subdivision(), coeffs, with_representatives=False).betti_vector == (
+            (1, 1, 1) if p == 2 else (1, 0, 0)
+        )
+
     def test_mod_three_agrees_on_torsion_free_examples(self):
         for g in (cycle(5), octahedron(), gstar(), path(6)):
             assert betti_numbers(g, GF3) == betti_numbers(g, GF2)

@@ -1,5 +1,6 @@
 """Point clouds, distance filtrations, reduced stages, and barcodes."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -49,6 +50,16 @@ def random_cloud(rng, max_points=8):
     while len(pts) < n:
         pts.add((rng.randint(0, 9), rng.randint(0, 9)))
     return PointCloud.from_points(sorted(pts))
+
+
+def sphere_cloud(rng, n, radius=20):
+    """n distinct integer points rounded from uniform points on a sphere."""
+    pts = set()
+    while len(pts) < n:
+        x, y, z = (rng.gauss(0, 1) for _ in range(3))
+        s = radius / math.sqrt(x * x + y * y + z * z)
+        pts.add((round(x * s), round(y * s), round(z * s)))
+    return sorted(pts)
 
 
 # ----------------------------------------------------------------- point clouds
@@ -147,6 +158,12 @@ class TestParsers:
             ("0 -1\n-1 0\n", "negative entry"),
             ("0 1\n", "expected 1"),
             ("zz\n", "bad entry"),
+            # each names the line of the row it is read from: asymmetry
+            # at (1, 2) shows once row 2 is read
+            ("# m\n\n0 1 2\n1 0 3\n2 4 0\n", "<matrix>:5: matrix not symmetric at \\(1, 2\\)"),
+            ("0 1 2\n1 0 3\n\n# last row\n2 4 0\n", "<matrix>:5: matrix not symmetric"),
+            ("0 1\n\n# row 1\n1 2\n", "<matrix>:4: diagonal entry \\(1, 1\\) is 2"),
+            ("0 1 1\n\n# row 1\n1 0 -1\n1 -1 0\n", "<matrix>:4: negative entry at \\(1, 2\\)"),
         ],
     )
     def test_matrix_errors(self, text, fragment):
@@ -418,6 +435,24 @@ class TestBarcode:
         for _ in range(5):
             filt = vr_filtration(random_cloud(rng))
             assert barcode(filt) == oracle_persistence(filt)
+
+    def test_matches_oracle_up_to_dimension_three_on_3d_clouds(self):
+        # each size is reduced alone, largest first, and skips the
+        # cliques the size above already paired: with max_dim 3 the
+        # columns of sizes 4 and 3 are cleared, so the dimension-2 bars
+        # of the octahedron and of the seeded sphere clouds go through
+        # a cleared reduction
+        octahedron = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+        rng = random.Random(2018)
+        clouds = [octahedron] + [sphere_cloud(rng, rng.randint(10, 14)) for _ in range(6)]
+        bars = []
+        for pts in clouds:
+            filt = vr_filtration(PointCloud.from_points(pts))
+            for max_dim in range(4):
+                assert barcode(filt, max_dim) == oracle_persistence(filt, max_dim)
+            bars.append(len([iv for iv in barcode(filt, 3).in_dim(2) if not iv.essential]))
+        assert bars[0] == 1
+        assert sum(1 for b in bars[1:] if b) >= 2
 
     def test_six_point_matrix_example(self):
         pc = parse_distance_matrix(
