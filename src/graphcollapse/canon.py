@@ -56,7 +56,7 @@ pruned by one set lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import Graph, iter_bits
 
@@ -163,8 +163,9 @@ def _refine(cells: list[list[int]], nbrs: list[list[int]]) -> list[list[int]]:
     return cells
 
 
-def _close(orbit: set[int], frontier: list[int], maps: list[Automorphism]) -> None:
-    """Add to orbit, in place, everything the maps reach from frontier."""
+def _close(orbit: set[int], frontier: list[int], maps: Sequence[Mapping[int, int] | list[int]]) -> None:
+    """Add to orbit, in place, everything the maps reach from frontier;
+    each map is indexed by the points it moves."""
     while frontier:
         x = frontier.pop()
         for p in maps:

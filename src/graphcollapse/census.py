@@ -34,6 +34,7 @@ from typing import Iterable, Optional
 from .canon import (
     Automorphism,
     CanonicalForm,
+    _close,
     _form,
     _masks_from_form,
     _search,
@@ -43,7 +44,7 @@ from .canon import (
 )
 from .complexes import DEFAULT_COLLAPSE_BUDGET, _lift, _replay, clique_complex, is_collapsible
 from .contract import is_strong_contractible_any_order
-from .errors import GraphFormatError, InputError, InternalInconsistencyError, check_jobs
+from .errors import GraphFormatError, InputError, InternalInconsistencyError, check_collapse_budget, check_jobs
 from .graphs import Graph, _component_masks, _content_lines, iter_bits
 
 __all__ = [
@@ -78,8 +79,7 @@ class CensusConfig:
         if not 1 <= self.max_n <= MAX_CENSUS_N:
             raise ValueError(f"max_n must be between 1 and {MAX_CENSUS_N}, got {self.max_n}")
         check_jobs(self.jobs)
-        if self.collapse_budget < 1:
-            raise ValueError(f"collapse_budget must be positive, got {self.collapse_budget}")
+        check_collapse_budget(self.collapse_budget)
 
 
 @dataclass(frozen=True)
@@ -97,21 +97,6 @@ class CensusEntry:
         return graph_from_canonical(self.form)
 
 
-def _orbit(x, maps) -> set:
-    """The orbit of x under the group the maps generate (each map is
-    indexed by the points it moves)."""
-    orbit = {x}
-    frontier = [x]
-    while frontier:
-        y = frontier.pop()
-        for p in maps:
-            z = p[y]
-            if z not in orbit:
-                orbit.add(z)
-                frontier.append(z)
-    return orbit
-
-
 def _subset_orbit_representatives(k: int, gens: tuple[Automorphism, ...]) -> list[int]:
     """The least member of each orbit of the automorphisms on the nonempty
     subsets of {0, ..., k-1}, as bit masks, ascending."""
@@ -127,7 +112,8 @@ def _subset_orbit_representatives(k: int, gens: tuple[Automorphism, ...]) -> lis
     for s in range(1, 1 << k):
         if s not in seen:
             reps.append(s)
-            seen |= _orbit(s, images)
+            seen.add(s)
+            _close(seen, [s], images)
     return reps
 
 
@@ -212,8 +198,11 @@ def _extend_level(parent_forms: Iterable[CanonicalForm]) -> tuple[CanonicalForm,
             if rivals is None:
                 continue
             enc, order, gens = _search(child_adj)
-            if rivals and k not in _orbit(max(rivals + [k], key=order.index), gens):
-                continue
+            if rivals:
+                orbit = {max(rivals + [k], key=order.index)}
+                _close(orbit, list(orbit), gens)
+                if k not in orbit:
+                    continue
             if enc in seen:
                 raise InternalInconsistencyError(
                     f"canonical augmentation produced {_form(k + 1, enc).hex()} twice"

@@ -28,7 +28,7 @@ from .contract import (
     is_strong_contractible,
     is_strong_contractible_any_order,
 )
-from .errors import BudgetExceededError, InputError, check_jobs
+from .errors import BudgetExceededError, InputError, check_collapse_budget, check_jobs
 from .graphs import load_graph, to_edge_list_text
 from .homology import Coefficients, homology
 from .persistence import (
@@ -58,6 +58,8 @@ def _collapse_verdict(g, budget: int):
 
 
 def _cmd_check(args) -> int:
+    if args.with_collapse:
+        _checked(check_collapse_budget, args.budget)
     g = load_graph(args.file)
     if args.any_order:
         strong = is_strong_contractible_any_order(g)
@@ -86,6 +88,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_collapse(args) -> int:
+    _checked(check_collapse_budget, args.budget)
     g = load_graph(args.file)
     verdict = _collapse_verdict(g, args.budget)
     print(f"collapsible: {_flag_word(verdict.collapsible)}")

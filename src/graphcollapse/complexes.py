@@ -19,10 +19,10 @@ has characteristic 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .contract import ReductionTrace, _first_hit_deletions
-from .errors import BudgetExceededError, GraphFormatError, InternalInconsistencyError
+from .errors import BudgetExceededError, GraphFormatError, InternalInconsistencyError, check_collapse_budget
 from .graphs import Graph, _content_lines, _mask_to_tuple, iter_bits
 
 __all__ = [
@@ -263,68 +263,49 @@ class SimplicialComplex:
         return f"SimplicialComplex(faces={self.face_count}, dim={self.dim})"
 
 
-def enumerate_cliques(g: Graph, max_size: Optional[int] = None, max_faces: int = DEFAULT_FACE_BUDGET) -> dict[int, list[Simplex]]:
-    """Cliques of g grouped by size, each list in lexicographic order.
+def _clique_levels(g: Graph, max_size: Optional[int], max_faces: Optional[int]) -> Iterator[list[tuple[Simplex, int, int]]]:
+    """The cliques of g with at most max_size vertices, one level per
+    size, each clique as (vertex tuple, mask, candidates) in
+    lexicographic order, counted against the face budget.
 
-    Expands cliques by their common neighbors above the largest member,
-    so every clique is produced exactly once.
+    A clique is extended by its candidates, the common neighbors above
+    its largest member, so every clique is produced exactly once; the
+    candidates above the vertex just added are those still left in the
+    bit loop.
     """
-    out: dict[int, list[Simplex]] = {}
-    if g.n == 0 or (max_size is not None and max_size < 1):
-        return out
-    total = g.n
-    if max_faces is not None and total > max_faces:
-        raise BudgetExceededError(f"face budget {max_faces} exceeded at {total} faces")
-    level = []
-    out[1] = [(v,) for v in g.vertices]
-    for v in g.vertices:
-        cand = g.adjacency_mask(v) >> (v + 1) << (v + 1)
-        level.append(((v,), cand))
-    size = 1
-    while level and (max_size is None or size < max_size):
-        size += 1
-        nxt = []
-        bucket = []
-        for clique, cand in level:
-            bits = cand
-            while bits:
-                low = bits & -bits
-                u = low.bit_length() - 1
-                bits &= bits - 1
-                bigger = clique + (u,)
-                bucket.append(bigger)
-                nxt.append((bigger, cand & g.adjacency_mask(u) >> (u + 1) << (u + 1)))
-        if bucket:
-            total += len(bucket)
-            if max_faces is not None and total > max_faces:
-                raise BudgetExceededError(f"face budget {max_faces} exceeded at {total} faces")
-            out[size] = bucket
-        level = nxt
-    return out
-
-
-def clique_complex(g: Graph, max_faces: int = DEFAULT_FACE_BUDGET) -> SimplicialComplex:
-    """Complex whose faces are exactly the nonempty cliques of g.
-
-    The walk and the face budget are those of `enumerate_cliques`, on
-    masks: each clique is extended by its candidates above the vertex
-    just added, which are the candidates still left in the bit loop.
-    """
-    masks: list[int] = []
-    level = [(1 << v, g.adjacency_mask(v) >> (v + 1) << (v + 1)) for v in g.vertices]
+    if max_size is not None and max_size < 1:
+        return
+    adj = g._adj
+    level = [((v,), 1 << v, adj[v] >> (v + 1) << (v + 1)) for v in g.vertices]
+    total = size = 0
     while level:
-        total = len(masks) + len(level)
+        size += 1
+        total += len(level)
         if max_faces is not None and total > max_faces:
             raise BudgetExceededError(f"face budget {max_faces} exceeded at {total} faces")
+        yield level
+        if size == max_size:
+            return
         nxt = []
-        for m, cand in level:
-            masks.append(m)
+        for clique, m, cand in level:
             while cand:
                 low = cand & -cand
                 cand ^= low
-                nxt.append((m | low, cand & g.adjacency_mask(low.bit_length() - 1)))
+                u = low.bit_length() - 1
+                nxt.append((clique + (u,), m | low, cand & adj[u]))
         level = nxt
-    return SimplicialComplex._from_masks(frozenset(masks))
+
+
+def enumerate_cliques(g: Graph, max_size: Optional[int] = None, max_faces: int = DEFAULT_FACE_BUDGET) -> dict[int, list[Simplex]]:
+    """Cliques of g grouped by size, each list in lexicographic order."""
+    levels = _clique_levels(g, max_size, max_faces)
+    return {size: [c for c, _, _ in level] for size, level in enumerate(levels, 1)}
+
+
+def clique_complex(g: Graph, max_faces: int = DEFAULT_FACE_BUDGET) -> SimplicialComplex:
+    """Complex whose faces are exactly the nonempty cliques of g."""
+    levels = _clique_levels(g, None, max_faces)
+    return SimplicialComplex._from_masks(frozenset(m for level in levels for _, m, _ in level))
 
 
 # -- collapsibility ------------------------------------------------------------
@@ -355,8 +336,10 @@ def is_collapsible(cx: SimplicialComplex, budget: int = DEFAULT_COLLAPSE_BUDGET)
 
     Returns collapsible with a witness sequence, not_collapsible when the
     whole search space was exhausted, or exhausted when the node budget
-    ran out first. States already proven dead are memoized.
+    ran out first. States already proven dead are memoized. A budget
+    below 1 raises ValueError.
     """
+    check_collapse_budget(budget)
     if cx.face_count == 0:
         raise ValueError("collapsibility is undefined for the empty complex")
     if cx.euler_characteristic() != 1:

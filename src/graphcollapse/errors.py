@@ -14,6 +14,13 @@ def check_jobs(jobs: int) -> int:
     return jobs
 
 
+def check_collapse_budget(budget: int) -> None:
+    """Raise ValueError unless budget, a collapse search node budget, is
+    positive."""
+    if budget < 1:
+        raise ValueError(f"collapse_budget must be positive, got {budget}")
+
+
 class InputError(ValueError):
     """Raised for input the program cannot use: a malformed file, or a
     command line value outside its domain. The command line reports

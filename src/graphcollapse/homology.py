@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import exactla
 from .complexes import DEFAULT_FACE_BUDGET, Simplex, enumerate_cliques
@@ -294,7 +294,7 @@ def clique_basis(g: Graph, dim: int, max_faces: int = DEFAULT_FACE_BUDGET) -> tu
     if dim < 0:
         return ()
     by_size = enumerate_cliques(g, max_size=dim + 1, max_faces=max_faces)
-    return tuple(sorted(by_size.get(dim + 1, ())))
+    return tuple(by_size.get(dim + 1, ()))
 
 
 @dataclass(frozen=True)
@@ -309,7 +309,7 @@ class BoundaryMatrix:
 
 
 def _boundary_columns(
-    domain: tuple[Simplex, ...], codomain: tuple[Simplex, ...]
+    domain: Sequence[Simplex], codomain: Sequence[Simplex]
 ) -> list[dict[int, int]]:
     """Sparse columns {codomain index: sign} of the boundary map."""
     index = {s: i for i, s in enumerate(codomain)}
@@ -401,11 +401,9 @@ def homology(
     Over a field, each group carries an explicit basis of representative
     cycles unless with_representatives is false. The representatives
     come from one relation-tracking pass that reduces every boundary
-    column. Without them, the ranks come from a rank-only pass from the
-    top dimension down with clearing, which skips, unbuilt, the column
-    of every simplex that is a pivot row of the boundary above. Over the
-    integers, ranks come with torsion coefficients and no
-    representatives.
+    column. Without them, the ranks are the pivot counts of
+    `_cleared_pivots`. Over the integers, ranks come with torsion
+    coefficients and no representatives.
     """
     if max_dim is not None and max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
@@ -415,9 +413,12 @@ def homology(
         return Homology(coeffs, ())
     top = max(by_size) - 1
     hi = top if max_dim is None else min(top, max_dim)
-    bases = {n: tuple(sorted(by_size.get(n + 1, ()))) for n in range(hi + 2)}
+    bases = {n: by_size.get(n + 1, []) for n in range(hi + 2)}
     if coeffs.is_field and not with_representatives:
-        ranks = _cleared_ranks(bases, coeffs.modulus)
+        ranks = dict.fromkeys(range(hi + 2), 0)
+        for size, _, row in _cleared_pivots(by_size, coeffs.modulus):
+            if row is not None:
+                ranks[size - 1] += 1
     else:
         cols = {n: _boundary_columns(bases[n], bases[n - 1]) for n in range(1, hi + 2)}
         if coeffs.is_field:
@@ -453,24 +454,32 @@ def homology(
     return Homology(coeffs, tuple(groups))
 
 
-def _cleared_ranks(bases: Mapping[int, tuple[Simplex, ...]], p: int) -> dict[int, int]:
-    """The rank over GF(p) of the boundary from each positive dimension
-    n of bases, reduced from the top dimension down with clearing (the
-    twist of Chen and Kerber): the column of a simplex that is the pivot
-    row of a column of the boundary above lies in the span of the
-    columns before it (a reduced column is a cycle with that simplex on
-    top), so it is neither built nor reduced, and the rank and the other
-    pivots stay as they were."""
-    ranks = {}
+def _cleared_pivots(cliques: Mapping[int, Sequence[Simplex]], p: int) -> Iterator[tuple[int, int, Optional[int]]]:
+    """Reduce the boundary columns of cliques, given by size with each
+    list in column order, over GF(p), one size at a time from the
+    largest down, keeping no relations. Yields (size, index, pivot row)
+    for each live clique, the row an index into the list one size
+    smaller, or None when the column reduces to zero.
+
+    A column's rows are cliques one vertex smaller, so no two sizes
+    share a pivot and each size is reduced on its own. Clearing (the
+    twist of Chen and Kerber): a clique that is the pivot row of a
+    column of the size above is not live. Its column lies in the span
+    of the columns before it (that reduced column is a cycle with the
+    clique on top), so it is neither built nor reduced, and every other
+    pivot stays as it was. Vertices have zero columns.
+    """
     cleared: Iterable[int] = ()
-    for n in range(len(bases) - 1, 0, -1):
-        live = tuple(s for i, s in enumerate(bases[n]) if i not in cleared)
+    for size in sorted(cliques, reverse=True):
+        live = [i for i in range(len(cliques[size])) if i not in cleared]
+        if size == 1:
+            yield from ((1, i, None) for i in live)
+            continue
         ech = exactla.Echelon(p)
-        for col in _boundary_columns(live, bases[n - 1]):
-            ech.add(col)
-        ranks[n] = ech.rank
+        cols = _boundary_columns([cliques[size][i] for i in live], cliques[size - 1])
+        for i, col in zip(live, cols):
+            yield size, i, None if ech.add(col) is not None else ech.last_pivot
         cleared = ech.pivot_rows
-    return ranks
 
 
 def betti_numbers(

@@ -14,13 +14,11 @@ is strongly contractible at each of them (the edge collapse of
 Boissonnat and Pritam, with cones widened to strongly contractible
 neighborhoods), which leaves the persistence module unchanged over any
 field. Most such neighborhoods are cones on one vertex at every stage,
-and that is checked before any stage is swept. The reduction keeps no
-relations and clears: the rows of a clique's column are the cliques one
-vertex smaller, so the dimensions are independent and are reduced one
-at a time, largest first, each skipping the cliques that the one above
-already paired. `reduce_filtration`
-gives each stage graph's own reduction, with traces, in one pass over
-the nested stages that shares the steps they have in common. A direct
+and that is checked before any stage is swept. The reduction is the
+rank-only one with clearing of `homology._cleared_pivots`, the kernel
+of Betti numbers without representatives. `reduce_filtration` gives
+each stage graph's own reduction, with traces, in one pass over the
+nested stages that shares the steps they have in common. A direct
 column reduction of the full filtered boundary matrix is the oracle for
 cross-checking barcodes.
 """
@@ -36,12 +34,11 @@ from itertools import combinations
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from . import exactla
 from .complexes import DEFAULT_FACE_BUDGET, enumerate_cliques
 from .contract import ReductionTrace, _contractible, _reduce
 from .errors import GraphFormatError
 from .graphs import Graph, _content_lines, iter_bits
-from .homology import Coefficients
+from .homology import Coefficients, _cleared_pivots
 
 __all__ = [
     "PointCloud",
@@ -488,16 +485,12 @@ def barcode(
     filtration with clearing.
 
     The cliques of the collapsed final graph with at most max_dim + 2
-    vertices enter at the stage of their latest edge, in the oracle's
-    order. A column's rows are cliques one vertex smaller, so no two
-    sizes share a pivot: each size is reduced on its own, in that
-    order, in a rank-only `exactla.Echelon`, which gives the oracle's
-    pairs. Sizes go from the largest down, and a clique that is the
-    pivot row of a column of the size above is not reduced: it is
-    killed there, and its own column reduces to zero. A column that
-    stores a new pivot kills the class born at that row, and pairs
-    within one stage are invisible at stage granularity and are dropped.
-    Any other column of a reported size reduces to zero and starts an
+    vertices enter at the stage of their latest edge. Each size, sorted
+    by (stage, clique) as in the oracle's order, goes through the
+    rank-only kernel `homology._cleared_pivots`, which gives the
+    oracle's pairs. A column with a pivot kills the class born at that
+    row, and pairs within one stage are invisible at stage granularity
+    and are dropped. Any other live column of a reported size starts an
     essential interval.
     """
     if max_dim < 0:
@@ -506,32 +499,21 @@ def barcode(
         raise ValueError("persistence needs field coefficients")
     stages = _collapsed_stages(filt)
     by_size = enumerate_cliques(Graph(range(filt.cloud.n), stages), max_size=max_dim + 2)
-    entries = sorted(
-        (max((stages[e] for e in combinations(c, 2)), default=0), size, c)
-        for size, cliques in by_size.items()
-        for c in cliques
-    )
-    index = {c: k for k, (_, _, c) in enumerate(entries)}
-    of_size: dict[int, list[int]] = {size: [] for size in range(1, max_dim + 3)}
-    for k, (_, size, _) in enumerate(entries):
-        of_size[size].append(k)
+    cliques, born = {}, {}
+    for size, level in by_size.items():
+        keyed = sorted((max((stages[e] for e in combinations(c, 2)), default=0), c) for c in level)
+        born[size] = [stage for stage, _ in keyed]
+        cliques[size] = [c for _, c in keyed]
     ts = filt.thresholds
     intervals: list[Interval] = []
-    cleared: Iterable[int] = ()
-    for size in range(max_dim + 2, 0, -1):
-        ech = exactla.Echelon(coeffs.modulus)
-        for k in of_size[size]:
-            if k in cleared:
-                continue
-            stage, _, c = entries[k]
-            faces = {index[c[:i] + c[i + 1:]]: (-1) ** i for i in range(size)} if size > 1 else {}
-            if ech.add(faces) is None:
-                birth = entries[ech.last_pivot][0]
-                if birth < stage:
-                    intervals.append(Interval(size - 2, birth, stage, ts[birth], ts[stage]))
-            elif size <= max_dim + 1:
-                intervals.append(Interval(size - 1, stage, None, ts[stage], None))
-        cleared = ech.pivot_rows
+    for size, i, row in _cleared_pivots(cliques, coeffs.modulus):
+        stage = born[size][i]
+        if row is not None:
+            birth = born[size - 1][row]
+            if birth < stage:
+                intervals.append(Interval(size - 2, birth, stage, ts[birth], ts[stage]))
+        elif size <= max_dim + 1:
+            intervals.append(Interval(size - 1, stage, None, ts[stage], None))
     intervals.sort(key=_interval_sort_key)
     return Barcode(max_dim, ts, tuple(intervals))
 

@@ -302,6 +302,20 @@ class TestErrors:
         assert exc.value.code == 2
         assert "CPU count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["check", "collapse", "census"])
+    def test_budget_below_one_is_malformed_input(self, tmp_path, capsys, command, budget):
+        graph = write_graph(tmp_path, gstar())
+        args = {
+            "check": ["check", "--with-collapse", graph],
+            "collapse": ["collapse", graph],
+            "census": ["census", "--max-n", "3"],
+        }[command]
+        assert main(args + ["--budget", budget]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: collapse_budget must be positive, got {budget}\n"
+
     def test_missing_file(self, capsys):
         rc = main(["check", "/nonexistent/graph.txt"])
         assert rc == 3

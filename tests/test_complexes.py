@@ -110,8 +110,17 @@ class TestEnumerateCliques:
         assert by_size[3] == sorted(by_size[3])
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            enumerate_cliques(complete(10), max_faces=50)
+        # complete(10) has 10 vertices, 45 edges and 120 triangles, so the
+        # count reaches 10, 55 and 175 faces level by level; both readers
+        # of the walk stop at the same count
+        for walk in (enumerate_cliques, clique_complex):
+            for budget, at in ((9, 10), (50, 55), (174, 175)):
+                with pytest.raises(BudgetExceededError, match=f"face budget {budget} exceeded at {at} faces$"):
+                    walk(complete(10), max_faces=budget)
+        # a size cap counts only the levels up to the cap
+        assert len(enumerate_cliques(complete(10), max_size=2, max_faces=55)[2]) == 45
+        with pytest.raises(BudgetExceededError, match="face budget 54 exceeded at 55 faces$"):
+            enumerate_cliques(complete(10), max_size=2, max_faces=54)
 
 
 class TestConstruction:
@@ -251,6 +260,11 @@ class TestIsCollapsible:
         v = is_collapsible(clique_complex(gstar()), budget=2)
         assert v.status == EXHAUSTED
         assert v.collapsible is None
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_is_rejected(self, budget):
+        with pytest.raises(ValueError, match=f"^collapse_budget must be positive, got {budget}$"):
+            is_collapsible(clique_complex(gstar()), budget=budget)
 
     @given(connected_graphs(max_n=6))
     @settings(max_examples=30)
