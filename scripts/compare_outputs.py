@@ -36,10 +36,10 @@ matrix, barcode CSV, complex) returns or raises on fixed valid and
 malformed texts with blank lines, comment lines and bad rows after
 blank lines, and what Census.load makes of a level file whose name and
 header disagree. Its rank_only section gives the Betti numbers of
-homology without representatives, which reduces with clearing and tracks
-no relations, over GF(2) and GF(3) on the seeded graphs and on two
-seeded random geometric graphs of 60-80 vertices, and the barcodes at
-max_dim 3 of seeded 3-D clouds. It uses only the standard library, numpy
+homology without representatives (the reduction with clearing that
+gives the representatives, keeping no relations) over GF(2) and GF(3)
+on the seeded graphs and on two seeded random geometric graphs of
+60-80 vertices, and the barcodes at max_dim 3 of seeded 3-D clouds. It uses only the standard library, numpy
 and long-standing public API, and runs in well under a minute.
 """
 

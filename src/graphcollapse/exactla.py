@@ -7,9 +7,9 @@ the modulus below 2**31 so every residue fits their int64 results.
 Columns added with a tag carry the relation each reduced vector
 satisfies, from which kernel bases, solutions and homology
 representatives are read. Columns added without one keep only the
-vector and its pivot row: `rank_mod_p` and the rank-only kernel of
-Betti numbers and barcodes, `homology._cleared_pivots`, read nothing
-else.
+vector and its pivot row: `rank_mod_p` and the clearing kernel
+`homology._cleared_pivots`, for Betti numbers without representatives
+and barcodes, read nothing else.
 Integer invariant factors come from the same `{row: coeff}` columns:
 sparse elimination splits off every ±1 pivot it can find, each a unit
 factor, and Smith normal form runs only on the block the unit pivots

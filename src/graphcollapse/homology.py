@@ -329,8 +329,9 @@ def _boundary_columns(
 def boundary_matrix(g: Graph, dim: int, max_faces: int = DEFAULT_FACE_BUDGET) -> BoundaryMatrix:
     if dim < 1:
         raise ValueError(f"boundary matrices start at dimension 1, got {dim}")
-    domain = clique_basis(g, dim, max_faces)
-    codomain = clique_basis(g, dim - 1, max_faces)
+    by_size = enumerate_cliques(g, max_size=dim + 1, max_faces=max_faces)
+    domain = tuple(by_size.get(dim + 1, ()))
+    codomain = tuple(by_size.get(dim, ()))
     return BoundaryMatrix(dim, domain, codomain, exactla.dense(_boundary_columns(domain, codomain), len(codomain)))
 
 
@@ -398,12 +399,12 @@ def homology(
     """Homology of the clique complex of g in all dimensions up to
     max_dim (default: the dimension of the complex).
 
-    Over a field, each group carries an explicit basis of representative
-    cycles unless with_representatives is false. The representatives
-    come from one relation-tracking pass that reduces every boundary
-    column. Without them, the ranks are the pivot counts of
-    `_cleared_pivots`. Over the integers, ranks come with torsion
-    coefficients and no representatives.
+    Over a field, ranks are the pivot counts of `_cleared_pivots`, and
+    each group carries an explicit basis of representative cycles unless
+    with_representatives is false: the relations that pass yields for
+    the unpaired cliques of that dimension, each cycle with its clique
+    on top. Over the integers, ranks come with torsion coefficients and
+    no representatives.
     """
     if max_dim is not None and max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
@@ -414,52 +415,41 @@ def homology(
     top = max(by_size) - 1
     hi = top if max_dim is None else min(top, max_dim)
     bases = {n: by_size.get(n + 1, []) for n in range(hi + 2)}
-    if coeffs.is_field and not with_representatives:
+    with_representatives = with_representatives and coeffs.is_field
+    cycles: dict[int, list[dict[int, int]]] = {n: [] for n in range(hi + 2)}
+    if coeffs.is_field:
         ranks = dict.fromkeys(range(hi + 2), 0)
-        for size, _, row in _cleared_pivots(by_size, coeffs.modulus):
+        for size, _, row, rel in _cleared_pivots(by_size, coeffs.modulus, with_representatives):
             if row is not None:
                 ranks[size - 1] += 1
+            elif rel:
+                cycles[size - 1].append(rel)
     else:
         cols = {n: _boundary_columns(bases[n], bases[n - 1]) for n in range(1, hi + 2)}
-        if coeffs.is_field:
-            # images[n] spans the image of the boundary from dimension n,
-            # and the relations among its columns are a basis of the
-            # n-cycles
-            images = {n: exactla.Echelon(coeffs.modulus, c) for n, c in cols.items()}
-            ranks = {n: ech.rank for n, ech in images.items()}
-            cycles = {n: ech.relations for n, ech in images.items()}
-            cycles[0] = [{i: 1} for i in range(len(bases[0]))]
-        else:
-            factors = {n: exactla.invariant_factors_of_columns(c) for n, c in cols.items()}
-            ranks = {n: len(f) for n, f in factors.items()}
+        factors = {n: exactla.invariant_factors_of_columns(c) for n, c in cols.items()}
+        ranks = {n: len(f) for n, f in factors.items()}
     ranks[0] = 0
     groups = []
     for n in range(hi + 1):
         betti = len(bases[n]) - ranks[n] - ranks[n + 1]
-        reps = []
-        if coeffs.is_field and with_representatives:
-            # the cycles, in order, that the boundaries and earlier picks
-            # do not span
-            for k, z in enumerate(cycles[n]):
-                if len(reps) == betti:
-                    break
-                if images[n + 1].add(z, len(bases[n + 1]) + k) is None:
-                    reps.append(_column_to_chain(z, n, bases[n]))
-            if len(reps) != betti:
-                raise InternalInconsistencyError(
-                    f"found {len(reps)} independent cycles, expected {betti}"
-                )
+        reps = tuple(_column_to_chain(z, n, bases[n]) for z in cycles[n])
+        if with_representatives and len(reps) != betti:
+            raise InternalInconsistencyError(f"found {len(reps)} independent cycles, expected {betti}")
         torsion = () if coeffs.is_field else tuple(d for d in factors[n + 1] if d > 1)
-        groups.append(HomologyGroup(n, betti, torsion, tuple(reps)))
+        groups.append(HomologyGroup(n, betti, torsion, reps))
     return Homology(coeffs, tuple(groups))
 
 
-def _cleared_pivots(cliques: Mapping[int, Sequence[Simplex]], p: int) -> Iterator[tuple[int, int, Optional[int]]]:
+def _cleared_pivots(
+    cliques: Mapping[int, Sequence[Simplex]], p: int, relations: bool = False
+) -> Iterator[tuple[int, int, Optional[int], Optional[dict[int, int]]]]:
     """Reduce the boundary columns of cliques, given by size with each
     list in column order, over GF(p), one size at a time from the
-    largest down, keeping no relations. Yields (size, index, pivot row)
-    for each live clique, the row an index into the list one size
-    smaller, or None when the column reduces to zero.
+    largest down. Yields (size, index, pivot row, relation) for each
+    live clique: the row is an index into the list one size smaller, or
+    None when the column reduces to zero, and the relation is then the
+    column's `{index: 1, ...}` if relations is set (each column is added
+    under its index as tag), else {}; it is None with a pivot.
 
     A column's rows are cliques one vertex smaller, so no two sizes
     share a pivot and each size is reduced on its own. Clearing (the
@@ -467,18 +457,20 @@ def _cleared_pivots(cliques: Mapping[int, Sequence[Simplex]], p: int) -> Iterato
     column of the size above is not live. Its column lies in the span
     of the columns before it (that reduced column is a cycle with the
     clique on top), so it is neither built nor reduced, and every other
-    pivot stays as it was. Vertices have zero columns.
+    pivot and relation stays as it was: a live zero column's clique is
+    unpaired. Vertices have zero columns.
     """
     cleared: Iterable[int] = ()
     for size in sorted(cliques, reverse=True):
         live = [i for i in range(len(cliques[size])) if i not in cleared]
         if size == 1:
-            yield from ((1, i, None) for i in live)
+            yield from ((1, i, None, {i: 1} if relations else {}) for i in live)
             continue
         ech = exactla.Echelon(p)
         cols = _boundary_columns([cliques[size][i] for i in live], cliques[size - 1])
         for i, col in zip(live, cols):
-            yield size, i, None if ech.add(col) is not None else ech.last_pivot
+            rel = ech.add(col, i if relations else None)
+            yield size, i, None if rel is not None else ech.last_pivot, rel
         cleared = ech.pivot_rows
 
 
@@ -627,9 +619,10 @@ def _coordinates(
     z: ChainVector, reps: tuple[ChainVector, ...], g: Graph, dim: int, coeffs: Coefficients
 ) -> Optional[dict[int, int]]:
     """express_in_homology_basis as a sparse {rep index: coeff} column."""
-    basis = clique_basis(g, dim)
+    by_size = enumerate_cliques(g, max_size=dim + 2)
+    basis = tuple(by_size.get(dim + 1, ()))
     cols = [_chain_to_column(r, basis, coeffs) for r in reps]
-    cols += _boundary_columns(clique_basis(g, dim + 1), basis)
+    cols += _boundary_columns(by_size.get(dim + 2, ()), basis)
     sol = exactla.solve_columns(cols, _chain_to_column(z, basis, coeffs), coeffs.modulus)
     return None if sol is None else {j: c for j, c in sol.items() if j < len(reps)}
 

@@ -15,8 +15,9 @@ Boissonnat and Pritam, with cones widened to strongly contractible
 neighborhoods), which leaves the persistence module unchanged over any
 field. Most such neighborhoods are cones on one vertex at every stage,
 and that is checked before any stage is swept. The reduction is the
-rank-only one with clearing of `homology._cleared_pivots`, the kernel
-of Betti numbers without representatives. `reduce_filtration` gives
+rank-only one with clearing of `homology._cleared_pivots`, the one
+reduction behind homology over a field, which reads representatives
+off the same pass when it keeps relations. `reduce_filtration` gives
 each stage graph's own reduction, with traces, in one pass over the
 nested stages that shares the steps they have in common. A direct
 column reduction of the full filtered boundary matrix is the oracle for
@@ -149,9 +150,9 @@ class PointCloud:
             i, j = j, i
         if i < 0:
             raise IndexError(f"no point {i}")
+        if j >= self._n:
+            raise IndexError(f"no point {j}")
         if i == j:
-            if i >= self._n:
-                raise IndexError(f"no point {i}")
             return _ZERO
         key = self._rows[i][j - i - 1]
         # a cached zero is falsy and takes the slow path, which returns it
@@ -506,7 +507,7 @@ def barcode(
         cliques[size] = [c for _, c in keyed]
     ts = filt.thresholds
     intervals: list[Interval] = []
-    for size, i, row in _cleared_pivots(cliques, coeffs.modulus):
+    for size, i, row, _ in _cleared_pivots(cliques, coeffs.modulus):
         stage = born[size][i]
         if row is not None:
             birth = born[size - 1][row]

@@ -1,6 +1,7 @@
 """Chain arithmetic, boundary maps, homology groups, and induced maps."""
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -319,8 +320,9 @@ class TestBetti:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_rank_only_path_matches_representatives_path(self, p):
-        # without representatives the boundaries are reduced top down with
-        # clearing; with them, every column is reduced with its relation
+        # both paths are one top-down reduction with clearing; with
+        # representatives it keeps relations, and a capped run reads the
+        # same cycles as the uncapped one
         coeffs = Coefficients(p)
         rng = random.Random(1811)
         graphs = [rp2_subdivision(), octahedron()]
@@ -329,16 +331,35 @@ class TestBetti:
             q = rng.uniform(0.3, 0.8)
             graphs.append(Graph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < q]))
         for g in graphs:
-            want = homology(g, coeffs).betti_vector
+            full = homology(g, coeffs)
+            want = full.betti_vector
             if p == 2:
                 assert want == tuple(brute_betti_gf2(g, len(want) - 1))
             for max_dim in (None, *range(len(want))):
+                prefix = slice(None if max_dim is None else max_dim + 1)
                 fast = homology(g, coeffs, max_dim=max_dim, with_representatives=False)
-                assert fast.betti_vector == want[: None if max_dim is None else max_dim + 1]
+                assert fast.betti_vector == want[prefix]
                 assert all(grp.representatives == () and grp.torsion == () for grp in fast.groups)
+                assert homology(g, coeffs, max_dim=max_dim).groups == full.groups[prefix]
         assert homology(rp2_subdivision(), coeffs, with_representatives=False).betti_vector == (
             (1, 1, 1) if p == 2 else (1, 0, 0)
         )
+
+    def test_representatives_build_no_cleared_column(self, monkeypatch):
+        # with representatives, homology over a field reduces the same
+        # live columns as without: no cleared clique's column is built
+        module = sys.modules[homology.__module__]
+        real = module._boundary_columns
+        built = []
+        monkeypatch.setattr(module, "_boundary_columns", lambda dom, cod: built.append(len(dom)) or real(dom, cod))
+
+        def columns(g, with_representatives):
+            built.clear()
+            homology(g, GF3, with_representatives=with_representatives)
+            return sum(built)
+
+        assert columns(octahedron(), True) == columns(octahedron(), False) == 13
+        assert columns(rp2_subdivision(), True) == columns(rp2_subdivision(), False)
 
     def test_mod_three_agrees_on_torsion_free_examples(self):
         for g in (cycle(5), octahedron(), gstar(), path(6)):

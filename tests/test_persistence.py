@@ -74,7 +74,7 @@ class TestPointCloud:
         assert pc.pair_key(0, 1) == 1
         assert pc.pair_key(0, 2) == pc.pair_key(2, 0) == 2
         for i, j in ((-1, 2), (0, 4), (4, 1), (4, 4), (-1, -1)):
-            with pytest.raises(LookupError):
+            with pytest.raises(IndexError, match="no point"):
                 pc.pair_key(i, j)
 
     def test_decimal_coordinates_stay_exact(self):
