@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 negative verification outcome (oracle mismatch
-or a census violation), 2 usage error, 3 malformed input (an unreadable
-or unparsable file, or a value outside its domain), 4 budget exhausted.
+or a census violation), 2 usage error, 3 malformed input (an unparsable
+file, a path that cannot be opened or created, or a value outside its
+domain), 4 budget exhausted.
 Any other exception is a bug and leaves with a traceback. All stdout
 output is deterministic for a given input.
 """
@@ -43,6 +44,10 @@ from .persistence import (
 USAGE_ERROR = 2
 INPUT_ERROR = 3
 BUDGET_ERROR = 4
+
+# A path the user names that cannot be opened or created is bad input;
+# other OSErrors, such as a broken pipe on stdout, are not.
+BAD_PATH_ERRORS = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError, FileExistsError)
 
 
 def _flag_word(value: Optional[bool]) -> str:
@@ -249,7 +254,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError, UnicodeDecodeError) as exc:
+    except (InputError, UnicodeDecodeError, *BAD_PATH_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except BudgetExceededError as exc:

@@ -1,15 +1,17 @@
 """Exact linear algebra over prime fields and over the integers.
 
-All prime-field elimination runs in one sparse kernel, `Echelon`, on
-`{row: coeff}` columns of Python ints; the ndarray wrappers read ranks,
-free-variables-zero solutions and standard kernel bases off it, and cap
-the modulus below 2**31 so every residue fits their int64 results.
-Columns added with a tag carry the relation each reduced vector
-satisfies, from which kernel bases, solutions and homology
-representatives are read. Columns added without one keep only the
-vector and its pivot row: `rank_mod_p` and the clearing kernel
-`homology._cleared_pivots`, for Betti numbers without representatives
-and barcodes, read nothing else.
+Prime-field elimination runs in one sparse kernel, `Echelon`, on
+`{row: coeff}` columns of Python ints, with one exception: over GF(2)
+the clearing kernel `homology._cleared_pivots` keeps each column as an
+int bit set and reduces it by XOR, and only its odd primes run here.
+The ndarray wrappers read ranks, free-variables-zero solutions and
+standard kernel bases off `Echelon`, and cap the modulus below 2**31 so
+every residue fits their int64 results. Columns added with a tag carry
+the relation each reduced vector satisfies, from which kernel bases,
+solutions and homology representatives over odd primes are read.
+Columns added without one keep only the vector and its pivot row:
+`rank_mod_p` and the clearing kernel over odd primes, for Betti numbers
+without representatives and barcodes, read nothing else.
 Integer invariant factors come from the same `{row: coeff}` columns:
 sparse elimination splits off every ±1 pivot it can find, each a unit
 factor, and Smith normal form runs only on the block the unit pivots
@@ -72,6 +74,10 @@ def _as_matrix(a) -> np.ndarray:
 
 class Echelon:
     """Span over GF(p) of the sparse `{row: coeff}` columns added so far.
+
+    Every prime-field elimination runs here except the clearing kernel
+    over GF(2), `homology._cleared_pivots`, whose columns are int bit
+    sets.
 
     Each stored vector is keyed by its highest row, where its coefficient
     is 1; `pivot_rows` reads those keys and `last_pivot` is the row of

@@ -17,10 +17,12 @@ Betti numbers and torsion work over the integers; explicit homology
 bases and induced-map matrices require a prime field.
 
 Everything here computes on sparse `{index: coeff}` columns of Python
-ints. The three results that are int64 ndarrays (`BoundaryMatrix.matrix`,
-the coordinates from `express_in_homology_basis` and `InducedMap.matrix`)
-are built at the end by `exactla.dense`, which alone imports numpy;
-`homology()` and cycle pushing never load it.
+ints, except the cleared reduction over GF(2), whose columns are int
+bit sets. The three results that are int64 ndarrays
+(`BoundaryMatrix.matrix`, the coordinates from
+`express_in_homology_basis` and `InducedMap.matrix`) are built at the
+end by `exactla.dense`, which alone imports numpy; `homology()` and
+cycle pushing never load it.
 """
 
 from __future__ import annotations
@@ -326,6 +328,20 @@ def _boundary_columns(
     return cols
 
 
+def _bit_columns(domain: Sequence[Simplex], codomain: Sequence[Simplex]) -> Iterator[int]:
+    """The boundary columns over GF(2) as ints, bit i set for each face
+    at codomain index i, one at a time. The simplices have one size."""
+    index = {s: i for i, s in enumerate(codomain)}
+    for simplex in domain:
+        col = 0
+        for face in combinations(simplex, len(simplex) - 1):
+            i = index.get(face)
+            if i is None:
+                raise InternalInconsistencyError(f"face {face} of {simplex} missing from basis")
+            col |= 1 << i
+        yield col
+
+
 def boundary_matrix(g: Graph, dim: int, max_faces: int = DEFAULT_FACE_BUDGET) -> BoundaryMatrix:
     if dim < 1:
         raise ValueError(f"boundary matrices start at dimension 1, got {dim}")
@@ -459,6 +475,15 @@ def _cleared_pivots(
     clique on top), so it is neither built nor reduced, and every other
     pivot and relation stays as it was: a live zero column's clique is
     unpaired. Vertices have zero columns.
+
+    Over GF(2) a column is an int bit set, bit r for each face row r,
+    its pivot the top bit, and a reduction step XORs in the stored
+    column with that pivot (the representation of PHAT and of Ripser's
+    Z/2). A relation is the set of clique indices XORed alongside: a
+    second int would span every index below its own, and reading a few
+    bits off it would cost its whole length each. Odd primes add
+    `{row: sign}` columns to an `exactla.Echelon`. Both give the same
+    tuples in the same order.
     """
     cleared: Iterable[int] = ()
     for size in sorted(cliques, reverse=True):
@@ -466,12 +491,34 @@ def _cleared_pivots(
         if size == 1:
             yield from ((1, i, None, {i: 1} if relations else {}) for i in live)
             continue
-        ech = exactla.Echelon(p)
-        cols = _boundary_columns([cliques[size][i] for i in live], cliques[size - 1])
-        for i, col in zip(live, cols):
-            rel = ech.add(col, i if relations else None)
-            yield size, i, None if rel is not None else ech.last_pivot, rel
-        cleared = ech.pivot_rows
+        domain = [cliques[size][i] for i in live]
+        if p != 2:
+            ech = exactla.Echelon(p)
+            for i, col in zip(live, _boundary_columns(domain, cliques[size - 1])):
+                rel = ech.add(col, i if relations else None)
+                yield size, i, None if rel is not None else ech.last_pivot, rel
+            cleared = ech.pivot_rows
+            continue
+        # stored columns by top row, and their relations' clique indices
+        pivots: dict[int, int] = {}
+        rels: dict[int, set[int]] = {}
+        for i, col in zip(live, _bit_columns(domain, cliques[size - 1])):
+            rel = {i}
+            while col:
+                top = col.bit_length() - 1
+                stored = pivots.get(top)
+                if stored is None:
+                    pivots[top] = col
+                    if relations:
+                        rels[top] = rel
+                    yield size, i, top, None
+                    break
+                col ^= stored
+                if relations:
+                    rel ^= rels[top]
+            else:
+                yield size, i, None, dict.fromkeys(sorted(rel), 1) if relations else {}
+        cleared = pivots
 
 
 def betti_numbers(

@@ -17,7 +17,10 @@ field. Most such neighborhoods are cones on one vertex at every stage,
 and that is checked before any stage is swept. The reduction is the
 rank-only one with clearing of `homology._cleared_pivots`, the one
 reduction behind homology over a field, which reads representatives
-off the same pass when it keeps relations. `reduce_filtration` gives
+off the same pass when it keeps relations. Over GF(2), the default,
+its columns are int bit sets reduced by XOR; odd primes use
+`exactla.Echelon`. The oracle keeps its own bitmask loop, so the two
+stay independent. `reduce_filtration` gives
 each stage graph's own reduction, with traces, in one pass over the
 nested stages that shares the steps they have in common. A direct
 column reduction of the full filtered boundary matrix is the oracle for

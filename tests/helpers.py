@@ -11,6 +11,9 @@ generation, which deduplicates with the package's canonical form; the
 canon tests check that form against the permutation minimum. The
 collapse replay helper applies the package's own free-pair check, to
 replay long witnesses without copying the face set for every pair.
+`reference_cleared_pivots` is the cleared reduction as it ran on the
+package's sparse `Echelon` for every prime, kept to pin the GF(2)
+bit-set kernel that replaced it there.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from itertools import combinations, permutations
 import numpy as np
 from hypothesis import strategies as st
 
-from graphcollapse import Graph, canonical_form, clique_complex, graph_from_canonical
+from graphcollapse import Graph, canonical_form, clique_complex, exactla, graph_from_canonical
 from graphcollapse.complexes import SimplicialComplex, _mask_of, _replay
+from graphcollapse.homology import _boundary_columns
 
 
 # -- isomorphism by brute force ----------------------------------------------
@@ -437,6 +441,23 @@ def brute_betti_gf2(g: Graph, max_dim: int | None = None) -> tuple[int, ...]:
         faces = len(by_size.get(d + 1, []))
         betti.append(faces - boundary_rank(d) - boundary_rank(d + 1))
     return tuple(betti)
+
+
+def reference_cleared_pivots(cliques, p: int, relations: bool = False):
+    """`homology._cleared_pivots` on `exactla.Echelon` for every prime:
+    the same (size, index, pivot row, relation) tuples in the same order."""
+    cleared = ()
+    for size in sorted(cliques, reverse=True):
+        live = [i for i in range(len(cliques[size])) if i not in cleared]
+        if size == 1:
+            yield from ((1, i, None, {i: 1} if relations else {}) for i in live)
+            continue
+        ech = exactla.Echelon(p)
+        cols = _boundary_columns([cliques[size][i] for i in live], cliques[size - 1])
+        for i, col in zip(live, cols):
+            rel = ech.add(col, i if relations else None)
+            yield size, i, None if rel is not None else ech.last_pivot, rel
+        cleared = ech.pivot_rows
 
 
 def brute_maximal_faces(faces: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -321,6 +321,26 @@ class TestErrors:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["homology_dir", "vr_points_dir", "census_out_file", "reduce_trace_dir"])
+    def test_unusable_path_is_malformed_input(self, tmp_path, capsys, case):
+        graph = write_graph(tmp_path, path(3))
+        args = {
+            "homology_dir": ["homology", str(tmp_path)],
+            "vr_points_dir": ["vr", "--points", str(tmp_path)],
+            "census_out_file": ["census", "--max-n", "3", "--out", graph],
+            "reduce_trace_dir": ["reduce", "--trace", str(tmp_path), graph],
+        }[case]
+        assert main(args) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_broken_pipe_is_not_an_input_error(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise BrokenPipeError("stdout closed")
+
+        monkeypatch.setattr(cli, "homology", broken)
+        with pytest.raises(BrokenPipeError):
+            main(["homology", write_graph(tmp_path, path(3))])
+
     def test_internal_value_error_is_not_an_input_error(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("internal")

@@ -2,11 +2,13 @@
 
 import random
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from graphcollapse.complexes import enumerate_cliques
 from graphcollapse.contract import ReductionTrace, contractible_reduction, edge_extended_reduction
 from graphcollapse.factories import complete, cycle, octahedron, path
 from graphcollapse.graphs import Graph
@@ -26,6 +28,7 @@ from graphcollapse.homology import (
     push_cycle,
     push_cycle_edge,
     push_cycle_sequence,
+    _cleared_pivots,
     split_at_edge,
     split_at_vertex,
 )
@@ -41,6 +44,7 @@ from helpers import (
     gstar,
     inclusion_rank_gf2,
     rational_rank,
+    reference_cleared_pivots,
     reference_nullspace,
     reference_rref,
     rp2_subdivision,
@@ -349,17 +353,39 @@ class TestBetti:
         # with representatives, homology over a field reduces the same
         # live columns as without: no cleared clique's column is built
         module = sys.modules[homology.__module__]
-        real = module._boundary_columns
         built = []
-        monkeypatch.setattr(module, "_boundary_columns", lambda dom, cod: built.append(len(dom)) or real(dom, cod))
+        for name in ("_boundary_columns", "_bit_columns"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda dom, cod, real=real: built.append(len(dom)) or real(dom, cod))
 
-        def columns(g, with_representatives):
+        def columns(g, coeffs, with_representatives):
             built.clear()
-            homology(g, GF3, with_representatives=with_representatives)
+            homology(g, coeffs, with_representatives=with_representatives)
             return sum(built)
 
-        assert columns(octahedron(), True) == columns(octahedron(), False) == 13
-        assert columns(rp2_subdivision(), True) == columns(rp2_subdivision(), False)
+        for coeffs in (GF2, GF3):
+            assert columns(octahedron(), coeffs, True) == columns(octahedron(), coeffs, False) == 13
+            assert columns(rp2_subdivision(), coeffs, True) == columns(rp2_subdivision(), coeffs, False)
+
+    @given(arbitrary_graphs(max_n=8), st.randoms(use_true_random=False))
+    @example(rp2_subdivision(), random.Random(0))
+    @example(octahedron(), random.Random(1))
+    def test_bitset_reduction_is_the_echelon_reduction(self, g, rng):
+        # the GF(2) bit-set kernel yields the tuples the Echelon loop
+        # yields, in lexicographic order and sorted by (stage, clique)
+        # as barcode passes cliques, relations kept or not
+        by_size = enumerate_cliques(g)
+        stage = {e: rng.randrange(4) for e in g.edges}
+
+        def entry(c):
+            return max((stage[e] for e in combinations(c, 2)), default=0), c
+
+        staged = {size: sorted(level, key=entry) for size, level in by_size.items()}
+        for cliques in (by_size, staged):
+            for p in (2, 3):
+                for relations in (False, True):
+                    got = list(_cleared_pivots(cliques, p, relations))
+                    assert got == list(reference_cleared_pivots(cliques, p, relations))
 
     def test_mod_three_agrees_on_torsion_free_examples(self):
         for g in (cycle(5), octahedron(), gstar(), path(6)):

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run against the library as it stands."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,15 +8,32 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+COMPARE_SECTIONS = {
+    "linear_algebra", "graphs", "barcodes", "stage_traces", "full_barcodes", "cloud_keys",
+    "matrix_keys", "explicit_filtrations", "census", "census8", "projective_plane",
+    "canonical_labellings", "collapse_search", "trace_walks", "text_formats", "rank_only",
+    "long_relations",
+}
 
-def test_vr_pipeline_demo_agrees_with_the_oracle():
+
+def run_script(name):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "vr_pipeline_demo.py")],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name)],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def test_vr_pipeline_demo_agrees_with_the_oracle():
+    proc = run_script("vr_pipeline_demo.py")
     assert proc.returncode == 0, proc.stderr
     assert "direct matrix reduction agrees" in proc.stdout
+
+
+def test_compare_outputs_prints_every_section():
+    proc = run_script("compare_outputs.py")
+    assert proc.returncode == 0, proc.stderr
+    assert COMPARE_SECTIONS <= set(json.loads(proc.stdout))
