@@ -22,8 +22,9 @@ under explicit fractional and float thresholds together with
 every census level through n=7 and the sha256 of level 8's, the integer homology of a clique
 complex with torsion (a subdivided projective plane) from the library
 and the `homology --integers` command, and the canonical orders and
-automorphism generators of the seeded graphs, on their own ids and
-relabelled onto sparse ones, and the collapse search's verdict, witness
+automorphism generators of the seeded graphs and of five
+vertex-transitive ones (Petersen, the 4-cube, Paley(13), K4,4, the 3x3
+rook's graph), on their own ids and relabelled onto sparse ones, and the collapse search's verdict, witness
 and node count on seeded random graphs at three budgets, with the free
 pairs and maximal faces of seeded complexes given by random maximal
 faces. Its trace_walks section gives, for every seeded graph and both
@@ -590,6 +591,21 @@ def explicit_filtrations() -> list:
     return out
 
 
+def symmetric_graphs() -> list:
+    """The Petersen graph, the 4-cube, Paley(13), K4,4 and the 3x3 rook's
+    graph: vertex-transitive, so no cell splits at the canonical
+    search's root, and below it refinement runs pass after pass."""
+    squares = {i * i % 13 for i in range(1, 13)}
+    return [
+        Graph(range(10), [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+              + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]),
+        Graph(range(16), [(v, v | 1 << b) for v in range(16) for b in range(4) if not v >> b & 1]),
+        Graph(range(13), [(i, j) for i, j in combinations(range(13), 2) if (j - i) % 13 in squares]),
+        Graph(range(8), [(i, j) for i in range(4) for j in range(4, 8)]),
+        Graph(range(9), [(a, b) for a, b in combinations(range(9), 2) if a // 3 == b // 3 or a % 3 == b % 3]),
+    ]
+
+
 def canonical_labellings(graphs: list) -> list:
     rng = random.Random(7074)
     out = []
@@ -687,7 +703,7 @@ def main() -> None:
         "census": census,
         "census8": census8,
         "projective_plane": projective_plane(),
-        "canonical_labellings": canonical_labellings(graphs),
+        "canonical_labellings": canonical_labellings(graphs + symmetric_graphs()),
         "collapse_search": collapse_search(),
         "trace_walks": trace_walks(graphs),
         "text_formats": text_formats(),

@@ -17,23 +17,36 @@ One private search, `_search(adj)`, runs on adjacency masks over
 positions 0..n-1 and returns the least encoding as an integer, the
 order reaching it and the automorphisms found, all on positions. The
 public functions take a Graph's ids to positions (ranks of the ids) and
-back; the census hands it masks directly and builds each form from the
-returned encoding. A partition is a list of cells in color order, each
-a list of positions in ascending order, so a vertex's color is the
-index of its cell. Refinement splits each cell by its members' neighbor
-color multisets, buckets the members by that signature and orders the
-pieces by it, and stops as soon as a pass splits nothing.
-Individualizing w puts w in a cell of its own just ahead of the rest of
-its cell. A vertex's new color is the rank of its (color, signature)
-pair among all vertices', which does not depend on the ids.
+back. The census calls `_canonical(adj)`, which turns one search's
+result into the child's form, its masks in canonical order and its
+generators on canonical positions. A partition is a list of cells in
+color order, each a list of positions in ascending order, so a
+vertex's color is the index of its cell.
 
-The signature is one integer, not a sorted tuple of neighbor colors.
-With C cells and B a power of two above n, a neighbor of color c adds
-B^C - B^(C-1-c). Between vertices of one degree d the sum is d B^C less
-a base-B number whose digits count the neighbors of each color, color 0
-most significant, so the sums order exactly as the sorted color tuples
-do. Every cell is degree-homogeneous except in the root's first pass,
-where all colors are 0 and both orders put lower degrees first.
+The root partition buckets the vertices by degree, lower degrees
+first. Refinement then runs in passes against the cells the last split
+created. A pass splits every cell by its members' neighbor counts in
+those cells, (adj[i] & cell mask).bit_count(), taken in color order and
+packed into one integer key, pieces in descending order of key, and
+stops as soon as it splits nothing. Individualizing w puts w in a cell
+of its own just ahead of the rest of its cell, and the first pass below
+it splits against {w}. Every step depends only on counts and colors,
+not on the ids.
+
+This gives the same ordered partitions as splitting every cell on
+every pass by its members' full neighbor color multisets, lower degree
+first, then more neighbors of color 0, then of color 1, and so on.
+Every partition refinement returns is equitable: members of one cell
+have the same number of neighbors in each cell. So after a pass,
+members of a cell still have equal counts in every cell of the
+partition before it, and after an individualization in every cell but
+{w} and the rest of w's cell: they can differ only in their counts in
+the cells just created, and comparing those in color order ranks them
+as the full multisets do. The counts in the pieces of one split cell
+add up to the count in that cell, the same for all members, so the
+last piece is left out of the key (the rest of w's cell with it). After
+the root pass every cell holds one degree, which the multisets also
+compare first.
 
 The automorphisms the search records generate the whole automorphism
 group. Let l be the first leaf reached with the least encoding, on the
@@ -56,7 +69,7 @@ pruned by one set lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .graphs import Graph, iter_bits
 
@@ -126,40 +139,43 @@ def _upper_triangle(masks, order) -> int:
     return enc
 
 
-def _refine(cells: list[list[int]], nbrs: list[list[int]]) -> list[list[int]]:
-    """Stable iterated refinement by neighbor color multisets, on cells
-    of vertex positions in color order (the color of a vertex is the
-    index of its cell). Each pass splits every cell by its members'
-    integer signatures (see the module docstring), pieces in signature
-    order; it stops as soon as a pass splits nothing."""
-    n = len(nbrs)
+def _refine(cells: list[list[int]], fresh: list[int], adj: list[int]) -> list[list[int]]:
+    """Stable iterated refinement of an ordered partition, cells of vertex
+    positions in color order, against the cells at the indices fresh
+    (ascending), as the module docstring describes: each pass splits
+    every cell by its members' neighbor counts in the fresh cells, pieces
+    in descending order of count vector, and every piece but the last of
+    each cell it split is fresh for the next pass."""
+    n = len(adj)
     width = n.bit_length()
-    weight = [0] * n
-    count = len(cells)
-    while count < n:
-        shift = width * count
-        top = 1 << shift
-        for cell in cells:
-            shift -= width
-            w = top - (1 << shift)
-            for i in cell:
-                weight[i] = w
+    while fresh and len(cells) < n:
+        splitters = []
+        for c in fresh:
+            mask = 0
+            for i in cells[c]:
+                mask |= 1 << i
+            splitters.append(mask)
         split: list[list[int]] = []
+        fresh = []
         for cell in cells:
             if len(cell) == 1:
                 split.append(cell)
                 continue
-            by_sig: dict[int, list[int]] = {}
+            by_count: dict[int, list[int]] = {}
             for i in cell:
-                by_sig.setdefault(sum(map(weight.__getitem__, nbrs[i])), []).append(i)
-            if len(by_sig) == 1:
+                row = adj[i]
+                key = 0
+                for mask in splitters:
+                    key = key << width | (row & mask).bit_count()
+                by_count.setdefault(key, []).append(i)
+            if len(by_count) == 1:
                 split.append(cell)
             else:
-                split.extend(by_sig[s] for s in sorted(by_sig))
-        if len(split) == count:
-            break
+                for key in sorted(by_count, reverse=True):
+                    fresh.append(len(split))
+                    split.append(by_count[key])
+                fresh.pop()
         cells = split
-        count = len(cells)
     return cells
 
 
@@ -184,7 +200,6 @@ def _search(adj: list[int]) -> tuple[int, list[int], list[Automorphism]]:
     n = len(adj)
     if n <= 1:
         return 0, list(range(n)), []
-    nbrs = [list(iter_bits(m)) for m in adj]
     best: list = [None, None]  # [encoding, order]
     gens: list[Automorphism] = []
     path: list[int] = []  # the vertex individualized at each depth
@@ -193,10 +208,7 @@ def _search(adj: list[int]) -> tuple[int, list[int], list[Automorphism]]:
     nodes: list[tuple[list[Automorphism], set[int]]] = []
 
     def descend(cells: list[list[int]]) -> None:
-        for at, target in enumerate(cells):
-            if len(target) > 1:
-                break
-        else:
+        if len(cells) == n:
             order = [cell[0] for cell in cells]
             enc = _upper_triangle(adj, order)
             if best[0] is None or enc < best[0]:
@@ -213,6 +225,9 @@ def _search(adj: list[int]) -> tuple[int, list[int], list[Automorphism]]:
                     orbit.update(grown)
                     _close(orbit, grown, fixing)
             return
+        for at, target in enumerate(cells):
+            if len(target) > 1:
+                break
         if nodes:
             v = path[-1]
             fixing = [p for p in nodes[-1][0] if p[v] == v]
@@ -224,29 +239,53 @@ def _search(adj: list[int]) -> tuple[int, list[int], list[Automorphism]]:
             if w in orbit:
                 continue
             # Split w off just ahead of its cell, then restabilize.
-            rest = [i for i in target if i != w]
+            rest = target[:]
+            rest.remove(w)
+            child = cells[:]
+            child[at:at + 1] = [w], rest
             path.append(w)
-            descend(_refine(cells[:at] + [[w], rest] + cells[at + 1:], nbrs))
+            descend(_refine(child, [at], adj))
             path.pop()
             orbit.add(w)
             _close(orbit, [w], fixing)
         nodes.pop()
 
-    descend(_refine([list(range(n))], nbrs))
+    by_degree: dict[int, list[int]] = {}
+    for i in range(n):
+        by_degree.setdefault(adj[i].bit_count(), []).append(i)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    descend(_refine(cells, list(range(len(cells) - 1)), adj))
     return best[0], best[1], gens
 
 
 def _form(n: int, enc: int) -> CanonicalForm:
     """The form of an n-vertex graph whose upper triangle, read as by
-    _upper_triangle, is enc."""
+    _upper_triangle, is enc. The bytes are valid by construction, so
+    CanonicalForm's checks of outside input are skipped."""
     nbits = n * (n - 1) // 2
-    return CanonicalForm(n.to_bytes(2, "big") + (enc << -nbits % 8).to_bytes((nbits + 7) // 8, "big"))
+    form = object.__new__(CanonicalForm)
+    object.__setattr__(form, "data", n.to_bytes(2, "big") + (enc << -nbits % 8).to_bytes((nbits + 7) // 8, "big"))
+    return form
 
 
-def _sorted_forms(n: int, encodings: Iterable[int]) -> tuple[CanonicalForm, ...]:
-    """The forms of n-vertex graphs with the given encodings, ascending.
-    Forms of one vertex count order as their encodings do."""
-    return tuple(_form(n, enc) for enc in sorted(encodings))
+def _canonical(adj: list[int]) -> tuple[CanonicalForm, list[int], list[int], list[list[int]]]:
+    """One search on the graph with adjacency masks adj over positions
+    0..n-1: its form; the place of each position in the canonical order;
+    the adjacency masks over those places, which are the masks
+    _masks_from_form decodes from the form; and automorphisms generating
+    the graph's automorphism group, as lists indexed by place."""
+    n = len(adj)
+    enc, order, gens = _search(adj)
+    place = [0] * n
+    for i, v in enumerate(order):
+        place[v] = i
+    masks = []
+    for v in order:
+        mask = 0
+        for u in iter_bits(adj[v]):
+            mask |= 1 << place[u]
+        masks.append(mask)
+    return _form(n, enc), place, masks, [[place[p[v]] for v in order] for p in gens]
 
 
 def _position_masks(g: Graph) -> tuple[tuple[int, ...], list[int]]:

@@ -10,18 +10,22 @@ each isomorphism class is produced exactly once and nothing is
 deduplicated. Every connected graph arises this way because some vertex
 of any connected graph can be removed without disconnecting it.
 
-Generation runs on adjacency masks over positions 0..n-1. Each parent
-form is decoded straight into masks, the components left by deleting
-each vertex come from a mask search, and each child's masks go to the
-canonical search (canon._search), whose least encoding is the child's
-form: no Graph is built and no order encoded twice. Classification
-hands the forms themselves, which pickle, to classify_graph.
+Generation runs on adjacency masks over positions 0..n-1. One canonical
+search on each child (canon._canonical) gives its form, its masks in
+canonical order and generators of its automorphism group on those
+positions. An accepted child carries all three to the next level, where
+it is a parent: no parent is decoded or searched again, and only the
+level being extended is kept. Classification builds each graph from the
+same carried masks, sent with its form (which pickles) to
+classify_graph.
 
 Census files are plain text, one level per file, so long runs can stop
 and resume between levels. A level file is named for the level its
 header gives. A resumed level must hold each form once and the
-published number of graphs, and, when a larger level is generated from
-it, only canonical forms.
+published number of graphs. When a larger level is generated from it,
+each of its forms is decoded and searched, which gives the masks and
+generators a generated level carries and checks that the form is
+canonical.
 """
 
 from __future__ import annotations
@@ -29,19 +33,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .canon import (
-    Automorphism,
-    CanonicalForm,
-    _close,
-    _form,
-    _masks_from_form,
-    _search,
-    _sorted_forms,
-    canonical_form,
-    graph_from_canonical,
-)
+from .canon import CanonicalForm, _canonical, _close, graph_from_canonical
 from .complexes import DEFAULT_COLLAPSE_BUDGET, _lift, _replay, clique_complex, is_collapsible
 from .contract import is_strong_contractible_any_order
 from .errors import GraphFormatError, InputError, InternalInconsistencyError, check_collapse_budget, check_jobs
@@ -97,9 +91,16 @@ class CensusEntry:
         return graph_from_canonical(self.form)
 
 
-def _subset_orbit_representatives(k: int, gens: tuple[Automorphism, ...]) -> list[int]:
-    """The least member of each orbit of the automorphisms on the nonempty
-    subsets of {0, ..., k-1}, as bit masks, ascending."""
+# A graph as one level of generation hands it to the next: its form, its
+# adjacency masks in canonical order, and generators of its automorphism
+# group as lists indexed by those positions.
+Carried = tuple[CanonicalForm, list[int], list[list[int]]]
+
+
+def _subset_orbit_representatives(k: int, gens: list[list[int]], subsets: Iterable[int]) -> list[int]:
+    """The least member of each orbit of the automorphisms gens of
+    {0, ..., k-1} on the given nonempty subsets, as bit masks, ascending.
+    The subsets, ascending, must be a union of orbits."""
     images = []
     for p in gens:
         image = [0] * (1 << k)
@@ -109,7 +110,7 @@ def _subset_orbit_representatives(k: int, gens: tuple[Automorphism, ...]) -> lis
         images.append(image)
     seen: set[int] = set()
     reps = []
-    for s in range(1, 1 << k):
+    for s in subsets:
         if s not in seen:
             reps.append(s)
             seen.add(s)
@@ -117,21 +118,40 @@ def _subset_orbit_representatives(k: int, gens: tuple[Automorphism, ...]) -> lis
     return reps
 
 
-def _rivals(child_adj: list[int], cuts: list[list[int]], s: int) -> Optional[list[int]]:
-    """The old vertices of a child that tie with its new vertex k on
-    (degree, sorted neighbor degrees) among the vertices whose deletion
-    keeps the child connected, or None when one of those beats k. k is
-    such a vertex itself; an old vertex v is one when every component of
-    the parent minus v meets k's neighbors s."""
-    k = len(cuts)
-    deg = [m.bit_count() for m in child_adj]
-    candidates = [v for v in range(k) if deg[v] >= deg[k] and all(map(s.__and__, cuts[v]))]
-    if any(deg[v] > deg[k] for v in candidates):
-        return None
-    mine = sorted(deg[u] for u in iter_bits(s))
+def _candidate_subsets(deg: list[int], cuts: list[list[int]]) -> Iterator[int]:
+    """The nonempty subsets of a parent's vertices, as bit masks,
+    ascending, that can be the neighbors of an accepted new vertex: all
+    but those S with 2 <= |S| < D, where D is the largest degree deg[v]
+    of a vertex v whose deletion leaves the parent connected, cuts[v]
+    being the components it leaves (see _extend_level)."""
+    bound = max((d for d, comps in zip(deg, cuts) if len(comps) == 1), default=0)
+    return (s for s in range(1, 1 << len(deg)) if not 2 <= s.bit_count() < bound)
+
+
+def _rivals(adj: list[int], deg: list[int], cuts: list[list[int]], s: int) -> Optional[list[int]]:
+    """The old vertices that tie with the new vertex k on (degree, sorted
+    neighbor degrees) in the child joining k to the parent's vertices s,
+    among the child's vertices whose deletion keeps it connected, or None
+    when one of those beats k. The parent has adjacency masks adj and
+    degrees deg, and cuts[v] lists the components of the parent minus v.
+    k is such a vertex itself; an old vertex v is one when every
+    component in cuts[v] meets s."""
+    k = len(adj)
+    d = s.bit_count()
+    child_deg = [deg[v] + (s >> v & 1) for v in range(k)]
+    candidates = []
+    for v in range(k):
+        if child_deg[v] >= d and all(map(s.__and__, cuts[v])):
+            if child_deg[v] > d:
+                return None
+            candidates.append(v)
+    if not candidates:
+        return []
+    child_deg.append(d)
+    mine = sorted([child_deg[u] for u in iter_bits(s)])
     rivals = []
     for v in candidates:
-        theirs = sorted(deg[u] for u in iter_bits(child_adj[v]))
+        theirs = sorted([child_deg[u] for u in iter_bits(adj[v] | (s >> v & 1) << k)])
         if theirs > mine:
             return None
         if theirs == mine:
@@ -139,9 +159,12 @@ def _rivals(child_adj: list[int], cuts: list[list[int]], s: int) -> Optional[lis
     return rivals
 
 
-def _extend_level(parent_forms: Iterable[CanonicalForm]) -> tuple[CanonicalForm, ...]:
+def _extend_level(parents: Iterable[Carried]) -> list[Carried]:
     """All connected graphs one vertex larger than the given ones, which
-    must be every connected graph of their size, each class once.
+    must be every connected graph of their size, each class once. Each
+    parent is its form, its masks in canonical order and generators of
+    its automorphism group on those positions, as a generated level
+    carries them; only the masks and generators are read.
 
     Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 1998). A child C of parent P gets the new vertex k
@@ -168,52 +191,60 @@ def _extend_level(parent_forms: Iterable[CanonicalForm]) -> tuple[CanonicalForm,
     orbit representative. A repeated form means this argument or the
     automorphisms found broke, and raises InternalInconsistencyError.
 
-    Everything runs on masks: the parent's masks are decoded from its
-    form, one search on them gives Aut(P), and one search on each
-    child's masks gives its order, its automorphisms and the encoding
-    that becomes its form. Children are keyed by encoding alone, which
-    names a graph only among graphs of one vertex count, so all parents
-    must have one vertex count.
+    Subsets too small to win are skipped before their orbits are
+    computed. Let D be the largest degree of a vertex v whose deletion
+    leaves P connected. When 2 <= |S| < D, S has a vertex other than v,
+    so deleting v leaves C connected too, and v's degree in C, at least
+    D, beats k's, |S|: such an S is never accepted.
 
-    The search on each parent also checks it: a parent whose least
-    encoding is not its own form was not canonical, and raises
-    InputError. A resumed census level gets this check only when it is
-    used as parents, that is, when a larger level is generated from it.
+    Everything runs on masks. The parents' masks and generators come
+    from the searches that accepted them one level down (a level read
+    from disk goes through _searched first), and one search on each
+    child gives its form, its masks in canonical order and its
+    generators on those positions, which the returned level carries to
+    the next. Children are keyed by form.
     """
-    seen: set[int] = set()
-    size = 0
-    for form in parent_forms:
-        adj = _masks_from_form(form)
-        k = size = len(adj)
+    children: dict[CanonicalForm, Carried] = {}
+    for _, adj, gens in parents:
+        k = len(adj)
         everything = (1 << k) - 1
         cuts = [_component_masks(adj, everything ^ 1 << v) for v in range(k)]
-        enc, _, gens = _search(adj)
-        if _form(k, enc) != form:
-            raise InputError(
-                f"form {form.hex()} is not canonical: its graph's form is {_form(k, enc).hex()}"
-            )
-        for s in _subset_orbit_representatives(k, gens):
-            child_adj = [adj[v] | (s >> v & 1) << k for v in range(k)] + [s]
-            rivals = _rivals(child_adj, cuts, s)
+        deg = [m.bit_count() for m in adj]
+        for s in _subset_orbit_representatives(k, gens, _candidate_subsets(deg, cuts)):
+            rivals = _rivals(adj, deg, cuts, s)
             if rivals is None:
                 continue
-            enc, order, gens = _search(child_adj)
+            form, place, masks, child_gens = _canonical([adj[v] | (s >> v & 1) << k for v in range(k)] + [s])
             if rivals:
-                orbit = {max(rivals + [k], key=order.index)}
-                _close(orbit, list(orbit), gens)
-                if k not in orbit:
+                orbit = {max(place[v] for v in rivals + [k])}
+                _close(orbit, list(orbit), child_gens)
+                if place[k] not in orbit:
                     continue
-            if enc in seen:
-                raise InternalInconsistencyError(
-                    f"canonical augmentation produced {_form(k + 1, enc).hex()} twice"
-                )
-            seen.add(enc)
-    return _sorted_forms(size + 1, seen)
+            if form in children:
+                raise InternalInconsistencyError(f"canonical augmentation produced {form.hex()} twice")
+            children[form] = form, masks, child_gens
+    return [children[form] for form in sorted(children)]
 
 
-def _level(n: int, parents: tuple[CanonicalForm, ...]) -> tuple[CanonicalForm, ...]:
+def _searched(forms: Iterable[CanonicalForm]) -> Iterator[Carried]:
+    """Parents for _extend_level from forms alone, as a level read from
+    disk gives them: each form decoded and searched, lazily, so a level
+    is checked only when a larger one is generated from it. A form that
+    is not its own graph's form raises InputError."""
+    for form in forms:
+        g = graph_from_canonical(form)
+        got, _, masks, gens = _canonical([g._adj[v] for v in g.vertices])
+        if got != form:
+            raise InputError(f"form {form.hex()} is not canonical: its graph's form is {got.hex()}")
+        yield form, masks, gens
+
+
+def _level(n: int, parents: Iterable[Carried]) -> list[Carried]:
     """The connected graphs on n vertices, given those on n - 1."""
-    return (canonical_form(Graph([0], [])),) if n == 1 else _extend_level(parents)
+    if n > 1:
+        return _extend_level(parents)
+    form, _, masks, gens = _canonical([0])
+    return [(form, masks, gens)]
 
 
 def generate_connected(max_n: int) -> dict[int, tuple[CanonicalForm, ...]]:
@@ -221,9 +252,11 @@ def generate_connected(max_n: int) -> dict[int, tuple[CanonicalForm, ...]]:
     if not 1 <= max_n <= MAX_CENSUS_N:
         raise ValueError(f"max_n must be between 1 and {MAX_CENSUS_N}, got {max_n}")
     levels: dict[int, tuple[CanonicalForm, ...]] = {}
+    level: list[Carried] = []
     for n in range(1, max_n + 1):
-        levels[n] = _level(n, levels.get(n - 1, ()))
-        _log.info("generated %d graphs on %d vertices", len(levels[n]), n)
+        level = _level(n, level)
+        levels[n] = tuple(form for form, _, _ in level)
+        _log.info("generated %d graphs on %d vertices", len(level), n)
     return levels
 
 
@@ -245,16 +278,16 @@ def classify_graph(g: Graph, collapse_budget: int = DEFAULT_COLLAPSE_BUDGET) -> 
     return True, True
 
 
-def _classify_payload(payload: tuple[CanonicalForm, int]) -> tuple[CanonicalForm, bool, Optional[bool]]:
-    form, budget = payload
-    strong, collapsible = classify_graph(graph_from_canonical(form), budget)
+def _classify_payload(payload: tuple[CanonicalForm, list[int], int]) -> tuple[CanonicalForm, bool, Optional[bool]]:
+    form, masks, budget = payload
+    g = Graph._from_masks(tuple(range(len(masks))), dict(enumerate(masks)))
+    strong, collapsible = classify_graph(g, budget)
     return form, strong, collapsible
 
 
-def _classify_level(
-    forms: tuple[CanonicalForm, ...], config: CensusConfig
-) -> tuple[CensusEntry, ...]:
-    payloads = [(f, config.collapse_budget) for f in forms]
+def _classify_level(level: list[Carried], config: CensusConfig) -> tuple[CensusEntry, ...]:
+    forms = [form for form, _, _ in level]
+    payloads = [(form, masks, config.collapse_budget) for form, masks, _ in level]
     if config.jobs == 1 or len(payloads) < 4:
         results = [_classify_payload(p) for p in payloads]
     else:
@@ -381,19 +414,18 @@ def build_census(config: CensusConfig = CensusConfig(), out_dir=None) -> Census:
     level."""
     directory = Path(out_dir) if out_dir is not None else None
     levels: dict[int, tuple[CensusEntry, ...]] = {}
-    prev_forms: tuple[CanonicalForm, ...] = ()
+    parents: Iterable[Carried] = ()
     for n in range(1, config.max_n + 1):
         path = directory / f"census_n{n}.txt" if directory else None
         if path is not None and path.exists():
             entries = _read_level(path, complete=True)[1]
             levels[n] = entries
-            prev_forms = tuple(e.form for e in entries)
+            parents = _searched(e.form for e in entries)
             _log.info("level %d: loaded %d graphs", n, len(entries))
             continue
-        forms = _level(n, prev_forms)
-        entries = _classify_level(forms, config)
+        parents = _level(n, parents)
+        entries = _classify_level(parents, config)
         levels[n] = entries
-        prev_forms = forms
         if path is not None:
             directory.mkdir(parents=True, exist_ok=True)
             path.write_text(format_level(n, entries))

@@ -85,10 +85,12 @@ def _cmd_reduce(args) -> int:
         reduced, trace = edge_extended_reduction(g)
     else:
         reduced, trace = contractible_reduction(g)
-    sys.stdout.write(to_edge_list_text(reduced))
+    # The file first: a path that cannot be created exits 3 with nothing
+    # printed.
     if args.trace is not None:
         with open(args.trace, "w") as fh:
             fh.write(trace.to_text())
+    sys.stdout.write(to_edge_list_text(reduced))
     return 0
 
 
@@ -96,13 +98,13 @@ def _cmd_collapse(args) -> int:
     _checked(check_collapse_budget, args.budget)
     g = load_graph(args.file)
     verdict = _collapse_verdict(g, args.budget)
-    print(f"collapsible: {_flag_word(verdict.collapsible)}")
     if verdict.witness is not None and args.witness is not None:
         with open(args.witness, "w") as fh:
             for pair in verdict.witness:
                 sigma = " ".join(str(v) for v in pair.sigma)
                 tau = " ".join(str(v) for v in pair.tau)
                 fh.write(f"{sigma} < {tau}\n")
+    print(f"collapsible: {_flag_word(verdict.collapsible)}")
     if verdict.status == EXHAUSTED:
         return BUDGET_ERROR
     return 0

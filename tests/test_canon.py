@@ -16,7 +16,7 @@ from graphcollapse import (
     graph_from_canonical,
 )
 from graphcollapse.canon import canonical_labelling
-from graphcollapse.factories import complete, cycle, edgeless, octahedron, path
+from graphcollapse.factories import complete, complete_multipartite, cycle, edgeless, octahedron, path
 
 from helpers import (
     _connected_labeled_masks,
@@ -29,6 +29,23 @@ from helpers import (
     reference_canonical_labelling,
     reference_levels,
 )
+
+
+def petersen() -> Graph:
+    return Graph(range(10), [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def hypercube(d: int) -> Graph:
+    return Graph(range(1 << d), [(v, v | 1 << b) for v in range(1 << d) for b in range(d) if not v >> b & 1])
+
+
+def paley(q: int) -> Graph:
+    squares = {i * i % q for i in range(1, q)}
+    return Graph(range(q), [(i, j) for i, j in combinations(range(q), 2) if (j - i) % q in squares])
+
+
+def rook(k: int) -> Graph:
+    return Graph(range(k * k), [(a, b) for a, b in combinations(range(k * k), 2) if a // k == b // k or a % k == b % k])
 
 
 def _labeled_graph(n: int, mask: int) -> Graph:
@@ -162,6 +179,13 @@ class TestPinnedSearch:
     the same generators, in the same order, as the dict-based search it
     replaced (kept in helpers)."""
 
+    @staticmethod
+    def check(g):
+        order, gens = canonical_labelling(g)
+        want_order, want_gens = reference_canonical_labelling(g)
+        assert order == want_order
+        assert [list(p.items()) for p in gens] == [list(p.items()) for p in want_gens]
+
     @given(arbitrary_graphs(min_n=0, max_n=10), st.randoms(use_true_random=False), st.booleans())
     def test_matches_dict_based_search(self, g, rng, sparse):
         if sparse:
@@ -182,3 +206,22 @@ class TestPinnedSearch:
         want_order, want_gens = reference_canonical_labelling(g)
         assert order == want_order
         assert [list(p.items()) for p in gens] == [list(p.items()) for p in want_gens]
+
+    def test_matches_dict_based_search_on_every_connected_graph_through_seven(self, census7):
+        # Exhaustive, because random graphs seldom split a cell three or
+        # more ways in one pass, the case where refinement must keep every
+        # piece but the last as a splitter.
+        for entry in census7.entries():
+            self.check(entry.graph())
+
+    @pytest.mark.parametrize(
+        "g",
+        [petersen(), hypercube(4), paley(13), complete_multipartite([4, 4]), rook(3)],
+        ids=["petersen", "4-cube", "paley-13", "k4-4", "rook-3x3"],
+    )
+    def test_matches_dict_based_search_on_symmetric_graphs(self, g):
+        # Vertex-transitive graphs, most of them strongly regular: no cell
+        # splits at the root, and below it a refinement of the 4-cube or
+        # Paley(13) splits cells in up to three or four passes in a row,
+        # each against the cells the one before split.
+        self.check(g)

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from graphcollapse import census
-from graphcollapse.canon import canonical_form, graph_from_canonical
+from graphcollapse.canon import _masks_from_form, _search, canonical_form, graph_from_canonical
 from graphcollapse.census import (
     _extend_level,
     Census,
@@ -25,6 +25,7 @@ from graphcollapse.census import (
 )
 from graphcollapse.errors import GraphFormatError, InputError, InternalInconsistencyError
 from graphcollapse.factories import complete, cycle, octahedron, path
+from graphcollapse.graphs import _component_masks
 
 from helpers import connected_count_brute, gstar, reference_levels
 
@@ -68,7 +69,35 @@ class TestGeneration:
     def test_a_repeated_child_is_an_internal_error(self):
         parents = generate_connected(4)[4]
         with pytest.raises(InternalInconsistencyError, match="twice"):
-            _extend_level(parents + parents[:1])
+            _extend_level(census._searched(parents + parents[:1]))
+
+    def test_carried_parents_match_a_fresh_search_through_seven(self):
+        level = census._level(1, ())
+        for n in range(2, 8):
+            level = census._level(n, level)
+            for form, masks, gens in level:
+                assert masks == _masks_from_form(form)
+                every = range(1, 1 << n)
+                fresh = [[p[v] for v in range(n)] for p in _search(masks)[2]]
+                assert census._subset_orbit_representatives(n, gens, every) == census._subset_orbit_representatives(
+                    n, fresh, every
+                )
+
+    def test_degree_bound_skips_no_subset_that_can_win(self):
+        skipped = 0
+        for forms in generate_connected(6).values():
+            for form in forms:
+                adj = _masks_from_form(form)
+                k = len(adj)
+                cuts = [_component_masks(adj, (1 << k) - 1 ^ 1 << v) for v in range(k)]
+                deg = [m.bit_count() for m in adj]
+                kept = set(census._candidate_subsets(deg, cuts))
+                for s in range(1, 1 << k):
+                    if s not in kept:
+                        skipped += 1
+                        assert census._rivals(adj, deg, cuts, s) is None
+        # 2,967 of the 7,815 subsets of these parents are skipped.
+        assert skipped == 2967
 
     def test_generate_connected_alone(self):
         levels = generate_connected(5)

@@ -75,6 +75,12 @@ class TestReduce:
         trace = ReductionTrace.from_text(trace_path.read_text(), g)
         assert trace.replay(g).n == 1
 
+    def test_unusable_trace_path_prints_nothing(self, tmp_path, capsys):
+        assert main(["reduce", "--trace", str(tmp_path), write_graph(tmp_path, path(3))]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_stuck_graph_returned_unchanged(self, tmp_path, capsys):
         assert main(["reduce", write_graph(tmp_path, cycle(4))]) == 0
         out = capsys.readouterr().out
@@ -114,9 +120,21 @@ class TestCollapse:
         assert len(lines) == 7
         assert all(" < " in line for line in lines)
 
+    def test_unusable_witness_path_prints_nothing(self, tmp_path, capsys):
+        assert main(["collapse", "--witness", str(tmp_path), write_graph(tmp_path, complete(4))]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_negative(self, tmp_path, capsys):
         assert main(["collapse", write_graph(tmp_path, cycle(4))]) == 0
         assert capsys.readouterr().out == "collapsible: no\n"
+
+    def test_negative_writes_no_witness(self, tmp_path, capsys):
+        wit = tmp_path / "wit.txt"
+        assert main(["collapse", "--witness", str(wit), write_graph(tmp_path, cycle(4))]) == 0
+        assert capsys.readouterr().out == "collapsible: no\n"
+        assert not wit.exists()
 
     def test_budget_exhausted(self, tmp_path, capsys):
         rc = main(
