@@ -6,7 +6,7 @@ leaves them byte-identical:
     PYTHONPATH=src python3 scripts/compare_outputs.py > after.json
 
 Run it the same way in a checkout of the parent commit and diff the two
-files. It covers the prime-field wrappers (ranks, free-variables-zero
+files. It covers prime-field elimination (ranks, free-variables-zero
 solutions, kernel bases), integer invariant factors, homology over
 GF(2), GF(3) and the integers with representatives, pushed cycles with
 the coordinates of their classes in the reduced graph's homology basis
@@ -110,15 +110,17 @@ def linear_algebra(rng: random.Random) -> list:
             b = a @ np.array([rng.randint(-3, 3) for _ in range(cols)], dtype=np.int64)
         else:
             b = np.array([rng.randint(-9, 9) for _ in range(rows)], dtype=np.int64)
-        x = exactla.solve_mod_p(a, b, p)
+        sparse = [{i: c for i, c in enumerate(col) if c} for col in a.T.tolist()]
+        ech = exactla.Echelon(p, sparse)
+        x = exactla.solve_columns(sparse, dict(enumerate(b.tolist())), p)
         out.append({
             "p": p,
             "a": a.tolist(),
             "b": b.tolist(),
-            "rank": exactla.rank_mod_p(a, p),
-            "solve": None if x is None else x.tolist(),
-            "nullspace": exactla.nullspace_mod_p(a, p).tolist(),
-            "invariant_factors": list(exactla.invariant_factors(a)),
+            "rank": ech.rank,
+            "solve": None if x is None else exactla.dense([x], cols).reshape(-1).tolist(),
+            "nullspace": exactla.dense(ech.relations, cols).tolist(),
+            "invariant_factors": list(exactla.invariant_factors_of_columns(sparse)),
         })
     return out
 

@@ -32,8 +32,6 @@ applies the steps in place to one copy of the graph's adjacency masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .errors import GraphFormatError
@@ -42,12 +40,10 @@ from .graphs import Graph, _content_lines, _subgraph, iter_bits
 __all__ = [
     "Step",
     "ReductionTrace",
-    "TransformKind",
     "is_strong_contractible",
     "is_strong_contractible_any_order",
     "contractible_reduction",
     "edge_extended_reduction",
-    "legal_transformations",
     "clear_caches",
 ]
 
@@ -391,43 +387,3 @@ def edge_extended_reduction(g: Graph) -> tuple[Graph, ReductionTrace]:
     """
     return _reduce(g, True, {})
 
-
-# -- legal transformation listing -------------------------------------------------
-
-
-class TransformKind(Enum):
-    DELETE_VERTEX = "delete_vertex"
-    GLUE_VERTEX = "glue_vertex"
-    DELETE_EDGE = "delete_edge"
-    GLUE_EDGE = "glue_edge"
-
-
-def legal_transformations(
-    g: Graph, max_glue_size: int = 3
-) -> list[tuple[TransformKind, object]]:
-    """Transformations whose side condition passes the strong test.
-
-    The side conditions of the general contractible-transformation family
-    are approximated by the strong test throughout. Candidate neighbor
-    sets for vertex gluing are only enumerated up to max_glue_size
-    vertices; larger gluings exist but are not listed.
-    """
-    out: list[tuple[TransformKind, object]] = []
-    for v in g.vertices:
-        if is_strong_contractible(g.neighborhood(v)):
-            out.append((TransformKind.DELETE_VERTEX, v))
-    limit = min(max_glue_size, g.n)
-    for size in range(1, limit + 1):
-        for subset in combinations(g.vertices, size):
-            if is_strong_contractible(g.induced(subset)):
-                out.append((TransformKind.GLUE_VERTEX, frozenset(subset)))
-    for u, v in g.edges:
-        if is_strong_contractible(g.common_neighborhood(u, v)):
-            out.append((TransformKind.DELETE_EDGE, (u, v)))
-    edge_set = set(g.edges)
-    for u, v in combinations(g.vertices, 2):
-        if (u, v) in edge_set:
-            continue
-        if is_strong_contractible(g.common_neighborhood(u, v)):
-            out.append((TransformKind.GLUE_EDGE, (u, v)))
-    return out

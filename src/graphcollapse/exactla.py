@@ -4,28 +4,25 @@ Prime-field elimination runs in one sparse kernel, `Echelon`, on
 `{row: coeff}` columns of Python ints, with one exception: over GF(2)
 the clearing kernel `homology._cleared_pivots` keeps each column as an
 int bit set and reduces it by XOR, and only its odd primes run here.
-The ndarray wrappers read ranks, free-variables-zero solutions and
-standard kernel bases off `Echelon`, and cap the modulus below 2**31 so
-every residue fits their int64 results. Columns added with a tag carry
-the relation each reduced vector satisfies, from which kernel bases,
-solutions and homology representatives over odd primes are read.
-Columns added without one keep only the vector and its pivot row:
-`rank_mod_p` and the clearing kernel over odd primes, for Betti numbers
-without representatives and barcodes, read nothing else.
+Columns added with a tag carry the relation each reduced vector
+satisfies, from which solutions (`solve_columns`), kernel bases and
+homology representatives over odd primes are read. Columns added
+without one keep only the vector and its pivot row: the clearing kernel
+over odd primes, for Betti numbers without representatives and
+barcodes, reads nothing else. `check_prime` caps the modulus below
+2**31, so every residue fits the int64 matrices `dense` builds.
 Integer invariant factors come from the same `{row: coeff}` columns:
 sparse elimination splits off every ±1 pivot it can find, each a unit
 factor, and Smith normal form runs only on the block the unit pivots
-leave, which is empty on most boundary matrices. Smith normal form
-itself is plain row/column reduction on lists of Python ints with
-smallest-magnitude pivoting.
+leave, which is empty on most boundary matrices. That Smith normal form
+is plain row/column reduction on lists of Python ints with
+smallest-magnitude pivoting, and keeps only the diagonal.
 
-numpy is the output format only. It is imported inside the functions
-that read an array-like argument or return an ndarray: `dense`,
-`rank_mod_p`, `solve_mod_p`, `nullspace_mod_p`, and the readers of the
-public `smith_normal_form` and `invariant_factors`. Echelon,
-`solve_columns` and `invariant_factors_of_columns` work on `{row:
-coeff}` columns and never load it, so neither do homology over any
-coefficients nor the command line.
+numpy is the output format only. It is imported inside `dense`, which
+builds the int64 matrices of `homology.boundary_matrix`,
+`express_in_homology_basis` and `induced_map`. Everything else works on
+`{row: coeff}` columns and never loads it, so neither do homology over
+any coefficients nor the command line.
 """
 
 from __future__ import annotations
@@ -40,11 +37,6 @@ __all__ = [
     "Echelon",
     "solve_columns",
     "dense",
-    "rank_mod_p",
-    "solve_mod_p",
-    "nullspace_mod_p",
-    "smith_normal_form",
-    "invariant_factors",
     "invariant_factors_of_columns",
 ]
 
@@ -61,15 +53,6 @@ def check_prime(p: int) -> None:
         if p % d == 0:
             raise ValueError(f"modulus {p} is not prime (divisible by {d})")
         d += 1
-
-
-def _as_matrix(a) -> np.ndarray:
-    import numpy as np
-
-    m = np.array(a, dtype=np.int64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
-    return m
 
 
 class Echelon:
@@ -153,10 +136,6 @@ def solve_columns(cols, rhs: Mapping[int, int], p: int) -> Optional[dict[int, in
     return None if rel is None else {j: p - c for j, c in rel.items() if j != -1}
 
 
-def _columns(a) -> list[dict[int, int]]:
-    return [{i: c for i, c in enumerate(col) if c} for col in _as_matrix(a).T.tolist()]
-
-
 def dense(cols, rows: int) -> np.ndarray:
     """The int64 matrix with the given sparse columns."""
     import numpy as np
@@ -168,102 +147,25 @@ def dense(cols, rows: int) -> np.ndarray:
     return mat
 
 
-def rank_mod_p(a, p: int) -> int:
-    check_prime(p)
-    ech = Echelon(p)
-    for col in _columns(a):
-        ech.add(col)
-    return ech.rank
-
-
-def solve_mod_p(a, b, p: int) -> Optional[np.ndarray]:
-    """One solution of a x = b mod p (free variables zero), or None."""
-    import numpy as np
-
-    m = _as_matrix(a)
-    rhs = np.array(b, dtype=np.int64).reshape(-1)
-    if rhs.shape[0] != m.shape[0]:
-        raise ValueError(f"shape mismatch: {m.shape} vs rhs of length {rhs.shape[0]}")
-    check_prime(p)
-    sol = solve_columns(_columns(m), dict(enumerate(rhs.tolist())), p)
-    return None if sol is None else dense([sol], m.shape[1]).reshape(-1)
-
-
-def nullspace_mod_p(a, p: int) -> np.ndarray:
-    """Matrix whose columns are a basis of the kernel mod p.
-
-    Shape (ncols, nullity); the basis is the standard one read off the
-    reduced echelon form, one column per free variable: the relation of
-    each column that depends on the ones before it.
-    """
-    m = _as_matrix(a)
-    check_prime(p)
-    return dense(Echelon(p, _columns(m)).relations, m.shape[1])
-
-
 # -- integer Smith normal form ---------------------------------------------
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _object_matrix(a):
-    """a as a 2d numpy array of Python objects."""
-    import numpy as np
-
-    arr = np.array(a, dtype=object)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of ndim {arr.ndim}")
-    return arr
-
-
-def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Diagonalize an integer matrix: returns (s, l, r) with l a r = s,
-    l and r unimodular, s diagonal with s[0][0] | s[1][1] | ...
-
-    Diagonal entries are nonnegative. Accepts any 2d array-like of ints.
-    """
-    arr = _object_matrix(a)
-    return _smith([[int(x) for x in row] for row in arr.tolist()], arr.shape[1])
-
-
-def _smith(s: list[list[int]], cols: int) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """smith_normal_form of the matrix with the given rows of Python
-    ints and cols columns; s is reduced in place and returned."""
+def _smith(s: list[list[int]], cols: int) -> list[list[int]]:
+    """Reduce the matrix with the given rows of Python ints and cols
+    columns, in place, to its Smith normal form: diagonal, with
+    nonnegative entries s[0][0] | s[1][1] | ... Returns s."""
     rows = len(s)
-    left = _identity(rows)
-    right = _identity(cols)
 
     def row_sub(i: int, j: int, q: int) -> None:
         # row i -= q * row j
         si, sj = s[i], s[j]
         for k in range(cols):
             si[k] -= q * sj[k]
-        li, lj = left[i], left[j]
-        for k in range(rows):
-            li[k] -= q * lj[k]
 
     def col_sub(i: int, j: int, q: int) -> None:
         # col i -= q * col j
         for rrow in s:
             rrow[i] -= q * rrow[j]
-        for rrow in right:
-            rrow[i] -= q * rrow[j]
-
-    def swap_rows(i: int, j: int) -> None:
-        s[i], s[j] = s[j], s[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for rrow in s:
-            rrow[i], rrow[j] = rrow[j], rrow[i]
-        for rrow in right:
-            rrow[i], rrow[j] = rrow[j], rrow[i]
-
-    def negate_row(i: int) -> None:
-        s[i] = [-x for x in s[i]]
-        left[i] = [-x for x in left[i]]
 
     t = 0
     while t < min(rows, cols):
@@ -279,11 +181,12 @@ def _smith(s: list[list[int]], cols: int) -> tuple[list[list[int]], list[list[in
         while True:
             _, bi, bj = best
             if bi != t:
-                swap_rows(t, bi)
+                s[t], s[bi] = s[bi], s[t]
             if bj != t:
-                swap_cols(t, bj)
+                for rrow in s:
+                    rrow[t], rrow[bj] = rrow[bj], rrow[t]
             if s[t][t] < 0:
-                negate_row(t)
+                s[t] = [-x for x in s[t]]
             pivot = s[t][t]
             for i in range(t + 1, rows):
                 if s[i][t]:
@@ -319,7 +222,7 @@ def _smith(s: list[list[int]], cols: int) -> tuple[list[list[int]], list[list[in
             row_sub(t, viol, -1)
             best = (abs(pivot), t, t)
         t += 1
-    return s, left, right
+    return s
 
 
 def invariant_factors_of_columns(cols) -> tuple[int, ...]:
@@ -376,12 +279,6 @@ def invariant_factors_of_columns(cols) -> tuple[int, ...]:
     if not rest:
         return (1,) * units
     live = sorted({r for col in rest for r in col})
-    s, _, _ = _smith([[col.get(r, 0) for col in rest] for r in live], len(rest))
+    s = _smith([[col.get(r, 0) for col in rest] for r in live], len(rest))
     return (1,) * units + tuple(s[t][t] for t in range(min(len(live), len(rest))) if s[t][t])
-
-
-def invariant_factors(a) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form, in divisibility order. Accepts
-    any 2d array-like of ints, Python ints beyond int64 included."""
-    return invariant_factors_of_columns([dict(enumerate(col)) for col in _object_matrix(a).T.tolist()])
 

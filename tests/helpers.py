@@ -4,7 +4,8 @@ Everything here recomputes answers from first principles with the
 dumbest approach that fits in the time budget: permutation-minimum
 encodings for isomorphism, pure-python GF(2) elimination on bitmask
 rows for ranks and Betti numbers, Gauss-Jordan elimination mod p on
-lists, exhaustive coface scans for free pairs. None of it calls into
+lists, gcds of minors for integer invariant factors, exhaustive coface
+scans for free pairs. None of it calls into
 the package's own linear algebra, canonical form, or complex machinery,
 so agreement is meaningful. The one exception is the census reference
 generation, which deduplicates with the package's canonical form; the
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 import numpy as np
 from hypothesis import strategies as st
@@ -338,6 +340,32 @@ def rational_rank(matrix: list[list[Fraction]]) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def brute_invariant_factors(rows: list[list[int]]) -> tuple[int, ...]:
+    """Nonzero diagonal of the Smith form, from determinantal divisors:
+    d_k is the gcd of all k x k minors and the factors are d_k / d_(k-1)
+    while d_k is nonzero. Each k x k minor is the integer cofactor
+    expansion along its first row over the (k-1) x (k-1) minors, all
+    kept, so no elimination and no division is involved."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    minors = {((), ()): 1}
+    factors: list[int] = []
+    prev = 1
+    for k in range(1, min(m, n) + 1):
+        level = {}
+        for rs in combinations(range(m), k):
+            top, rest = rows[rs[0]], rs[1:]
+            for cs in combinations(range(n), k):
+                level[rs, cs] = sum(
+                    (-1) ** i * top[c] * minors[rest, cs[:i] + cs[i + 1:]] for i, c in enumerate(cs)
+                )
+        d = gcd(*level.values())
+        if not d:
+            break
+        factors.append(d // prev)
+        prev, minors = d, level
+    return tuple(factors)
 
 
 # -- Gauss-Jordan elimination mod p on lists -----------------------------------

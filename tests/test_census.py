@@ -27,7 +27,7 @@ from graphcollapse.errors import GraphFormatError, InputError, InternalInconsist
 from graphcollapse.factories import complete, cycle, octahedron, path
 from graphcollapse.graphs import _component_masks
 
-from helpers import connected_count_brute, gstar, reference_levels
+from helpers import brute_canonical_key, connected_count_brute, gstar, reference_levels
 
 
 class TestGeneration:
@@ -57,6 +57,15 @@ class TestGeneration:
         reference = reference_levels(7)
         for n in range(1, 8):
             assert [bytes(e.form) for e in census7.levels[n]] == [bytes(f) for f in reference[n]]
+
+    def test_levels_are_the_known_classes_by_brute_force_through_six(self, census7):
+        # names each class by the permutation-minimum encoding, not by
+        # the package's own canonical form
+        for n in range(1, 7):
+            graphs = [graph_from_canonical(e.form) for e in census7.levels[n]]
+            assert all(g.n == n and len(g.connected_components()) == 1 for g in graphs)
+            keys = {brute_canonical_key(g) for g in graphs}
+            assert len(keys) == len(graphs) == KNOWN_CONNECTED_COUNTS[n]
 
     def test_level_eight_matches_pinned_digest(self):
         # sha256 of the sorted hex forms, one per line: no reference

@@ -10,10 +10,9 @@ from graphcollapse import (
     edge_extended_reduction,
     is_strong_contractible,
     is_strong_contractible_any_order,
-    legal_transformations,
 )
 from graphcollapse import clique_complex, collapse_via_trace
-from graphcollapse.contract import Step, TransformKind
+from graphcollapse.contract import Step
 from graphcollapse.errors import GraphFormatError
 from graphcollapse.homology import ChainVector, push_cycle_sequence
 from graphcollapse.factories import complete, cycle, edgeless, octahedron, path
@@ -358,37 +357,3 @@ class TestCaches:
         before = is_strong_contractible(gstar())
         clear_caches()
         assert is_strong_contractible(gstar()) == before
-
-
-class TestLegalTransformations:
-    def test_point_can_only_glue(self):
-        kinds = {kind for kind, _ in legal_transformations(complete(1))}
-        assert TransformKind.GLUE_VERTEX in kinds
-        assert TransformKind.DELETE_VERTEX not in kinds
-        payloads = [
-            arg for kind, arg in legal_transformations(complete(1))
-            if kind == TransformKind.GLUE_VERTEX
-        ]
-        assert frozenset({0}) in {frozenset(p) for p in payloads}
-
-    def test_four_cycle_has_no_deletions(self):
-        moves = legal_transformations(cycle(4))
-        assert all(
-            kind not in (TransformKind.DELETE_VERTEX, TransformKind.DELETE_EDGE)
-            for kind, _ in moves
-        )
-
-    def test_k3_vertex_deletions(self):
-        moves = legal_transformations(complete(3))
-        deletions = [arg for kind, arg in moves if kind == TransformKind.DELETE_VERTEX]
-        assert deletions == [0, 1, 2]
-
-    @given(connected_graphs(max_n=5))
-    @settings(max_examples=30)
-    def test_listed_deletions_have_qualifying_links(self, g):
-        for kind, arg in legal_transformations(g):
-            if kind == TransformKind.DELETE_VERTEX:
-                assert is_strong_contractible(g.neighborhood(arg))
-            elif kind == TransformKind.DELETE_EDGE:
-                u, v = arg
-                assert is_strong_contractible(g.common_neighborhood(u, v))

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcollapse import exactla
+from graphcollapse.homology import Coefficients
 
 from helpers import (
+    brute_invariant_factors,
     gf2_rank,
-    rational_det,
     rational_rank,
     reference_nullspace,
     reference_rref,
@@ -28,6 +29,11 @@ def int_matrices(max_dim=5, lo=-9, hi=9):
     )
 
 
+def columns(rows):
+    """The sparse `{row: coeff}` columns of the matrix with these rows."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))]
+
+
 class TestPrimes:
     def test_accepts_primes(self):
         for p in (2, 3, 5, 7, 11, 101):
@@ -42,13 +48,13 @@ class TestPrimes:
 class TestRref:
     @given(int_matrices())
     def test_rank_mod_2_matches_bitmask_elimination(self, a):
-        rows = [int("".join(str(x % 2) for x in row), 2) if a.shape[1] else 0 for row in a]
-        assert exactla.rank_mod_p(a, 2) == gf2_rank(rows)
+        rows = [int("".join(str(x % 2) for x in row), 2) for row in a]
+        assert exactla.Echelon(2, columns(a.tolist())).rank == gf2_rank(rows)
 
     @given(int_matrices(), st.sampled_from([2, 3, 5, 7]))
     def test_rank_at_least_rational_rank(self, a, p):
         # ranks can only drop when reducing mod p
-        assert exactla.rank_mod_p(a, p) <= rational_rank(a.tolist()) <= min(a.shape)
+        assert exactla.Echelon(p, columns(a.tolist())).rank <= rational_rank(a.tolist()) <= min(a.shape)
 
 
 class TestSolveModP:
@@ -61,33 +67,32 @@ class TestSolveModP:
             dtype=np.int64,
         )
         b = (a @ x) % p
-        got = exactla.solve_mod_p(a, b, p)
+        got = exactla.solve_columns(columns(a.tolist()), dict(enumerate(b.tolist())), p)
         assert got is not None
-        assert ((a @ got - b) % p == 0).all()
+        assert ((a @ exactla.dense([got], a.shape[1]).reshape(-1) - b) % p == 0).all()
 
     def test_unsolvable(self):
-        a = np.array([[1], [1]])
-        b = np.array([0, 1])
-        assert exactla.solve_mod_p(a, b, 3) is None
+        assert exactla.solve_columns([{0: 1, 1: 1}], {1: 1}, 3) is None
 
     @given(int_matrices(), st.sampled_from([2, 3, 5]))
     def test_nullspace(self, a, p):
-        ns = exactla.nullspace_mod_p(a, p)
-        assert ns.shape[0] == a.shape[1]
-        assert ns.shape[1] == a.shape[1] - exactla.rank_mod_p(a, p)
+        ech = exactla.Echelon(p, columns(a.tolist()))
+        ns = exactla.dense(ech.relations, a.shape[1])
+        assert ns.shape[1] == a.shape[1] - ech.rank
         if ns.shape[1]:
             assert ((a @ ns) % p == 0).all()
-            assert exactla.rank_mod_p(ns, p) == ns.shape[1]
+            assert exactla.Echelon(p, columns(ns.tolist())).rank == ns.shape[1]
 
 
 class TestAgainstReferenceElimination:
-    """The wrappers must return exactly what Gauss-Jordan elimination
-    reads off: the pivot count, the free-variables-zero solution and the
-    standard kernel basis, column for column."""
+    """`Echelon` and `solve_columns` must return exactly what
+    Gauss-Jordan elimination reads off: the pivot count, the
+    free-variables-zero solution and the standard kernel basis, column
+    for column."""
 
     @given(int_matrices(max_dim=6), PRIMES)
     def test_rank(self, a, p):
-        assert exactla.rank_mod_p(a, p) == len(reference_rref(a.tolist(), p)[1])
+        assert exactla.Echelon(p, columns(a.tolist())).rank == len(reference_rref(a.tolist(), p)[1])
 
     @given(int_matrices(max_dim=6), PRIMES, st.data())
     def test_solve(self, a, p, data):
@@ -96,30 +101,27 @@ class TestAgainstReferenceElimination:
             b = (a @ np.array(x, dtype=np.int64)).tolist()
         else:
             b = data.draw(st.lists(st.integers(-9, 9), min_size=a.shape[0], max_size=a.shape[0]))
-        got = exactla.solve_mod_p(a, b, p)
+        got = exactla.solve_columns(columns(a.tolist()), dict(enumerate(b)), p)
         want = reference_solve(a.tolist(), b, p)
         if want is None:
             assert got is None
         else:
-            assert got.dtype == np.int64
-            assert got.tolist() == want
+            x = exactla.dense([got], a.shape[1]).reshape(-1)
+            assert x.dtype == np.int64
+            assert x.tolist() == want
 
     @given(int_matrices(max_dim=6), PRIMES)
     def test_nullspace(self, a, p):
-        got = exactla.nullspace_mod_p(a, p)
+        got = exactla.dense(exactla.Echelon(p, columns(a.tolist())).relations, a.shape[1])
         want = reference_nullspace(a.tolist(), p)
         assert got.shape == (a.shape[1], len(want))
         assert got.T.tolist() == want
 
     def test_modulus_checked(self):
-        a = np.array([[1, 2], [3, 4]])
-        for call in (
-            lambda: exactla.rank_mod_p(a, 4),
-            lambda: exactla.solve_mod_p(a, [1, 1], 2**31),
-            lambda: exactla.nullspace_mod_p(a, 1),
-        ):
+        # the modulus is checked where it enters, in the coefficient ring
+        for p in (4, 2**31, 1):
             with pytest.raises(ValueError, match="modulus"):
-                call()
+                Coefficients(p)
 
 
 class TestEchelon:
@@ -147,8 +149,7 @@ class TestEchelon:
     @given(int_matrices(max_dim=6), st.sampled_from([2, 3, 5]))
     def test_untagged_columns_enlarge_the_span_as_tagged_ones_do(self, a, p):
         tagged, untagged = exactla.Echelon(p), exactla.Echelon(p)
-        for j, col in enumerate(np.array(a).T.tolist()):
-            col = {i: c for i, c in enumerate(col) if c}
+        for j, col in enumerate(columns(a.tolist())):
             rel = tagged.add(col, j)
             assert (untagged.add(col) is None) == (rel is None)
             assert untagged.last_pivot == tagged.last_pivot
@@ -177,42 +178,19 @@ class TestEchelon:
 
 
 class TestSmith:
-    @given(int_matrices(max_dim=4))
-    @settings(max_examples=50)
-    def test_decomposition(self, a):
-        s, left, right = exactla.smith_normal_form(a)
-        sl = np.array(s, dtype=object)
-        product = np.array(left, dtype=object) @ a.astype(object) @ np.array(right, dtype=object)
-        assert (product == sl).all()
-        assert abs(rational_det(left)) == 1
-        assert abs(rational_det(right)) == 1
-        rows, cols = a.shape
-        diag = [s[i][i] for i in range(min(rows, cols))]
-        assert all(
-            s[i][j] == 0 for i in range(rows) for j in range(cols) if i != j
-        )
-        assert all(d >= 0 for d in diag)
-        for x, y in zip(diag, diag[1:]):
-            if x:
-                assert y % x == 0
-            else:
-                assert y == 0
-
     def test_known_invariant_factors(self):
-        assert exactla.invariant_factors(np.array([[2, 0], [0, 3]])) == (1, 6)
-        assert exactla.invariant_factors(np.array([[2, 4], [6, 8]])) == (2, 4)
-        assert exactla.invariant_factors(np.zeros((2, 3), dtype=np.int64)) == ()
-        assert exactla.invariant_factors(np.array([[6]])) == (6,)
+        factors = exactla.invariant_factors_of_columns
+        assert factors(columns([[2, 0], [0, 3]])) == (1, 6)
+        assert factors(columns([[2, 4], [6, 8]])) == (2, 4)
+        assert factors(columns([[0, 0, 0], [0, 0, 0]])) == ()
+        assert factors(columns([[6]])) == (6,)
 
     @given(int_matrices(max_dim=4))
     @settings(max_examples=50)
     def test_factor_count_is_rational_rank(self, a):
-        assert len(exactla.invariant_factors(a)) == rational_rank(a.tolist())
-
-
-def smith_diagonal(a) -> tuple[int, ...]:
-    s, _, _ = exactla.smith_normal_form(a)
-    return tuple(s[i][i] for i in range(min(len(s), len(s[0]))) if s[i][i])
+        factors = exactla.invariant_factors_of_columns(columns(a.tolist()))
+        assert factors == brute_invariant_factors(a.tolist())
+        assert len(factors) == rational_rank(a.tolist())
 
 
 BIG = st.integers(2**63, 2**70) | st.integers(-(2**70), -(2**63) - 1)
@@ -234,24 +212,24 @@ def object_matrices(draw, entries, max_dim=6):
 
 class TestInvariantFactors:
     """Unit elimination in front of the Smith form gives the Smith
-    form's diagonal."""
+    form's diagonal, which the oracle reads off the gcds of the minors."""
 
     @given(object_matrices(WITH_UNITS))
     @settings(max_examples=100)
     def test_matches_smith_diagonal(self, a):
-        assert exactla.invariant_factors(a) == smith_diagonal(a)
+        assert exactla.invariant_factors_of_columns(columns(a)) == brute_invariant_factors(a)
 
     @given(object_matrices(NO_UNITS))
     @settings(max_examples=100)
     def test_matches_smith_diagonal_without_unit_entries(self, a):
         # no pivot is a unit, so the whole matrix is the remainder
-        assert exactla.invariant_factors(a) == smith_diagonal(a)
+        assert exactla.invariant_factors_of_columns(columns(a)) == brute_invariant_factors(a)
 
     @given(object_matrices(WITH_UNITS))
     def test_columns_are_left_unchanged(self, a):
-        cols = [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(len(a[0]))]
+        cols = columns(a)
         copy = [dict(col) for col in cols]
-        assert exactla.invariant_factors_of_columns(cols) == smith_diagonal(a)
+        assert exactla.invariant_factors_of_columns(cols) == brute_invariant_factors(a)
         assert cols == copy
 
     def test_unit_pivots_leave_torsion_to_the_remainder(self):
@@ -259,8 +237,3 @@ class TestInvariantFactors:
         assert exactla.invariant_factors_of_columns([{0: 1, 1: 1}, {0: 1, 1: -1}]) == (1, 2)
         assert exactla.invariant_factors_of_columns([{}, {3: 2 ** 80}]) == (2 ** 80,)
         assert exactla.invariant_factors_of_columns([]) == ()
-
-    def test_rejects_a_vector(self):
-        with pytest.raises(ValueError, match="ndim"):
-            exactla.invariant_factors([1, 2, 3])
-
