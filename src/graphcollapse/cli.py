@@ -126,7 +126,7 @@ def _check_max_dim(max_dim: Optional[int]) -> None:
 
 def _cmd_homology(args) -> int:
     g = load_graph(args.file)
-    coeffs = Coefficients(None) if args.integers else _checked(Coefficients, args.mod)
+    coeffs = Coefficients(None) if args.integers else _checked(Coefficients, 2 if args.mod is None else args.mod)
     _check_max_dim(args.max_dim)
     h = homology(g, coeffs, max_dim=args.max_dim, with_representatives=False)
     sys.stdout.write(h.to_text())
@@ -225,8 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", help="homology of the clique complex")
     p.add_argument("file")
-    p.add_argument("--mod", type=int, default=2, help="prime field modulus (default 2)")
-    p.add_argument("--integers", action="store_true", help="integer coefficients with torsion")
+    field = p.add_mutually_exclusive_group()
+    # No default for --mod: argparse does not count an option whose value
+    # is its default as given, so --mod 2 --integers would pass.
+    field.add_argument("--mod", type=int, help="prime field modulus (default 2)")
+    field.add_argument("--integers", action="store_true", help="integer coefficients with torsion")
     p.add_argument("--max-dim", type=int, default=None)
     p.set_defaults(func=_cmd_homology)
 

@@ -24,9 +24,14 @@ call, a graph is therefore named exactly by its vertex mask over the
 input's adjacency, and verdicts are memoized by mask for that call only.
 Nothing is shared between calls.
 
-Every trace consumer (replay, parsing against a graph, cycle pushing in
-homology, collapse lifting in complexes) reads one walk, _walk, which
-applies the steps in place to one copy of the graph's adjacency masks.
+A trace step is the deleted simplex, its apex (v,) or (u, v), and the
+int mask of the apex's link when it was deleted; the link's vertex set
+is decoded only when read. Every reduction records its own steps, so
+no step is shared between calls. Every trace consumer (replay, parsing
+against a graph, cycle pushing in homology, collapse lifting in
+complexes) reads one walk, _walk, which applies the steps in place to
+one copy of the graph's adjacency masks; replay and collapse lifting
+also compare each live link mask with the recorded one.
 """
 
 from __future__ import annotations
@@ -162,37 +167,43 @@ def is_strong_contractible_any_order(g: Graph) -> bool:
 
 # -- reduction traces ----------------------------------------------------------
 
-VERTEX_STEP = "vertex"
-EDGE_STEP = "edge"
-
-
-@dataclass(frozen=True)
 class Step:
-    """One deletion: a vertex id or an edge pair, plus a snapshot of the
-    deleted element's (common) neighborhood vertex set at deletion time."""
+    """One deletion: the deleted simplex, ascending, (v,) or (u, v) with
+    u < v, and the mask of its link at deletion time, the vertices
+    adjacent to every apex vertex (0 in a trace parsed without its
+    graph). Deleting the apex collapses its star onto that link. A value:
+    equal steps hash alike, and its fields are not to be reassigned."""
 
-    kind: str
-    element: object  # int for vertex steps, (u, v) tuple for edge steps
-    link: frozenset = frozenset()
+    __slots__ = ("apex", "mask")
 
-    def __post_init__(self):
-        if self.kind not in (VERTEX_STEP, EDGE_STEP):
-            raise ValueError(f"unknown step kind {self.kind!r}")
+    def __init__(self, apex: tuple[int, ...], mask: int = 0):
+        if type(apex) is not tuple or not (len(apex) == 1 or len(apex) == 2 and apex[0] < apex[1]):
+            raise ValueError(f"step apex must be (v,) or (u, v) with u < v, got {apex!r}")
+        self.apex = apex
+        self.mask = mask
 
-    @classmethod
-    def _at(cls, apex: tuple[int, ...], link: frozenset = frozenset()) -> "Step":
-        if len(apex) == 1:
-            return cls(VERTEX_STEP, apex[0], link)
-        return cls(EDGE_STEP, apex, link)
+    def __eq__(self, other) -> bool:
+        return type(other) is Step and self.apex == other.apex and self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash((self.apex, self.mask))
 
     @property
-    def apex(self) -> tuple[int, ...]:
-        """The deleted simplex, ascending: (v,) or (u, v) with u < v.
-        Deleting it collapses its star onto its link, the graph induced
-        on the vertices adjacent to every apex vertex."""
-        if self.kind == VERTEX_STEP:
-            return (self.element,)
-        return tuple(sorted(self.element))
+    def kind(self) -> str:
+        return "vertex" if len(self.apex) == 1 else "edge"
+
+    @property
+    def element(self) -> object:
+        """The vertex id for a vertex step, the (u, v) pair for an edge step."""
+        return self.apex[0] if len(self.apex) == 1 else self.apex
+
+    @property
+    def link(self) -> frozenset:
+        """The link's vertex ids."""
+        return frozenset(iter_bits(self.mask))
+
+    def __repr__(self) -> str:
+        return f"Step({self.apex!r}, link={list(iter_bits(self.mask))})"
 
 
 def _apex_link(adj: dict[int, int], apex: tuple[int, ...]) -> int:
@@ -248,22 +259,22 @@ class ReductionTrace:
 
     @property
     def deleted_vertices(self) -> tuple[int, ...]:
-        return tuple(s.element for s in self.steps if s.kind == VERTEX_STEP)
+        return tuple(s.apex[0] for s in self.steps if len(s.apex) == 1)
 
     @property
     def deleted_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(s.element for s in self.steps if s.kind == EDGE_STEP)
+        return tuple(s.apex for s in self.steps if len(s.apex) == 2)
 
     def _checked_walk(self, adj: dict[int, int]) -> Iterator[tuple[tuple[int, ...], int]]:
-        """_walk over the steps, checking each live link against the
+        """_walk over the steps, checking each live link mask against the
         recorded one. Errors name the step."""
         i = 0
         try:
             for apex, link in _walk(adj, [step.apex for step in self.steps]):
-                live = frozenset(iter_bits(link))
-                if live != self.steps[i].link:
+                recorded = self.steps[i].mask
+                if link != recorded:
                     raise ValueError(
-                        f"link of {list(apex)} is {sorted(live)}, trace recorded {sorted(self.steps[i].link)}"
+                        f"link of {list(apex)} is {list(iter_bits(link))}, trace recorded {list(iter_bits(recorded))}"
                     )
                 yield apex, link
                 i += 1
@@ -274,7 +285,7 @@ class ReductionTrace:
         """Apply the deletions to g, validating each step.
 
         Checks that each deleted element exists and that the recorded
-        neighborhood snapshot matches the graph at that point.
+        link mask matches the graph at that point.
         """
         adj = dict(g._adj)
         for _ in self._checked_walk(adj):
@@ -291,7 +302,8 @@ class ReductionTrace:
     @classmethod
     def from_text(cls, text: str, g: Optional[Graph] = None, source: str = "<trace>") -> "ReductionTrace":
         """Parse the trace format. If g is given, deletions are replayed
-        against it so links are filled in and validated."""
+        against it so the link masks are filled in and validated;
+        otherwise every step's mask is 0."""
         lines = _content_lines(text)
         if not lines:
             raise GraphFormatError(source, 1, "empty trace, expected 'trace k' header")
@@ -321,28 +333,17 @@ class ReductionTrace:
                 raise GraphFormatError(source, lineno, f"edge step needs two distinct vertices, got {line!r}")
             apexes.append(apex)
         if g is None:
-            return cls(tuple(map(Step._at, apexes)))
-        walk = _walk(dict(g._adj), apexes)
-        return cls(tuple(Step._at(apex, frozenset(iter_bits(link))) for apex, link in walk))
+            return cls(tuple(map(Step, apexes)))
+        return cls(tuple(Step(apex, link) for apex, link in _walk(dict(g._adj), apexes)))
 
 
 # -- reductions ------------------------------------------------------------------
 
 
-def _step(kind: str, element: object, link: int, known: dict) -> Step:
-    """The step deleting element with the given link mask, one object per
-    (element, link) in known."""
-    step = known.get((element, link))
-    if step is None:
-        step = known[element, link] = Step(kind, element, frozenset(iter_bits(link)))
-    return step
-
-
-def _reduce(g: Graph, edge_extended: bool, known: dict) -> tuple[Graph, ReductionTrace]:
+def _reduce(g: Graph, edge_extended: bool) -> tuple[Graph, ReductionTrace]:
     """Both reductions: the greedy scan on g's masks, then, for the
     edge-extended one, the first edge whose common neighborhood passes
-    and the scan again, until neither deletes anything. Steps come from
-    known (see _step), so reductions of related graphs can share them."""
+    and the scan again, until neither deletes anything."""
     steps: list[Step] = []
     while True:
         # Verdicts are keyed by vertex mask, so they hold only until an
@@ -351,7 +352,7 @@ def _reduce(g: Graph, edge_extended: bool, known: dict) -> tuple[Graph, Reductio
         adj, mask = g._adj, g._vmask
         deleted, rest = _first_hit_deletions(adj, mask, memo)
         for v in deleted:
-            steps.append(_step(VERTEX_STEP, v, adj[v] & mask, known))
+            steps.append(Step((v,), adj[v] & mask))
             mask ^= 1 << v
         if deleted:
             g = _subgraph(adj, rest)
@@ -361,7 +362,7 @@ def _reduce(g: Graph, edge_extended: bool, known: dict) -> tuple[Graph, Reductio
         for u, v in g.edges:
             link = adj[u] & adj[v]
             if _contractible(adj, link, memo):
-                steps.append(_step(EDGE_STEP, (u, v), link, known))
+                steps.append(Step((u, v), link))
                 g = g.delete_edge(u, v)
                 break
         else:
@@ -375,7 +376,7 @@ def contractible_reduction(g: Graph) -> tuple[Graph, ReductionTrace]:
     Each pass scans ascending vertex ids, deletes the first vertex whose
     neighborhood is strongly contractible, and restarts. Deterministic.
     """
-    return _reduce(g, False, {})
+    return _reduce(g, False)
 
 
 def edge_extended_reduction(g: Graph) -> tuple[Graph, ReductionTrace]:
@@ -385,5 +386,5 @@ def edge_extended_reduction(g: Graph) -> tuple[Graph, ReductionTrace]:
     order; the first edge whose common neighborhood is strongly
     contractible is deleted, after which vertex deletions are retried.
     """
-    return _reduce(g, True, {})
+    return _reduce(g, True)
 

@@ -20,11 +20,11 @@ reduction behind homology over a field, which reads representatives
 off the same pass when it keeps relations. Over GF(2), the default,
 its columns are int bit sets reduced by XOR; odd primes use
 `exactla.Echelon`. The oracle keeps its own bitmask loop, so the two
-stay independent. `reduce_filtration` gives
-each stage graph's own reduction, with traces, in one pass over the
-nested stages that shares the steps they have in common. A direct
-column reduction of the full filtered boundary matrix is the oracle for
-cross-checking barcodes.
+stay independent. `reduce_filtration` runs one public reduction per
+stage graph and returns each stage's reduced graph and trace, whose
+steps are apexes with link masks; no step is shared between stages
+and nothing is cached. A direct column reduction of the full filtered
+boundary matrix is the oracle for cross-checking barcodes.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .complexes import DEFAULT_FACE_BUDGET, enumerate_cliques
-from .contract import ReductionTrace, _contractible, _reduce
+from .contract import ReductionTrace, _contractible, contractible_reduction, edge_extended_reduction
 from .errors import GraphFormatError
 from .graphs import Graph, _content_lines, iter_bits
 from .homology import Coefficients, _cleared_pivots
@@ -335,19 +335,12 @@ class ReducedStage:
 
 def reduce_filtration(filt: Filtration, edge_extended: bool = False) -> tuple[ReducedStage, ...]:
     """Each stage graph's `contractible_reduction`, or with edge_extended
-    its `edge_extended_reduction`, with traces; `barcode` does not need
-    this. The greedy scan runs on the cached stage graphs' own masks, and
-    the stages share one Step object per (deleted element, link), since
-    nested stages delete many of the same vertices with the same links.
-    Results are cached on the filtration."""
-    cache_key = ("stages", edge_extended)
-    if cache_key not in filt._cache:
-        known: dict = {}
-        filt._cache[cache_key] = tuple(
-            ReducedStage(i, filt.thresholds[i], g, *_reduce(g, edge_extended, known))
-            for i, g in enumerate(filt.graphs)
-        )
-    return filt._cache[cache_key]
+    its `edge_extended_reduction`, with its trace; `barcode` does not
+    need this. Each stage is reduced on its own, and nothing is cached."""
+    reduce = edge_extended_reduction if edge_extended else contractible_reduction
+    return tuple(
+        ReducedStage(i, t, g, *reduce(g)) for i, (t, g) in enumerate(zip(filt.thresholds, filt.graphs))
+    )
 
 
 # -- barcodes -----------------------------------------------------------------

@@ -4,7 +4,8 @@ Everything here recomputes answers from first principles with the
 dumbest approach that fits in the time budget: permutation-minimum
 encodings for isomorphism, pure-python GF(2) elimination on bitmask
 rows for ranks and Betti numbers, Gauss-Jordan elimination mod p on
-lists, gcds of minors for integer invariant factors, exhaustive coface
+lists, gcds of minors for integer invariant factors, a Hermite column
+echelon by extended gcds for integer span membership, exhaustive coface
 scans for free pairs. None of it calls into
 the package's own linear algebra, canonical form, or complex machinery,
 so agreement is meaningful. The one exception is the census reference
@@ -366,6 +367,58 @@ def brute_invariant_factors(rows: list[list[int]]) -> tuple[int, ...]:
         factors.append(d // prev)
         prev, minors = d, level
     return tuple(factors)
+
+
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) >= 0 and s * a + t * b == g."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def in_integer_span(columns: list[list[int]], target: list[int]) -> bool:
+    """Whether target is an integer combination of the columns, all
+    lists of target's length.
+
+    Hermite column echelon on Python ints: row by row from the top, the
+    columns still unplaced that are nonzero there are folded into the
+    first of them by unimodular 2 x 2 steps (extended gcds), which leave
+    the gcd of their entries in it and zeros in the others; it becomes
+    that row's pivot column. The remaining columns stay zero in every row
+    done, so each pivot column is zero above its row, and target is
+    reduced row by row: at a pivot row its entry must be a multiple of the
+    pivot, at any other row it must be zero."""
+    rest = list(columns)
+    pivots = {}
+    for r in range(len(target)):
+        pivot, keep = None, []
+        for c in rest:
+            if not c[r]:
+                keep.append(c)
+            elif pivot is None:
+                pivot = c
+            else:
+                g, s, t = _extended_gcd(pivot[r], c[r])
+                a, b = pivot[r] // g, c[r] // g
+                # [pivot c] times [[s, -b], [t, a]], of determinant s a + t b = 1
+                pivot, c = [s * x + t * y for x, y in zip(pivot, c)], [a * y - b * x for x, y in zip(pivot, c)]
+                keep.append(c)
+        if pivot is not None:
+            pivots[r] = pivot
+        rest = keep
+    v = target
+    for r in range(len(v)):
+        if v[r]:
+            pivot = pivots.get(r)
+            if pivot is None or v[r] % pivot[r]:
+                return False
+            q = v[r] // pivot[r]
+            v = [x - q * y for x, y in zip(v, pivot)]
+    return True
 
 
 # -- Gauss-Jordan elimination mod p on lists -----------------------------------

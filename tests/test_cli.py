@@ -172,6 +172,16 @@ class TestHomology:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_mod_and_integers_are_exclusive(self, tmp_path, capsys):
+        path = write_graph(tmp_path, cycle(4))
+        # --mod 2 is the default modulus, which argparse would let through
+        # had the option kept it as its default.
+        for argv in (["--integers", "--mod", "4"], ["--mod", "2", "--integers"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["homology", *argv, path])
+            assert exc.value.code == 2
+            assert "not allowed with argument" in capsys.readouterr().err
+
     def test_max_dim(self, tmp_path, capsys):
         assert main(
             ["homology", "--max-dim", "1", write_graph(tmp_path, complete(4))]

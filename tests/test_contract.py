@@ -12,9 +12,10 @@ from graphcollapse import (
     is_strong_contractible_any_order,
 )
 from graphcollapse import clique_complex, collapse_via_trace
+from graphcollapse.complexes import FreePair
 from graphcollapse.contract import Step
 from graphcollapse.errors import GraphFormatError
-from graphcollapse.homology import ChainVector, push_cycle_sequence
+from graphcollapse.homology import ChainVector, homology, push_cycle_sequence
 from graphcollapse.factories import complete, cycle, edgeless, octahedron, path
 
 from helpers import (
@@ -190,7 +191,7 @@ class TestTraceFormat:
         missing = ReductionTrace.from_text("trace 1\nE 2 0\n")
         with pytest.raises(ValueError, match="trace step"):
             missing.replay(cycle(4))
-        stale = ReductionTrace((Step("edge", (0, 1), frozenset({2})),))
+        stale = ReductionTrace((Step((0, 1), 1 << 2),))
         with pytest.raises(ValueError, match="trace step"):
             stale.replay(cycle(4))
         assert stale.replay(complete(3)) == complete(3).delete_edge(0, 1)
@@ -211,13 +212,12 @@ class TestTraceFormat:
             assert g._adj == before
 
     def test_apex_is_the_ascending_simplex(self):
-        assert Step("vertex", 3).apex == (3,)
-        assert Step("edge", (5, 2)).apex == (2, 5)
-        trace = ReductionTrace((Step("vertex", 3), Step("edge", (5, 2))))
+        vertex, edge = Step((3,)), Step((2, 5))
+        assert (vertex.kind, vertex.element) == ("vertex", 3)
+        assert (edge.kind, edge.element) == ("edge", (2, 5))
+        trace = ReductionTrace((vertex, edge))
         assert trace.to_text() == "trace 2\nV 3\nE 2 5\n"
-        assert ReductionTrace.from_text("trace 2\nV 3\nE 5 2\n") == ReductionTrace(
-            (Step("vertex", 3), Step("edge", (2, 5)))
-        )
+        assert ReductionTrace.from_text("trace 2\nV 3\nE 5 2\n") == trace
 
     def test_from_text_errors(self):
         with pytest.raises(ValueError):
@@ -244,10 +244,13 @@ class TestTraceFormat:
         assert first.kind == "vertex"
         assert first.element == 0
         assert first.link == frozenset({1, 2})
+        assert first.mask == 0b110
+        assert repr(first) == "Step((0,), link=[1, 2])"
 
-    def test_bad_step_kind_rejected(self):
-        with pytest.raises(ValueError, match="step kind"):
-            Step("face", 0)
+    def test_bad_step_apex_rejected(self):
+        for apex in [(), (5, 2), (3, 3), (1, 2, 3), [3], 3]:
+            with pytest.raises(ValueError, match="step apex"):
+                Step(apex)
 
 
 class TestAgainstTranscription:
@@ -350,6 +353,39 @@ class TestLargeInputs:
         assert reduced == Graph([10**7])
         assert trace.deleted_vertices == (0,)
         assert clique_complex(g).faces == ((0,), (10**7,), (0, 10**7))
+
+    @pytest.mark.parametrize("reduce", [contractible_reduction, edge_extended_reduction])
+    def test_ids_up_to_ten_million_agree_with_dense_ids(self, reduce):
+        # g8 with a vertex coned over the edge (4, 5): the vertex pass
+        # deletes it, and the edge pass then strips g8's K4 interior.
+        # The increasing relabelling keeps the scan order, so each
+        # consumer's answer is the dense graph's, relabelled; the sparse
+        # trace's link masks run to millions of bits.
+        dense = Graph(range(9), [*g8().edges, (4, 8), (5, 8)])
+        ids = {v: 10**7 * v // 8 for v in dense.vertices}
+        sparse = dense.relabeled(ids)
+
+        def up(simplex):
+            return tuple(ids[v] for v in simplex)
+
+        reduced, trace = reduce(dense)
+        sparse_reduced, sparse_trace = reduce(sparse)
+        assert ("edge" in {s.kind for s in trace}) == (reduce is edge_extended_reduction)
+        assert [(s.apex, s.link) for s in sparse_trace] == [(up(s.apex), frozenset(up(s.link))) for s in trace]
+        for step in sparse_trace:
+            assert repr(step) == f"Step({step.apex!r}, link={sorted(step.link)})"
+        assert ReductionTrace.from_text(sparse_trace.to_text(), sparse) == sparse_trace
+        assert sparse_trace.replay(sparse) == sparse_reduced == reduced.relabeled(ids)
+        assert collapse_via_trace(sparse, sparse_trace) == tuple(
+            FreePair(up(p.sigma), up(p.tau)) for p in collapse_via_trace(dense, trace)
+        )
+        cycles = [ChainVector(0, {(0,): 1}), *homology(dense).group(1).representatives]
+        for z in cycles:
+            pushed = push_cycle_sequence(z, dense, trace)
+            sparse_z = ChainVector(z.dim, {up(s): c for s, c in z.items()})
+            assert push_cycle_sequence(sparse_z, sparse, sparse_trace) == ChainVector(
+                pushed.dim, {up(s): c for s, c in pushed.items()}
+            )
 
 
 class TestCaches:

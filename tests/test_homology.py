@@ -31,16 +31,17 @@ from graphcollapse.homology import (
     split_at_edge,
     split_at_vertex,
 )
-from graphcollapse import exactla
 
 from helpers import (
     arbitrary_graphs,
     brute_betti_gf2,
+    brute_invariant_factors,
     brute_cliques,
     connected_graphs,
     g8,
     gf2_rank,
     gstar,
+    in_integer_span,
     inclusion_rank_gf2,
     rational_rank,
     reference_cleared_pivots,
@@ -483,8 +484,8 @@ class TestHomologyGroups:
 
 def _is_boundary(diff, g, coeffs):
     """diff bounds in the clique complex of g over coeffs: adding it to
-    the boundary columns changes their rank mod p, or over the integers
-    their invariant factors."""
+    the boundary columns leaves their rank mod p unchanged, or over the
+    integers it lies in their integer span."""
     basis = clique_basis(g, diff.dim)
     index = {s: i for i, s in enumerate(basis)}
     cols = [
@@ -494,15 +495,14 @@ def _is_boundary(diff, g, coeffs):
     target = {index[s]: c for s, c in diff.reduce(coeffs).items()}
     if not target:
         return True
+    dense = [[col.get(i, 0) for i in range(len(basis))] for col in cols + [target]]
     if not coeffs.is_field:
-        factors = exactla.invariant_factors_of_columns
-        return factors(cols + [target]) == factors(cols)
+        return in_integer_span(dense[:-1], dense[-1])
 
-    def rank(columns):
-        rows = [[col.get(i, 0) for i in range(len(basis))] for col in columns]
+    def rank(rows):
         return len(reference_rref(rows, coeffs.modulus)[1]) if rows else 0
 
-    return rank(cols + [target]) == rank(cols)
+    return rank(dense) == rank(dense[:-1])
 
 
 def _fundamental_cycles(g):
@@ -541,6 +541,36 @@ def _fundamental_cycles(g):
             terms[key] = terms.get(key, 0) + (1 if a < b else -1)
         cycles.append(ChainVector(1, terms))
     return cycles
+
+
+class TestIntegerSpanOracle:
+    """helpers.in_integer_span, which decides integer boundaries above,
+    against hand cases and the minors oracle: a vector lies in a
+    lattice exactly when adding it leaves the invariant factors alone."""
+
+    def test_hand_cases(self):
+        diag = [[2, 0], [0, 3]]
+        assert in_integer_span(diag, [4, -3]) and in_integer_span(diag, [0, 0])
+        assert not in_integer_span(diag, [3, 0]) and not in_integer_span(diag, [0, 1])
+        # (2, 4) and (3, 6) span the multiples of (1, 2): 3 - 2 = 1
+        assert in_integer_span([[2, 4], [3, 6]], [1, 2])
+        assert not in_integer_span([[2, 4], [3, 6]], [1, 3])
+        # in the rational span but not the integer one
+        assert not in_integer_span([[2, 2]], [1, 1])
+        assert in_integer_span([], [0, 0, 0]) and not in_integer_span([], [0, 1, 0])
+        assert in_integer_span([[6, 0, 10], [10, 0, 15]], [2, 0, 5])
+
+    def test_matches_the_minors_oracle(self):
+        rng = random.Random(1911)
+        for _ in range(400):
+            m, k = rng.randint(1, 4), rng.randint(0, 4)
+            cols = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)]
+            if rng.random() < 0.5:
+                target = [sum(rng.randint(-3, 3) * c[i] for c in cols) for i in range(m)]
+            else:
+                target = [rng.randint(-6, 6) for _ in range(m)]
+            want = brute_invariant_factors(cols + [target]) == brute_invariant_factors(cols)
+            assert in_integer_span(cols, target) == want
 
 
 SQUARE = ChainVector(1, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): -1})

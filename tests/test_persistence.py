@@ -319,10 +319,6 @@ class TestReduceFiltration:
                 stage.graph, 2
             )
 
-    def test_result_is_cached(self):
-        filt = vr_filtration(PointCloud.from_points([(0, 0), (1, 0), (0, 1)]))
-        assert reduce_filtration(filt) is reduce_filtration(filt)
-
     def test_stages_equal_each_stage_graphs_own_reduction(self):
         rng = random.Random(507)
         filts = [vr_filtration(random_cloud(rng, max_points=10)) for _ in range(4)]

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run against the library as it stands."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,11 @@ COMPARE_SECTIONS = {
     "canonical_labellings", "collapse_search", "trace_walks", "text_formats", "rank_only",
     "long_relations",
 }
+
+# sha256 of compare_outputs.py's stdout, the same under any PYTHONHASHSEED.
+# A change that alters an observable output on purpose updates this digest
+# and names the change in CHANGES.md.
+COMPARE_DIGEST = "78654f8251de2eb9b8d79d66f0825c25b489150bca7326f7793c6701fddc2246"
 
 
 def run_script(name):
@@ -37,3 +43,4 @@ def test_compare_outputs_prints_every_section():
     proc = run_script("compare_outputs.py")
     assert proc.returncode == 0, proc.stderr
     assert COMPARE_SECTIONS <= set(json.loads(proc.stdout))
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == COMPARE_DIGEST
