@@ -43,7 +43,11 @@ on the seeded graphs and on two seeded random geometric graphs of
 60-80 vertices, and the barcodes at max_dim 3 of seeded 3-D clouds. Its
 long_relations section gives the GF(2) representative cycles of those
 two large graphs and of their contractible reductions, each read off a
-relation that the reduction builds by summing columns. It uses only the standard library,
+relation that the reduction builds by summing columns. Its threshold_grid
+section gives the entry lists, in insertion order, and the barcodes of
+seeded 1-, 2- and 3-D clouds cut at explicit thresholds before any
+other read of the cloud, with rational coordinates, repeated points and
+pairs on the grid's cell boundaries. It uses only the standard library,
 numpy and long-standing public API, and runs in well under a minute.
 """
 
@@ -593,6 +597,41 @@ def explicit_filtrations() -> list:
     return out
 
 
+def threshold_grid() -> list:
+    """Entry lists, in insertion order, and GF(2) barcodes of seeded 1-,
+    2- and 3-D clouds cut at explicit thresholds before any other read of
+    the cloud: integer and rational coordinates, negative ones, repeated
+    points, and points r apart along an axis on either side of the
+    multiples of r + 1, cut at r^2."""
+    rng = random.Random(7074)
+    out = []
+    for d in (1, 2, 3):
+        for kind in ("integer", "rational", "boundary"):
+            den = rng.choice((2, 3, 6)) if kind != "integer" else 1
+            if kind == "boundary":
+                r = rng.randint(3, 9)
+                axis = [m * (r + 1) + o for m in range(-2, 3) for o in (-1, 0, r - 1)]
+                # half the coordinates at 0, so many pairs differ along one axis only
+                pts = [tuple(Fraction(rng.choice((0, rng.choice(axis))), den) for _ in range(d)) for _ in range(40)]
+                ts = [Fraction(r * r - 1, den * den), Fraction(r * r, den * den)]
+            else:
+                pts = [tuple(Fraction(rng.randint(-40, 40), den) for _ in range(d)) for _ in range(rng.randint(30, 50))]
+                pts += rng.sample(pts, 5)
+                rng.shuffle(pts)
+                ranked = sorted(
+                    sum((a - b) ** 2 for a, b in zip(p, q)) for k, p in enumerate(pts) for q in pts[k + 1:]
+                )
+                ts = sorted({ranked[len(pts) * deg // 2] for deg in (2, 4, 6)})
+            filt = vr_filtration(PointCloud.from_points(pts), ts)
+            out.append({
+                "points": [[str(x) for x in p] for p in pts],
+                "thresholds": [str(t) for t in filt.thresholds],
+                "entry": [[i, j, stage] for (i, j), stage in filt.entry.items()],
+                "gf2": barcode(filt, max_dim=2).to_csv(),
+            })
+    return out
+
+
 def symmetric_graphs() -> list:
     """The Petersen graph, the 4-cube, Paley(13), K4,4 and the 3x3 rook's
     graph: vertex-transitive, so no cell splits at the canonical
@@ -702,6 +741,7 @@ def main() -> None:
         "cloud_keys": cloud_keys(),
         "matrix_keys": matrix_keys(),
         "explicit_filtrations": explicit_filtrations(),
+        "threshold_grid": threshold_grid(),
         "census": census,
         "census8": census8,
         "projective_plane": projective_plane(),

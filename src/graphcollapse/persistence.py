@@ -8,6 +8,16 @@ given. Filtration stages are the distinct pair keys with 0 always
 included, or explicit thresholds; a filtration is an edge list, each
 edge with its entry stage, and builds its stage graphs only on demand.
 
+A dissimilarity matrix stores every pair's key. A cloud of points keeps
+its scaled integer coordinates and builds the all-pairs key rows only
+when every key is needed: for default thresholds or `distinct_keys`.
+Explicit thresholds before that find only the pairs within the last
+one, on a grid whose cells are isqrt(cut) + 1 wide for the last integer
+cut-off, comparing points in neighbouring cells only (the distance threshold of Ripser,
+Bauer 2021), or over all pairs when walking the 3^d neighbour offsets
+of every cell would cost more. Either way the edge list is the same,
+in the same order.
+
 A barcode is a column reduction of a collapsed filtration: an edge is
 dropped from every stage from its entry on when its common neighborhood
 is strongly contractible at each of them (the edge collapse of
@@ -34,8 +44,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
-from operator import mul
+from itertools import chain, combinations, product
+from operator import add, mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .complexes import DEFAULT_FACE_BUDGET, enumerate_cliques
@@ -79,44 +89,58 @@ class PointCloud:
     Two constructors: from_points squares Euclidean distances so the
     keys stay rational (the filtration scale is then a squared
     distance); from_distance_matrix takes the entries at face value.
-    Each pair's key is stored as an integer numerator over one common
+    Each pair's key is an integer numerator over one common
     denominator: the square of the lcm of the coordinates' denominators
-    for from_points, the lcm of the entries' denominators for
-    from_distance_matrix. pair_key and distinct_keys return Fractions,
-    one shared Fraction per distinct key.
+    for from_points (1 when every coordinate is an int), the lcm of the
+    entries' denominators for from_distance_matrix. pair_key and
+    distinct_keys return Fractions, one shared Fraction per distinct key.
+
+    A distance-matrix cloud stores every pair's key. A cloud of points
+    stores its scaled integer coordinates and builds the all-pairs rows
+    only on first need: distinct_keys, default thresholds, or any other
+    read of `_rows`. Before that, explicit thresholds ask it only for the
+    pairs within the last one (`_pairs_within`), found on a grid and
+    kept, so pair_key reads those keys back and computes any other pair's
+    key from the coordinates.
     """
 
-    __slots__ = ("_n", "_rows", "_den", "_fractions", "_squared")
+    __slots__ = ("_n", "_den", "_points", "_built_rows", "_near", "_near_cut", "_fractions")
 
-    def __init__(self, n: int, rows: list[list[int]], den: int, squared: bool):
+    def __init__(
+        self,
+        n: int,
+        den: int,
+        rows: Optional[list[list[int]]] = None,
+        points: Optional[list[tuple[int, ...]]] = None,
+    ):
         self._n = n
-        self._rows = rows  # rows[i][j - i - 1] is the numerator of pair (i, j), i < j
         self._den = den
+        self._points = points  # scaled integer coordinates, None for a distance matrix
+        self._built_rows = rows
+        self._near: Sequence[dict[int, int]] = ()  # near[i][j]: key of (i, j), i < j, within _near_cut
+        self._near_cut = -1
         self._fractions: dict[int, Fraction] = {}
-        self._squared = squared
 
     @classmethod
     def from_points(cls, points: Sequence[Sequence[Scalar]]) -> "PointCloud":
         if not points:
             raise ValueError("need at least one point")
-        coords = [
-            [_to_fraction(x, f"point {i}") for x in p] for i, p in enumerate(points)
-        ]
-        d = len(coords[0])
-        for i, p in enumerate(coords):
+        if all(type(x) is int for p in points for x in p):
+            scale = 1
+            scaled = [tuple(p) for p in points]
+        else:
+            coords = [
+                [_to_fraction(x, f"point {i}") for x in p] for i, p in enumerate(points)
+            ]
+            # Integer arithmetic on the coordinates scaled by the lcm of their
+            # denominators; the squared distances are then over its square.
+            scale = math.lcm(*(x.denominator for p in coords for x in p))
+            scaled = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in coords]
+        d = len(scaled[0])
+        for i, p in enumerate(scaled):
             if len(p) != d:
                 raise ValueError(f"point {i} has {len(p)} coordinates, expected {d}")
-        # Integer arithmetic on the coordinates scaled by the lcm of their
-        # denominators; the squared distances are then over its square.
-        scale = math.lcm(*(x.denominator for p in coords for x in p))
-        scaled = [[x.numerator * (scale // x.denominator) for x in p] for p in coords]
-        # |p - q|^2 = |p|^2 + |q|^2 - 2 p.q: one C-level dot product per pair
-        norms = [sum(map(mul, p, p)) for p in scaled]
-        rows = [
-            [s + norms[j] - 2 * sum(map(mul, p, scaled[j])) for j in range(i + 1, len(scaled))]
-            for i, (p, s) in enumerate(zip(scaled, norms))
-        ]
-        return cls(len(coords), rows, scale * scale, squared=True)
+        return cls(len(scaled), scale * scale, points=scaled)
 
     @classmethod
     def from_distance_matrix(cls, rows: Sequence[Sequence[Scalar]]) -> "PointCloud":
@@ -132,7 +156,7 @@ class PointCloud:
             raise ValueError(fault[1])
         den = math.lcm(*(x.denominator for r in mat for x in r))
         keys = [[x.numerator * (den // x.denominator) for x in r[i + 1:]] for i, r in enumerate(mat)]
-        return cls(n, keys, den, squared=False)
+        return cls(n, den, rows=keys)
 
     @property
     def n(self) -> int:
@@ -140,7 +164,35 @@ class PointCloud:
 
     @property
     def squared(self) -> bool:
-        return self._squared
+        return self._points is not None
+
+    @property
+    def _rows(self) -> list[list[int]]:
+        """rows[i][j - i - 1] is the numerator of pair (i, j), i < j;
+        for points, built on first read, which frees the near pairs."""
+        rows = self._built_rows
+        if rows is None:
+            pts = self._points
+            # |p - q|^2 = |p|^2 + |q|^2 - 2 p.q: one C-level dot product per pair
+            norms = [sum(map(mul, p, p)) for p in pts]
+            rows = self._built_rows = [
+                [s + norms[j] - 2 * sum(map(mul, p, pts[j])) for j in range(i + 1, len(pts))]
+                for i, (p, s) in enumerate(zip(pts, norms))
+            ]
+            self._near, self._near_cut = (), -1
+        return rows
+
+    def _pairs_within(self, cut: int) -> list[Iterable[tuple[int, int]]]:
+        """Per point i, the pairs (j, key) with i < j in ascending j, for
+        at least every pair whose key is at most cut: off the rows when
+        they are built, else off the near pairs, found again only when cut
+        exceeds the cut they were found for."""
+        rows = self._built_rows
+        if rows is not None:
+            return [enumerate(row, i + 1) for i, row in enumerate(rows)]
+        if cut > self._near_cut:
+            self._near, self._near_cut = _near_pairs(self._points, cut), cut
+        return [row.items() for row in self._near]
 
     def _fraction(self, key: int) -> Fraction:
         f = self._fractions.get(key)
@@ -157,12 +209,54 @@ class PointCloud:
             raise IndexError(f"no point {j}")
         if i == j:
             return _ZERO
-        key = self._rows[i][j - i - 1]
+        rows = self._built_rows
+        if rows is not None:
+            key = rows[i][j - i - 1]
+        else:
+            try:
+                key = self._near[i][j]
+            except LookupError:
+                key = sum([(a - b) * (a - b) for a, b in zip(self._points[i], self._points[j])])
         # a cached zero is falsy and takes the slow path, which returns it
         return self._fractions.get(key) or self._fraction(key)
 
     def distinct_keys(self) -> tuple[Fraction, ...]:
         return tuple(map(self._fraction, sorted(set().union(*self._rows))))
+
+
+def _near_pairs(points: list[tuple[int, ...]], cut: int) -> list[dict[int, int]]:
+    """Per point i, the later points j whose squared distance from it is
+    at most cut, in ascending order, mapped to that distance.
+
+    The points are bucketed into cells of side isqrt(cut) + 1: a pair
+    within cut differs by at most isqrt(cut) on each axis, so its points
+    lie in the same or neighbouring cells. Each point is compared with
+    the later points of its cell's 3^d neighbourhood, merged once per
+    cell. When the cells times 3^d reach the n(n-1)/2 pairs, walking the
+    offsets would cost more than comparing every pair, which is done
+    instead.
+    """
+    n, d = len(points), len(points[0])
+    norms = [sum(map(mul, p, p)) for p in points]
+
+    def within(i: int, later: Iterable[int]) -> dict[int, int]:
+        p, s = points[i], norms[i]
+        # |p - q|^2 = |p|^2 + |q|^2 - 2 p.q, as for the rows
+        return {j: k for j in later if (k := s + norms[j] - 2 * sum(map(mul, p, points[j]))) <= cut}
+
+    side = math.isqrt(cut) + 1
+    cells: dict[tuple[int, ...], list[int]] = {}
+    for i, p in enumerate(points):
+        cells.setdefault(tuple([x // side for x in p]), []).append(i)
+    if len(cells) * 3**d >= n * (n - 1) // 2:
+        return [within(i, range(i + 1, n)) for i in range(n)]
+    offsets = list(product((-1, 0, 1), repeat=d))
+    near: list = [None] * n
+    for cell, members in cells.items():
+        around = sorted(chain.from_iterable(cells.get(tuple(map(add, cell, o)), ()) for o in offsets))
+        for i in members:
+            near[i] = within(i, around[bisect.bisect_right(around, i):])
+    return near
 
 
 def _distance_fault(mat: list[list[Fraction]]) -> Optional[tuple[int, str]]:
@@ -304,7 +398,9 @@ def vr_filtration(
     thresholds must be strictly increasing; 0 is prepended when absent.
     A pair with integer key k over the cloud's denominator d is within
     threshold t exactly when k <= floor(t * d), so pairs are bucketed by
-    bisecting those integer cut-offs.
+    bisecting those integer cut-offs. Only the pairs within the last
+    cut-off are read: a cloud of points whose rows are not built finds
+    them on a grid.
     """
     if thresholds is None:
         cuts = sorted(set().union(*cloud._rows, (0,)))
@@ -315,12 +411,7 @@ def vr_filtration(
         cuts = [t.numerator * cloud._den // t.denominator for t in ts]
         stage_of = partial(bisect.bisect_left, cuts)
     last = cuts[-1]
-    entry = {
-        (i, j): stage_of(k)
-        for i, row in enumerate(cloud._rows)
-        for j, k in enumerate(row, i + 1)
-        if k <= last
-    }
+    entry = {(i, j): stage_of(k) for i, row in enumerate(cloud._pairs_within(last)) for j, k in row if k <= last}
     return Filtration(cloud, ts, entry)
 
 

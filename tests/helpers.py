@@ -6,7 +6,8 @@ encodings for isomorphism, pure-python GF(2) elimination on bitmask
 rows for ranks and Betti numbers, Gauss-Jordan elimination mod p on
 lists, gcds of minors for integer invariant factors, a Hermite column
 echelon by extended gcds for integer span membership, exhaustive coface
-scans for free pairs. None of it calls into
+scans for free pairs, every pair's Fraction squared distance for
+Vietoris-Rips entry stages. None of it calls into
 the package's own linear algebra, canonical form, or complex machinery,
 so agreement is meaningful. The one exception is the census reference
 generation, which deduplicates with the package's canonical form; the
@@ -597,6 +598,32 @@ def reference_collapse_search(faces: list[tuple[int, ...]], budget: int) -> tupl
 
     status = search(frozenset(faces))
     return status, tuple(witness) if status == "collapsible" else None, nodes
+
+
+# -- Vietoris-Rips entry stages by brute force --------------------------------
+
+
+def exact_squared_distances(points) -> list[tuple[tuple[int, int], Fraction]]:
+    """Every pair (i, j), i < j, in (i, j) order, with the squared
+    Euclidean distance of its points as a Fraction. Coordinates other
+    than ints become Fractions; ints stay ints, whose arithmetic is
+    exact and far quicker."""
+    pts = [[x if type(x) is int else Fraction(x) for x in p] for p in points]
+    return [
+        ((i, j), Fraction(sum((a - b) ** 2 for a, b in zip(pts[i], pts[j]))))
+        for i, j in combinations(range(len(pts)), 2)
+    ]
+
+
+def brute_vr_entry(distances, thresholds) -> dict[tuple[int, int], int]:
+    """Entry stage of each pair within the last threshold, in the order
+    of distances (from exact_squared_distances): the first stage whose
+    threshold reaches its distance, 0 prepended to the thresholds when
+    absent."""
+    ts = [Fraction(t) for t in thresholds]
+    if ts[0] != 0:
+        ts.insert(0, Fraction(0))
+    return {pair: next(s for s, t in enumerate(ts) if key <= t) for pair, key in distances if key <= ts[-1]}
 
 
 # -- persistence oracle for a single stage pair --------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -35,6 +36,8 @@ from graphcollapse.persistence import (
 from helpers import (
     SIX_POINT_ROWS,
     brute_betti_gf2,
+    brute_vr_entry,
+    exact_squared_distances,
     greedy_contractible,
     inclusion_rank_gf2,
     inclusion_rank_mod_p,
@@ -124,6 +127,14 @@ class TestPointCloud:
             PointCloud.from_distance_matrix([[0, 1], [1, 1]])
         with pytest.raises(ValueError, match="not symmetric"):
             PointCloud.from_distance_matrix([[0, 1], [2, 0]])
+
+    def test_conversion_errors_come_before_length_errors(self):
+        with pytest.raises(ValueError, match="point 2: cannot interpret 'x'"):
+            PointCloud.from_points([(0, 0), (1,), (2, "x")])
+        with pytest.raises(ValueError, match="point 1 has 1 coordinates, expected 2"):
+            PointCloud.from_points([(0, 0), (1,), (Fraction(1, 2), 3)])
+        with pytest.raises(ValueError, match="point 1 has 3 coordinates, expected 2"):
+            PointCloud.from_points([(0, 0), (1, 2, 3)])
 
 
 class TestParsers:
@@ -265,6 +276,118 @@ class TestVrFiltration:
         assert filt.stage_of_key(Fraction(1)) == 1
         assert filt.stage_of_key(Fraction(3, 2)) == 2
         assert filt.stage_of_key(Fraction(0)) == 0
+
+
+def drawn_points(rng, d, n, kind, side):
+    """n points in [-side, side]^d with int, Fraction or float coordinates,
+    a tenth of them repeats of others, in random order."""
+    draw = {
+        "int": lambda: rng.randint(-side, side),
+        "fraction": lambda: Fraction(rng.randint(-6 * side, 6 * side), rng.choice((1, 2, 3, 6))),
+        "float": lambda: rng.uniform(-side, side),
+    }[kind]
+    pts = [tuple(draw() for _ in range(d)) for _ in range(n - n // 10)]
+    pts += rng.sample(pts, n // 10)
+    rng.shuffle(pts)
+    return pts
+
+
+def assert_entry_is_brute(filt, distances):
+    """entry has the brute-force stages, inserted in (i, j) order."""
+    assert list(filt.entry.items()) == list(brute_vr_entry(distances, filt.thresholds).items())
+
+
+class TestThresholdGrid:
+    """Explicit thresholds on a cloud of points find the pairs within the
+    last one on a grid, with the entry of the all-pairs definition."""
+
+    @pytest.mark.parametrize(
+        "d,n,kind,side",
+        [(1, 1000, "int", 400), (2, 400, "fraction", 30), (2, 300, "int", 50), (3, 300, "float", 20), (8, 125, "int", 3)],
+    )
+    def test_entry_equals_all_pairs(self, d, n, kind, side):
+        rng = random.Random(d * 1000 + n)
+        pts = drawn_points(rng, d, n, kind, side)
+        distances = exact_squared_distances(pts)
+        # keys of the pairs at about mean degrees 1, 3 and 6, so pairs sit
+        # at each cut, and one threshold between two keys; ranked by float,
+        # which is far quicker to sort than Fractions
+        ranked = [key for _, key in sorted(distances, key=lambda pk: float(pk[1]))]
+        ts = sorted({ranked[n * deg // 2] for deg in (1, 3, 6)} | {(ranked[n] + ranked[n + 1]) / 2})
+        pc = PointCloud.from_points(pts)
+        filt = vr_filtration(pc, ts)
+        assert_entry_is_brute(filt, distances)
+        assert pc._built_rows is None
+        keys = dict(distances)
+        assert all(pc.pair_key(*e) == keys[e] for e in filt.entry)
+        for i, j in rng.sample(list(keys), 200):
+            assert pc.pair_key(j, i) == keys[i, j]
+        assert pc._built_rows is None
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("den", [1, 3])
+    def test_pairs_isqrt_cut_apart_on_cell_boundaries(self, d, den):
+        r = 7  # cut r^2 or r^2 + r: cells of side r + 1, pairs r apart on either side of their edges
+        s = r + 1
+        axis = sorted({m * s + o for m in range(-3, 4) for o in (-1, 0, r - 1)})
+        rest = {1: [()], 2: [(0,), (r - 1,), (-1,)], 3: [(0, 0), (-1, r - 1), (r - 1, -1)]}[d]
+        pts = [tuple(Fraction(x, den) for x in (a, *b)) for a in axis for b in rest]
+        distances = exact_squared_distances(pts)
+        assert any(key == Fraction(r * r, den * den) for _, key in distances)
+        for ts in ([Fraction(r * r, den * den)], [Fraction(r * r - 1, den * den), Fraction(r * r + r, den * den)]):
+            filt = vr_filtration(PointCloud.from_points(pts), ts)
+            assert_entry_is_brute(filt, distances)
+            assert barcode(filt, max_dim=1) == oracle_persistence(filt, max_dim=1)
+
+    def test_threshold_zero_and_beyond_the_diameter(self):
+        pts = drawn_points(random.Random(4242), 2, 200, "fraction", 4)
+        distances = exact_squared_distances(pts)
+        top = max(key for _, key in distances)
+        for ts in ([0], [top], [top / 2, top + 1]):
+            filt = vr_filtration(PointCloud.from_points(pts), ts)
+            assert_entry_is_brute(filt, distances)
+            # repeated points enter at 0; every pair enters by the diameter
+            want = len(distances) if ts[-1] >= top else sum(key == 0 for _, key in distances)
+            assert want > 0 and len(filt.entry) == want
+
+    def test_call_orders_agree(self):
+        """Thresholds before any other read use the grid, distinct_keys()
+        first builds the rows: entry and pair_key agree either way."""
+        pts = drawn_points(random.Random(4343), 2, 300, "int", 100)
+        distances = exact_squared_distances(pts)
+        keys = [key for _, key in distances]
+        # integer keys this small sort exactly as floats, and far quicker
+        ranked = sorted(keys, key=float)
+        distinct = tuple(dict.fromkeys(ranked))
+        small, large = [ranked[100], ranked[300]], [ranked[100], ranked[900]]
+        # a smaller cut reuses the pairs found for a larger one, a larger cut finds them again
+        lists = (small, large, small, large + [ranked[1500]])
+        expected = [list(brute_vr_entry(distances, ts).items()) for ts in lists]
+        for distinct_first in (False, True):
+            pc = PointCloud.from_points(pts)
+            if distinct_first:
+                assert pc.distinct_keys() == distinct
+            for ts, want in zip(lists, expected):
+                assert list(vr_filtration(pc, ts).entry.items()) == want
+            assert [pc.pair_key(*e) for e, _ in distances] == keys
+            assert pc.distinct_keys() == distinct
+            for ts, want in zip(lists, expected):
+                assert list(vr_filtration(pc, ts).entry.items()) == want
+
+    def test_thresholds_store_no_all_pairs(self):
+        rng = random.Random(4444)
+        n, side = 3000, 10_000
+        pts = [(rng.randrange(side), rng.randrange(side)) for _ in range(n)]
+        top = 10 * side * side // (3 * n)  # mean degree about 10
+        tracemalloc.start()
+        try:
+            filt = vr_filtration(PointCloud.from_points(pts), [top // 4, top])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 10 * n // 2 <= len(filt.entry) <= 12 * n // 2
+        # all-pairs rows hold n(n-1)/2 list slots of 8 bytes, not counting their ints
+        assert peak < n * (n - 1) // 2 * 8 // 4
 
 
 # -------------------------------------------------------------- tiny barcodes

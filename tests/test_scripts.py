@@ -13,13 +13,13 @@ COMPARE_SECTIONS = {
     "linear_algebra", "graphs", "barcodes", "stage_traces", "full_barcodes", "cloud_keys",
     "matrix_keys", "explicit_filtrations", "census", "census8", "projective_plane",
     "canonical_labellings", "collapse_search", "trace_walks", "text_formats", "rank_only",
-    "long_relations",
+    "long_relations", "threshold_grid",
 }
 
 # sha256 of compare_outputs.py's stdout, the same under any PYTHONHASHSEED.
 # A change that alters an observable output on purpose updates this digest
 # and names the change in CHANGES.md.
-COMPARE_DIGEST = "78654f8251de2eb9b8d79d66f0825c25b489150bca7326f7793c6701fddc2246"
+COMPARE_DIGEST = "5cb04660492df5ad2bae17046cba946342763cc752397f80217f5bc56ef51ae8"
 
 
 def run_script(name):
