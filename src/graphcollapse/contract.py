@@ -11,7 +11,11 @@ The scan keeps a worklist rather than restarting at the lowest vertex
 after each deletion: a vertex that failed is tested again only once a
 neighbor of it is deleted, since nothing else changes its neighborhood.
 The deletion order is the one a restarting scan gives. Cones are
-accepted without a scan, as the scan would accept them.
+accepted without a scan, as the scan would accept them; the cone test
+keeps as candidates only the neighbors of each vertex it rejects. A
+verdict needs no deletion order, so its scan keeps only what is left and
+stops at the first vertex with no neighbor left, which the scan never
+deletes: the answer is then no.
 
 The reduction routine applies the same scan destructively: it deletes the
 lowest qualifying vertex until none qualifies. The edge-extended variant
@@ -99,15 +103,33 @@ def _contractible(adj: dict[int, int], mask: int, memo: dict[int, bool]) -> bool
     cone on w is left. If it is w, what is left is w's neighborhood, which
     the scan has just accepted. Either way the scan goes on to a single
     vertex.
+
+    Otherwise the scan is _first_hit_deletions' worklist scan, keeping
+    only what is left, and it stops at the first vertex with no neighbor
+    left. That vertex is never deleted, its neighborhood being empty, and
+    every other component keeps at least its last vertex for the same
+    reason, so the scan cannot leave a single vertex unless that vertex
+    is all that is left.
     """
     if mask & (mask - 1) == 0:
         return mask != 0
     verdict = memo.get(mask)
     if verdict is None:
-        if _is_cone(adj, mask):
-            verdict = True
-        else:
-            rest = _first_hit_deletions(adj, mask, memo)[1]
+        verdict = _is_cone(adj, mask) != 0
+        if not verdict:
+            rest = todo = mask
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                nbrs = adj[low.bit_length() - 1] & rest
+                if not nbrs:
+                    break
+                passes = nbrs & (nbrs - 1) == 0 or memo.get(nbrs)
+                if passes is None:
+                    passes = _contractible(adj, nbrs, memo)
+                if passes:
+                    rest ^= low
+                    todo |= nbrs
             verdict = rest & (rest - 1) == 0
         memo[mask] = verdict
     return verdict
@@ -115,13 +137,20 @@ def _contractible(adj: dict[int, int], mask: int, memo: dict[int, bool]) -> bool
 
 def _is_cone(adj: dict[int, int], mask: int) -> int:
     """The bit of the lowest vertex of mask adjacent to all the others,
-    or 0 if there is none."""
-    rest = mask
-    while rest:
-        low = rest & -rest
-        if (adj[low.bit_length() - 1] | low) & mask == mask:
+    or 0 if there is none.
+
+    After a candidate w fails, only w's neighbors stay candidates, since
+    an apex is adjacent to w. Every apex is thus adjacent to each vertex
+    tested before it and is never dropped, so the first vertex that
+    passes is still the lowest apex.
+    """
+    cand = mask
+    while cand:
+        low = cand & -cand
+        nbrs = adj[low.bit_length() - 1]
+        if (nbrs | low) & mask == mask:
             return low
-        rest ^= low
+        cand &= nbrs
     return 0
 
 

@@ -1,3 +1,7 @@
+import hashlib
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
@@ -13,12 +17,13 @@ from graphcollapse import (
 )
 from graphcollapse import clique_complex, collapse_via_trace
 from graphcollapse.complexes import FreePair
-from graphcollapse.contract import Step
+from graphcollapse.contract import Step, _contractible, _is_cone
 from graphcollapse.errors import GraphFormatError
 from graphcollapse.homology import ChainVector, homology, push_cycle_sequence
 from graphcollapse.factories import complete, cycle, edgeless, octahedron, path
 
 from helpers import (
+    arbitrary_graphs,
     brute_betti_gf2,
     connected_graphs,
     g8,
@@ -284,6 +289,20 @@ class TestAgainstTranscription:
     def test_sparse_ids(self, g):
         self.check(g)
 
+    # Isolated vertices and several components: the scan stops at the
+    # first vertex left without a neighbor, in the graph itself or in a
+    # neighborhood it recurses into. In the last two examples vertex 0's
+    # neighborhood loses its last edge, 1-2, or its path 1-2-3, partway
+    # through the scan.
+    @example(Graph(range(6), [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]))
+    @example(Graph(range(4), [(1, 2), (1, 3), (2, 3)]))
+    @example(Graph(range(6), [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4), (4, 5)]))
+    @example(Graph(range(7), [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3), (4, 5), (5, 6)]))
+    @given(arbitrary_graphs(max_n=8))
+    @settings(max_examples=150)
+    def test_disconnected(self, g):
+        self.check(g)
+
     def test_rejected_vertex_is_tested_again_after_a_neighbor_goes(self):
         # 0 fails at first, its neighborhood {1, 2} being disconnected, and
         # qualifies once 1 is deleted; it must then go before 2.
@@ -326,6 +345,55 @@ class TestAgainstTranscription:
         quick = settings(database=None, derandomize=True, max_examples=2000, phases=[Phase.generate])
         g = find(sparse_connected_graphs(max_n=8), edge_step_then_more, settings=quick)
         self.check(g)
+
+
+class TestScanShortcuts:
+    @given(arbitrary_graphs(max_n=9), st.integers(0, (1 << 9) - 1))
+    @settings(max_examples=150)
+    def test_is_cone_returns_the_lowest_apex(self, g, sub):
+        # homology._bound joins a pushed cycle on exactly this vertex.
+        adj, mask = g._adj, sub & g._vmask
+        apexes = [v for v in g.vertices if mask >> v & 1 and (adj[v] | 1 << v) & mask == mask]
+        assert _is_cone(adj, mask) == (1 << min(apexes) if apexes else 0)
+
+    def test_verdict_stops_at_an_isolated_vertex(self):
+        # Vertex 0 is isolated, so the answer is no before any vertex of
+        # the path 2, 1, 3, 4, ..., 50 is scanned. Scanning vertex 1 would
+        # memoize its neighborhood {2, 3}.
+        g = Graph(range(51), [(1, 2), (1, 3), *((v, v + 1) for v in range(3, 50))])
+        memo: dict[int, bool] = {}
+        assert _contractible(g._adj, g._vmask, memo) is False
+        assert len(memo) == 1
+
+
+def trace_corpus() -> list[Graph]:
+    """300 seeded graphs on at most 14 vertices with random density,
+    then increasing relabellings of the first 30 onto sparse ids."""
+    rng = random.Random(5)
+    graphs = []
+    for _ in range(300):
+        n, p = rng.randint(1, 14), rng.random()
+        graphs.append(Graph(range(n), [e for e in combinations(range(n), 2) if rng.random() < p]))
+    for g in graphs[:30]:
+        ids = sorted(rng.sample(range(10**4), g.n))
+        graphs.append(g.relabeled(dict(zip(g.vertices, ids))))
+    return graphs
+
+
+# sha256 of every (apex, link mask) step of both reductions over
+# trace_corpus(). Kernel changes to the greedy scan must keep it.
+TRACE_DIGEST = "ecacb2599d470971a12787b216e2b94521725b4510d73f084c602e1d86ea5f3a"
+
+
+class TestTraceDigest:
+    def test_traces_are_pinned(self):
+        h = hashlib.sha256()
+        for g in trace_corpus():
+            for reduce in (contractible_reduction, edge_extended_reduction):
+                for step in reduce(g)[1]:
+                    h.update(f"{step.apex} {step.mask:x};".encode())
+                h.update(b"|")
+        assert h.hexdigest() == TRACE_DIGEST
 
 
 class TestLargeInputs:
