@@ -15,7 +15,8 @@ search on each child (canon._canonical) gives its form, its masks in
 canonical order and generators of its automorphism group on those
 positions. An accepted child carries all three to the next level, where
 it is a parent: no parent is decoded or searched again, and only the
-level being extended is kept. Classification builds each graph from the
+level being extended is kept. A run's last level has no next one, so
+it carries no generators. Classification builds each graph from the
 same carried masks, sent with its form (which pickles) to
 classify_graph.
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .canon import CanonicalForm, _canonical, _close, graph_from_canonical
 from .complexes import DEFAULT_COLLAPSE_BUDGET, _lift, _replay, clique_complex, is_collapsible
@@ -93,8 +94,8 @@ class CensusEntry:
 
 # A graph as one level of generation hands it to the next: its form, its
 # adjacency masks in canonical order, and generators of its automorphism
-# group as lists indexed by those positions.
-Carried = tuple[CanonicalForm, list[int], list[list[int]]]
+# group as lists indexed by those positions, none on a run's last level.
+Carried = tuple[CanonicalForm, list[int], Sequence[list[int]]]
 
 
 def _subset_orbit_representatives(k: int, gens: list[list[int]], subsets: Iterable[int]) -> list[int]:
@@ -159,7 +160,7 @@ def _rivals(adj: list[int], deg: list[int], cuts: list[list[int]], s: int) -> Op
     return rivals
 
 
-def _extend_level(parents: Iterable[Carried]) -> list[Carried]:
+def _extend_level(parents: Iterable[Carried], last: bool = False) -> list[Carried]:
     """All connected graphs one vertex larger than the given ones, which
     must be every connected graph of their size, each class once. Each
     parent is its form, its masks in canonical order and generators of
@@ -202,7 +203,8 @@ def _extend_level(parents: Iterable[Carried]) -> list[Carried]:
     from disk goes through _searched first), and one search on each
     child gives its form, its masks in canonical order and its
     generators on those positions, which the returned level carries to
-    the next. Children are keyed by form.
+    the next; a last level, which no level extends, carries no
+    generators. Children are keyed by form.
     """
     children: dict[CanonicalForm, Carried] = {}
     for _, adj, gens in parents:
@@ -222,7 +224,7 @@ def _extend_level(parents: Iterable[Carried]) -> list[Carried]:
                     continue
             if form in children:
                 raise InternalInconsistencyError(f"canonical augmentation produced {form.hex()} twice")
-            children[form] = form, masks, child_gens
+            children[form] = form, masks, () if last else child_gens
     return [children[form] for form in sorted(children)]
 
 
@@ -239,10 +241,11 @@ def _searched(forms: Iterable[CanonicalForm]) -> Iterator[Carried]:
         yield form, masks, gens
 
 
-def _level(n: int, parents: Iterable[Carried]) -> list[Carried]:
-    """The connected graphs on n vertices, given those on n - 1."""
+def _level(n: int, parents: Iterable[Carried], last: bool = False) -> list[Carried]:
+    """The connected graphs on n vertices, given those on n - 1; when
+    last, without generators (see _extend_level)."""
     if n > 1:
-        return _extend_level(parents)
+        return _extend_level(parents, last)
     form, _, masks, gens = _canonical([0])
     return [(form, masks, gens)]
 
@@ -254,7 +257,7 @@ def generate_connected(max_n: int) -> dict[int, tuple[CanonicalForm, ...]]:
     levels: dict[int, tuple[CanonicalForm, ...]] = {}
     level: list[Carried] = []
     for n in range(1, max_n + 1):
-        level = _level(n, level)
+        level = _level(n, level, n == max_n)
         levels[n] = tuple(form for form, _, _ in level)
         _log.info("generated %d graphs on %d vertices", len(level), n)
     return levels
@@ -423,7 +426,7 @@ def build_census(config: CensusConfig = CensusConfig(), out_dir=None) -> Census:
             parents = _searched(e.form for e in entries)
             _log.info("level %d: loaded %d graphs", n, len(entries))
             continue
-        parents = _level(n, parents)
+        parents = _level(n, parents, n == config.max_n)
         entries = _classify_level(parents, config)
         levels[n] = entries
         if path is not None:

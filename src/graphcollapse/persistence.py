@@ -29,12 +29,15 @@ rank-only one with clearing of `homology._cleared_pivots`, the one
 reduction behind homology over a field, which reads representatives
 off the same pass when it keeps relations. Over GF(2), the default,
 its columns are int bit sets reduced by XOR; odd primes use
-`exactla.Echelon`. The oracle keeps its own bitmask loop, so the two
-stay independent. `reduce_filtration` runs one public reduction per
+`exactla.Echelon`. `reduce_filtration` runs one public reduction per
 stage graph and returns each stage's reduced graph and trace, whose
 steps are apexes with link masks; no step is shared between stages
-and nothing is cached. A direct column reduction of the full filtered
-boundary matrix is the oracle for cross-checking barcodes.
+and nothing is cached. The oracle for cross-checking barcodes is the
+textbook column reduction of the full filtered boundary matrix, in its
+own bitmask loop with no collapse and no clearing: each edge's stage
+is found once, a clique's is the largest of its pairs' (`stage_of_key`
+is monotone), and each face size is reduced against the rows of the
+size below.
 """
 
 from __future__ import annotations
@@ -668,69 +671,60 @@ def oracle_persistence(
     max_faces: int = DEFAULT_FACE_BUDGET,
 ) -> Barcode:
     """Barcode by direct reduction of the full filtered boundary matrix,
-    no graph reduction involved. GF(2) only; columns are int bitmasks.
+    with no collapse and no clearing. GF(2) only; columns are int bitmasks.
 
     The filtered complex is every clique of the final stage graph with
     at most max_dim + 2 vertices, each entering at the first stage whose
-    threshold reaches its largest pair key. Pairs within one stage are
-    invisible at stage granularity and are dropped.
+    threshold reaches its largest pair key. Vertices enter at stage 0,
+    and each edge's stage is found once from the cloud's key. As
+    `stage_of_key` is monotone, a clique's stage is the largest of its
+    pairs', hence of its facets' from three vertices on. A column of size
+    s has its rows among the cliques of size s - 1, and the (stage, size,
+    clique) order restricted to one size is (stage, clique), so each size
+    is reduced alone against the rows of the size below, which gives the
+    pairs of the whole matrix. Pairs within one stage are invisible at
+    stage granularity and are dropped.
     """
     if coeffs.modulus != 2:
         raise ValueError("the matrix-reduction oracle only supports GF(2)")
     if max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
-    final = Graph(range(filt.cloud.n), filt.entry)
-    by_size = enumerate_cliques(final, max_size=max_dim + 2, max_faces=max_faces)
-    entries = []
-    for size, cliques in by_size.items():
-        for c in cliques:
-            key = max(
-                (filt.cloud.pair_key(c[a], c[b]) for a in range(size) for b in range(a + 1, size)),
-                default=Fraction(0),
-            )
-            entries.append((filt.stage_of_key(key), size, c))
-    entries.sort()
-    index = {c: k for k, (_, _, c) in enumerate(entries)}
-    reduced: list[int] = []
-    low_owner: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    creators: set[int] = set()
-    for k, (_, size, c) in enumerate(entries):
-        col = 0
-        if size >= 2:
-            for drop in range(size):
-                col |= 1 << index[c[:drop] + c[drop + 1:]]
-        while col:
-            low = col.bit_length() - 1
-            owner = low_owner.get(low)
-            if owner is None:
-                break
-            col ^= reduced[owner]
-        if col:
-            low_owner[col.bit_length() - 1] = k
-            pairs.append((col.bit_length() - 1, k))
-        else:
-            creators.add(k)
-        reduced.append(col)
-    killed = set()
+    n = filt.cloud.n
+    by_size = enumerate_cliques(Graph(range(n), filt.entry), max_size=max_dim + 2, max_faces=max_faces)
+    ts = filt.thresholds
     intervals = []
-    for low, k in pairs:
-        killed.add(low)
-        b_stage, b_size, _ = entries[low]
-        d_stage = entries[k][0]
-        if b_size - 1 <= max_dim and b_stage < d_stage:
-            intervals.append(
-                Interval(
-                    b_size - 1,
-                    b_stage,
-                    d_stage,
-                    filt.thresholds[b_stage],
-                    filt.thresholds[d_stage],
-                )
-            )
-    for k in sorted(creators - killed):
-        stage, size, _ = entries[k]
-        if size - 1 <= max_dim:
-            intervals.append(Interval(size - 1, stage, None, filt.thresholds[stage], None))
+    born = [0] * n  # row of the size below -> its clique's stage; vertex v is row v
+    unpaired = list(range(n))  # rows of the size below whose columns reduced to zero
+    for size in range(2, max_dim + 3):
+        if size == 2:
+            edges = by_size.get(2, ())
+            keyed = [(filt.stage_of_key(filt.cloud.pair_key(u, v)), (u, v), 1 << u | 1 << v) for u, v in edges]
+        else:
+            keyed = []
+            for c in by_size.get(size, ()):
+                rows = [row_of[c[:drop] + c[drop + 1:]] for drop in range(size)]
+                keyed.append((max(map(born.__getitem__, rows)), c, sum(map((1).__lshift__, rows))))
+        keyed.sort()
+        owner: dict[int, int] = {}  # low row -> the reduced column ending there
+        zero = []
+        for k, (stage, _, col) in enumerate(keyed):
+            while col:
+                low = col.bit_length() - 1
+                other = owner.get(low)
+                if other is None:
+                    break
+                col ^= other
+            if col:
+                owner[low] = col
+                if born[low] < stage:
+                    intervals.append(Interval(size - 2, born[low], stage, ts[born[low]], ts[stage]))
+            else:
+                zero.append(k)
+        for row in unpaired:
+            if row not in owner:
+                intervals.append(Interval(size - 2, born[row], None, ts[born[row]], None))
+        row_of = {c: k for k, (_, c, _) in enumerate(keyed)}
+        born = [stage for stage, _, _ in keyed]
+        unpaired = zero
     intervals.sort(key=_interval_sort_key)
-    return Barcode(max_dim, filt.thresholds, tuple(intervals))
+    return Barcode(max_dim, ts, tuple(intervals))

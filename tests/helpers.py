@@ -16,7 +16,10 @@ collapse replay helper applies the package's own free-pair check, to
 replay long witnesses without copying the face set for every pair.
 `reference_cleared_pivots` is the cleared reduction as it ran on the
 package's sparse `Echelon` for every prime, kept to pin the GF(2)
-bit-set kernel that replaced it there.
+bit-set kernel that replaced it there. `reference_oracle_persistence`
+is the barcode oracle as it ran over Fraction keys and one matrix
+holding every size, on the package's clique enumeration, kept to pin
+the oracle that finds each edge's stage once and reduces size by size.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from graphcollapse import Graph, canonical_form, clique_complex, exactla, graph_from_canonical
-from graphcollapse.complexes import SimplicialComplex, _mask_of, _replay
-from graphcollapse.homology import _boundary_columns
+from graphcollapse.complexes import DEFAULT_FACE_BUDGET, SimplicialComplex, _mask_of, _replay, enumerate_cliques
+from graphcollapse.homology import Coefficients, _boundary_columns
+from graphcollapse.persistence import Barcode, Filtration, Interval, _interval_sort_key
 
 
 # -- isomorphism by brute force ----------------------------------------------
@@ -624,6 +628,86 @@ def brute_vr_entry(distances, thresholds) -> dict[tuple[int, int], int]:
     if ts[0] != 0:
         ts.insert(0, Fraction(0))
     return {pair: next(s for s, t in enumerate(ts) if key <= t) for pair, key in distances if key <= ts[-1]}
+
+
+def reference_oracle_persistence(
+    filt: Filtration,
+    max_dim: int = 1,
+    coeffs: Coefficients = Coefficients(2),
+    max_faces: int = DEFAULT_FACE_BUDGET,
+) -> Barcode:
+    """`persistence.oracle_persistence` as it ran before each edge's
+    stage was found once and each size reduced on its own rows: a clique
+    enters at the stage of its largest pair key, and one column reduction
+    runs over every clique in (stage, size, clique) order.
+
+    Barcode by direct reduction of the full filtered boundary matrix,
+    no graph reduction involved. GF(2) only; columns are int bitmasks.
+
+    The filtered complex is every clique of the final stage graph with
+    at most max_dim + 2 vertices, each entering at the first stage whose
+    threshold reaches its largest pair key. Pairs within one stage are
+    invisible at stage granularity and are dropped.
+    """
+    if coeffs.modulus != 2:
+        raise ValueError("the matrix-reduction oracle only supports GF(2)")
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
+    final = Graph(range(filt.cloud.n), filt.entry)
+    by_size = enumerate_cliques(final, max_size=max_dim + 2, max_faces=max_faces)
+    entries = []
+    for size, cliques in by_size.items():
+        for c in cliques:
+            key = max(
+                (filt.cloud.pair_key(c[a], c[b]) for a in range(size) for b in range(a + 1, size)),
+                default=Fraction(0),
+            )
+            entries.append((filt.stage_of_key(key), size, c))
+    entries.sort()
+    index = {c: k for k, (_, _, c) in enumerate(entries)}
+    reduced: list[int] = []
+    low_owner: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []
+    creators: set[int] = set()
+    for k, (_, size, c) in enumerate(entries):
+        col = 0
+        if size >= 2:
+            for drop in range(size):
+                col |= 1 << index[c[:drop] + c[drop + 1:]]
+        while col:
+            low = col.bit_length() - 1
+            owner = low_owner.get(low)
+            if owner is None:
+                break
+            col ^= reduced[owner]
+        if col:
+            low_owner[col.bit_length() - 1] = k
+            pairs.append((col.bit_length() - 1, k))
+        else:
+            creators.add(k)
+        reduced.append(col)
+    killed = set()
+    intervals = []
+    for low, k in pairs:
+        killed.add(low)
+        b_stage, b_size, _ = entries[low]
+        d_stage = entries[k][0]
+        if b_size - 1 <= max_dim and b_stage < d_stage:
+            intervals.append(
+                Interval(
+                    b_size - 1,
+                    b_stage,
+                    d_stage,
+                    filt.thresholds[b_stage],
+                    filt.thresholds[d_stage],
+                )
+            )
+    for k in sorted(creators - killed):
+        stage, size, _ = entries[k]
+        if size - 1 <= max_dim:
+            intervals.append(Interval(size - 1, stage, None, filt.thresholds[stage], None))
+    intervals.sort(key=_interval_sort_key)
+    return Barcode(max_dim, filt.thresholds, tuple(intervals))
 
 
 # -- persistence oracle for a single stage pair --------------------------------

@@ -92,6 +92,12 @@ class TestGeneration:
                     n, fresh, every
                 )
 
+    def test_a_last_level_carries_its_masks_without_generators(self):
+        level = census._level(1, ())
+        for n in range(2, 7):
+            parents, level = level, census._level(n, level)
+            assert census._level(n, parents, last=True) == [(form, masks, ()) for form, masks, _ in level]
+
     def test_degree_bound_skips_no_subset_that_can_win(self):
         skipped = 0
         for forms in generate_connected(6).values():

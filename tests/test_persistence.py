@@ -41,6 +41,7 @@ from helpers import (
     greedy_contractible,
     inclusion_rank_gf2,
     inclusion_rank_mod_p,
+    reference_oracle_persistence,
 )
 
 GF2 = Coefficients(2)
@@ -614,6 +615,59 @@ class TestBarcode:
                 assert iv.death == filt.thresholds[iv.death_index]
 
 
+def oracle_corpus():
+    """Filtrations on which the oracle must equal its reference: seeded
+    planar and 3-D clouds, fractional keys and thresholds, pairs beyond
+    the last threshold, ties, one point, and no edges."""
+    rng = random.Random(2719)
+    filts = [vr_filtration(random_cloud(rng, max_points=12)) for _ in range(6)]
+    filts += [vr_filtration(PointCloud.from_points(sphere_cloud(rng, rng.randint(8, 12)))) for _ in range(3)]
+    n = 8
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = Fraction(rng.randint(1, 40), rng.randint(1, 6))
+    matrix = PointCloud.from_distance_matrix(rows)
+    filts += [vr_filtration(matrix), vr_filtration(matrix, [Fraction(5, 2), Fraction(17, 3)])]
+    pts = [(Fraction(rng.randint(0, 30), 4), Fraction(rng.randint(0, 30), 3)) for _ in range(10)]
+    keys = [k for k in PointCloud.from_points(pts).distinct_keys() if k]
+    key = keys[len(keys) // 2]  # pairs lie beyond it
+    filts.append(vr_filtration(PointCloud.from_points(pts), [key / 3, key * 2 / 3, key]))
+    cloud = uniform_cloud(rng, 30)
+    filts.append(vr_filtration(cloud, degree_thresholds(cloud, (2, 4, 6))))
+    filts += [vr_filtration(pc, ts) for pc in tied_clouds()[:12] for ts in (None, [1, 2])]
+    filts += [vr_filtration(PointCloud.from_points([(3, 4)]), ts) for ts in (None, [1])]
+    filts.append(vr_filtration(PointCloud.from_points([(0, 0), (5, 0), (0, 5), (5, 5)]), [Fraction(1, 2)]))
+    return filts
+
+
+class TestOracle:
+    def test_equals_reference_oracle(self):
+        filts = oracle_corpus()
+        assert not filts[-1].entry
+        for filt in filts:
+            for max_dim in range(4):
+                assert oracle_persistence(filt, max_dim) == reference_oracle_persistence(filt, max_dim)
+
+    def test_shares_no_collapse_and_finds_each_edge_stage_once(self, monkeypatch):
+        cloud = uniform_cloud(random.Random(31), 24)
+        filts = [vr_filtration(cloud), vr_filtration(cloud, degree_thresholds(cloud, (3, 6)))]
+        wants = [reference_oracle_persistence(filt, 2) for filt in filts]
+
+        def forbidden(*args):
+            raise AssertionError("the oracle ran the collapse or the cleared reduction")
+
+        monkeypatch.setattr(persistence, "_cleared_pivots", forbidden)
+        monkeypatch.setattr(persistence, "_collapsed_stages", forbidden)
+        real = persistence.Filtration.stage_of_key
+        keys = []
+        monkeypatch.setattr(persistence.Filtration, "stage_of_key", lambda self, key: keys.append(key) or real(self, key))
+        for filt, want in zip(filts, wants):
+            keys.clear()
+            assert oracle_persistence(filt, 2) == want
+            assert Counter(keys) == Counter(cloud.pair_key(*e) for e in filt.entry)
+
+
 # ------------------------------------------------------------------ collapse
 
 
@@ -789,11 +843,16 @@ class TestCollapse:
         filt = vr_filtration(cloud, degree_thresholds(cloud, (1, 2, 3, 4, 6, 8)))
         assert barcode(filt, max_dim=2) == oracle_persistence(filt, max_dim=2)
 
-    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_full_filtrations_match_oracle(self, seed):
         filt = vr_filtration(uniform_cloud(random.Random(seed), 40))
         assert filt.stage_count == 781
         assert barcode(filt, max_dim=2) == oracle_persistence(filt, max_dim=2)
+
+    def test_large_full_filtration_matches_oracle(self):
+        filt = vr_filtration(uniform_cloud(random.Random(5), 80))
+        assert filt.stage_count == 3161
+        assert barcode(filt, max_dim=1) == oracle_persistence(filt, max_dim=1)
 
     def test_ties_and_duplicates_match_oracle(self):
         for pc in tied_clouds():
