@@ -20,6 +20,13 @@ it carries no generators. Classification builds each graph from the
 same carried masks, sent with its form (which pickles) to
 classify_graph.
 
+The order gap (deletion_order_gap) asks, for each graph the greedy test
+rejects, whether some other deletion order would accept it. A graph
+that any order accepts has a collapsible, hence contractible, clique
+complex: Euler characteristic 1 and zero reduced GF(2) homology. Both
+are checked first, on the graph decoded from the form, and only a graph
+that passes gets the exponential any-order search.
+
 Census files are plain text, one level per file, so long runs can stop
 and resume between levels. A level file is named for the level its
 header gives. A resumed level must hold each form once and the
@@ -36,8 +43,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .canon import CanonicalForm, _canonical, _close, graph_from_canonical
-from .complexes import DEFAULT_COLLAPSE_BUDGET, _lift, _replay, clique_complex, is_collapsible
+from .canon import CanonicalForm, _canonical, _close, _masks_from_form, graph_from_canonical
+from .complexes import (
+    DEFAULT_COLLAPSE_BUDGET,
+    _clique_levels,
+    _lift,
+    _not_acyclic,
+    _replay,
+    clique_complex,
+    is_collapsible,
+)
 from .contract import is_strong_contractible_any_order
 from .errors import GraphFormatError, InputError, InternalInconsistencyError, check_collapse_budget, check_jobs
 from .graphs import Graph, _component_masks, _content_lines, iter_bits
@@ -503,10 +518,24 @@ def deletion_order_gap(census: Census) -> tuple[str, ...]:
     """Canonical forms accepted by the try-every-vertex variant of the
     deletion test but rejected by the greedy first-hit one. The greedy
     test is the definition used everywhere else; a nonempty result here
-    would mean deletion order matters for some graph."""
+    would mean deletion order matters for some graph.
+
+    A graph the any-order test accepts has a collapsible clique complex
+    (the paper's main theorem holds for every deletion order), so that
+    complex has Euler characteristic 1 and zero reduced GF(2) homology.
+    A rejected graph whose clique complex fails either is therefore not
+    in the gap, and only the others get the exponential any-order
+    search. The gate reads the graph decoded from the form, never the
+    entry's stored collapsible flag, so a census loaded from files
+    cannot hide a gap.
+    """
     gap = []
     for e in census.entries():
         if e.in_strong:
+            continue
+        adj = _masks_from_form(e.form)
+        faces = [m for level in _clique_levels(adj, range(len(adj)), None, None) for _, m, _ in level]
+        if _not_acyclic(faces):
             continue
         if is_strong_contractible_any_order(e.graph()):
             gap.append(e.form.hex())

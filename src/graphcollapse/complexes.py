@@ -11,15 +11,16 @@ updates only its facets' entries.
 Collapsibility to a point is decided by exhaustive depth-first search
 over elementary collapses (the removed pair differs by one dimension),
 made and undone on one coface map, with memoized dead states and a node
-budget. An Euler characteristic gate certifies many negatives without
-search: elementary collapses preserve the characteristic and a point
-has characteristic 1.
+budget. A homology gate certifies negatives without search: collapses
+preserve the homotopy type, so a collapsible complex has a point's Euler
+characteristic, 1, and a point's reduced GF(2) homology, zero. The
+characteristic is read first; the ranks only when it is 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .contract import ReductionTrace, _first_hit_deletions
 from .errors import BudgetExceededError, GraphFormatError, InternalInconsistencyError, check_collapse_budget
@@ -263,10 +264,13 @@ class SimplicialComplex:
         return f"SimplicialComplex(faces={self.face_count}, dim={self.dim})"
 
 
-def _clique_levels(g: Graph, max_size: Optional[int], max_faces: Optional[int]) -> Iterator[list[tuple[Simplex, int, int]]]:
-    """The cliques of g with at most max_size vertices, one level per
-    size, each clique as (vertex tuple, mask, candidates) in
-    lexicographic order, counted against the face budget.
+def _clique_levels(
+    adj: Mapping[int, int] | Sequence[int], vertices: Iterable[int], max_size: Optional[int], max_faces: Optional[int]
+) -> Iterator[list[tuple[Simplex, int, int]]]:
+    """The cliques with at most max_size vertices of the graph on the
+    given vertices, ascending, with adjacency masks adj (indexed by
+    vertex id), one level per size, each clique as (vertex tuple, mask,
+    candidates) in lexicographic order, counted against the face budget.
 
     A clique is extended by its candidates, the common neighbors above
     its largest member, so every clique is produced exactly once; the
@@ -275,8 +279,7 @@ def _clique_levels(g: Graph, max_size: Optional[int], max_faces: Optional[int]) 
     """
     if max_size is not None and max_size < 1:
         return
-    adj = g._adj
-    level = [((v,), 1 << v, adj[v] >> (v + 1) << (v + 1)) for v in g.vertices]
+    level = [((v,), 1 << v, adj[v] >> (v + 1) << (v + 1)) for v in vertices]
     total = size = 0
     while level:
         size += 1
@@ -298,13 +301,13 @@ def _clique_levels(g: Graph, max_size: Optional[int], max_faces: Optional[int]) 
 
 def enumerate_cliques(g: Graph, max_size: Optional[int] = None, max_faces: int = DEFAULT_FACE_BUDGET) -> dict[int, list[Simplex]]:
     """Cliques of g grouped by size, each list in lexicographic order."""
-    levels = _clique_levels(g, max_size, max_faces)
+    levels = _clique_levels(g._adj, g.vertices, max_size, max_faces)
     return {size: [c for c, _, _ in level] for size, level in enumerate(levels, 1)}
 
 
 def clique_complex(g: Graph, max_faces: int = DEFAULT_FACE_BUDGET) -> SimplicialComplex:
     """Complex whose faces are exactly the nonempty cliques of g."""
-    levels = _clique_levels(g, None, max_faces)
+    levels = _clique_levels(g._adj, g.vertices, None, max_faces)
     return SimplicialComplex._from_masks(frozenset(m for level in levels for _, m, _ in level))
 
 
@@ -331,6 +334,30 @@ class CollapseVerdict:
         return None
 
 
+def _not_acyclic(masks: Collection[int]) -> bool:
+    """Whether the complex with these face masks has nonzero reduced
+    homology over GF(2). Such a complex is not contractible, so it is
+    not collapsible, and no graph whose clique complex it is passes the
+    deletion test in any order (a graph that does has a collapsible
+    clique complex, by the paper's main theorem).
+
+    The Euler characteristic is the alternating sum of the Betti numbers
+    over any field, so anything but 1 settles the question without ranks.
+    Only at 1 is the boundary reduced, by homology._cleared_pivots over
+    GF(2): its live zero columns are one per Betti number, so the reduced
+    homology is zero exactly when one is left, a point's.
+    """
+    if sum(1 if m.bit_count() & 1 else -1 for m in masks) != 1:
+        return True
+    # Imported here, not above: homology imports this module.
+    from .homology import _cleared_pivots
+
+    by_size: dict[int, list[Simplex]] = {}
+    for m in masks:
+        by_size.setdefault(m.bit_count(), []).append(_mask_to_tuple(m))
+    return sum(row is None for _, _, row, _ in _cleared_pivots(by_size, 2)) != 1
+
+
 def is_collapsible(cx: SimplicialComplex, budget: int = DEFAULT_COLLAPSE_BUDGET) -> CollapseVerdict:
     """Decide collapsibility to a point by elementary collapses.
 
@@ -338,14 +365,16 @@ def is_collapsible(cx: SimplicialComplex, budget: int = DEFAULT_COLLAPSE_BUDGET)
     whole search space was exhausted, or exhausted when the node budget
     ran out first. States already proven dead are memoized. A budget
     below 1 raises ValueError.
+
+    A complex with Euler characteristic other than 1, or nonzero reduced
+    GF(2) homology, is not_collapsible with 0 nodes expanded, whatever
+    the budget (see _not_acyclic): collapses preserve the homotopy type,
+    and a point has neither.
     """
     check_collapse_budget(budget)
     if cx.face_count == 0:
         raise ValueError("collapsibility is undefined for the empty complex")
-    if cx.euler_characteristic() != 1:
-        # Collapses preserve the characteristic; a point has 1. No
-        # sequence exists, which is exactly what an exhausted search
-        # would conclude.
+    if _not_acyclic(cx._masks):
         return CollapseVerdict(NOT_COLLAPSIBLE, None, 0)
     # With faces ranked highest dimension first, then lexicographically, pairs
     # are tried in (tau rank, sigma rank) order; a state's key has a bit per rank.

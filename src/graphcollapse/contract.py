@@ -154,19 +154,45 @@ def _is_cone(adj: dict[int, int], mask: int) -> int:
     return 0
 
 
+def _any_order_frame(adj: dict[int, int], mask: int) -> Iterator[int]:
+    """One level of the any-order search on the subgraph induced by mask,
+    which has two vertices or more, suspended at each question: it yields
+    the mask whose verdict it needs and is sent that verdict. Vertices
+    are tried in ascending order, each one's neighborhood first, then
+    what is left without it; the first that passes both decides yes, and
+    it returns the verdict."""
+    for v in iter_bits(mask):
+        if (yield adj[v] & mask) and (yield mask ^ 1 << v):
+            return True
+    return False
+
+
 def _contractible_any_order(adj: dict[int, int], mask: int, memo: dict[int, bool]) -> bool:
     """Whether some deletion order takes the subgraph induced by mask to
-    a single vertex."""
-    if mask & (mask - 1) == 0:
-        return mask != 0
-    verdict = memo.get(mask)
-    if verdict is None:
-        verdict = memo[mask] = any(
-            _contractible_any_order(adj, adj[v] & mask, memo)
-            and _contractible_any_order(adj, mask ^ (1 << v), memo)
-            for v in iter_bits(mask)
-        )
-    return verdict
+    a single vertex, with verdicts memoized by mask.
+
+    The search keeps its own stack of suspended frames (_any_order_frame),
+    so its depth, about one level per deletion, is not bounded by
+    Python's recursion limit."""
+    stack: list[tuple[int, Iterator[int]]] = []
+    ask = mask
+    while True:
+        verdict = ask != 0 if ask & (ask - 1) == 0 else memo.get(ask)
+        if verdict is None:
+            frame = _any_order_frame(adj, ask)
+            stack.append((ask, frame))
+            ask = next(frame)
+            continue
+        while stack:
+            asked, frame = stack[-1]
+            try:
+                ask = frame.send(verdict)
+                break
+            except StopIteration as done:
+                verdict = memo[asked] = done.value
+                stack.pop()
+        else:
+            return verdict
 
 
 def is_strong_contractible(g: Graph) -> bool:
@@ -186,9 +212,15 @@ def is_strong_contractible_any_order(g: Graph) -> bool:
     """Backtracking variant: true when *some* deletion order reaches K(1).
 
     Used by the census harness to certify that a greedy rejection was not
-    an artifact of the fixed scan order. Each deletion is one level of
-    recursion, so a graph on n vertices needs a recursion depth of about
-    n; this variant is meant for small graphs.
+    an artifact of the fixed scan order. The search is exponential in the
+    worst case, so this variant is meant for small graphs; it keeps an
+    explicit stack, one frame per deletion, so a long path does not
+    overflow Python's.
+
+    No homology gate runs here, though a graph it accepts has a
+    collapsible clique complex: counting the cliques of a large dense
+    graph such as K30 would not finish, while the search accepts it at
+    once. The census applies that gate itself (census.deletion_order_gap).
     """
     adj, mask = g._adj, g._vmask
     return _contractible_any_order(adj, mask, {})

@@ -16,3 +16,10 @@ def census7():
     from graphcollapse import CensusConfig, build_census
 
     return build_census(CensusConfig(max_n=7))
+
+
+@pytest.fixture(scope="session")
+def census8():
+    from graphcollapse import CensusConfig, build_census
+
+    return build_census(CensusConfig(max_n=8))

@@ -20,6 +20,10 @@ bit-set kernel that replaced it there. `reference_oracle_persistence`
 is the barcode oracle as it ran over Fraction keys and one matrix
 holding every size, on the package's clique enumeration, kept to pin
 the oracle that finds each edge's stage once and reduces size by size.
+`reference_any_order` is the any-order deletion test as it ran
+recursively, kept to pin the search that keeps its own stack, and
+`reference_deletion_order_gap` runs it on every graph a census rejects,
+with no homology gate.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from hypothesis import strategies as st
 
 from graphcollapse import Graph, canonical_form, clique_complex, exactla, graph_from_canonical
 from graphcollapse.complexes import DEFAULT_FACE_BUDGET, SimplicialComplex, _mask_of, _replay, enumerate_cliques
+from graphcollapse.graphs import iter_bits
 from graphcollapse.homology import Coefficients, _boundary_columns
 from graphcollapse.persistence import Barcode, Filtration, Interval, _interval_sort_key
 
@@ -504,7 +509,29 @@ def brute_cliques(g: Graph, max_size: int | None = None) -> dict[int, list[tuple
 def brute_betti_gf2(g: Graph, max_dim: int | None = None) -> tuple[int, ...]:
     """Betti numbers of the clique complex over GF(2) straight from
     boundary-matrix ranks, with bitmask rows."""
-    by_size = brute_cliques(g)
+    return _faces_betti_gf2(brute_cliques(g), max_dim)
+
+
+def brute_complex_betti_gf2(faces) -> tuple[int, ...]:
+    """brute_betti_gf2 of the complex with the given faces, a
+    downward-closed collection of vertex tuples."""
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for f in faces:
+        by_size.setdefault(len(f), []).append(tuple(sorted(f)))
+    return _faces_betti_gf2(by_size, None)
+
+
+def brute_euler(faces) -> int:
+    """The alternating count of the faces, by dimension."""
+    return sum((-1) ** (len(f) + 1) for f in faces)
+
+
+def is_point_betti(betti: tuple[int, ...]) -> bool:
+    """Whether a Betti vector is a point's: 1, then zeros."""
+    return betti[:1] == (1,) and not any(betti[1:])
+
+
+def _faces_betti_gf2(by_size: dict[int, list[tuple[int, ...]]], max_dim: int | None) -> tuple[int, ...]:
     if not by_size:
         return ()
     top_dim = max(by_size) - 1
@@ -569,13 +596,16 @@ def brute_free_pairs(faces: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...]
     return sorted(out, key=lambda p: (p[1], p[0]))
 
 
-def reference_collapse_search(faces: list[tuple[int, ...]], budget: int) -> tuple[str, object, int]:
+def reference_collapse_search(faces: list[tuple[int, ...]], budget: int, homology_gate: bool = True) -> tuple[str, object, int]:
     """(status, witness, nodes expanded) of the search that
-    complexes.is_collapsible makes: the Euler characteristic gate, then
-    depth first over elementary free pairs from brute_free_pairs, the
-    highest-dimensional tau first, then lexicographic, with dead states
-    memoized as frozensets of their faces."""
-    if sum((-1) ** (len(f) + 1) for f in faces) != 1:
+    complexes.is_collapsible makes: the gate (Euler characteristic 1 and
+    a point's GF(2) Betti numbers, by brute_complex_betti_gf2; with
+    homology_gate false, the Euler characteristic alone, as the search
+    ran before the Betti numbers joined it), then depth first over
+    elementary free pairs from brute_free_pairs, the highest-dimensional
+    tau first, then lexicographic, with dead states memoized as
+    frozensets of their faces."""
+    if brute_euler(faces) != 1 or homology_gate and not is_point_betti(brute_complex_betti_gf2(faces)):
         return "not_collapsible", None, 0
     dead: set = set()
     nodes = 0
@@ -602,6 +632,49 @@ def reference_collapse_search(faces: list[tuple[int, ...]], budget: int) -> tupl
 
     status = search(frozenset(faces))
     return status, tuple(witness) if status == "collapsible" else None, nodes
+
+
+def dunce_hat() -> SimplicialComplex:
+    """The 8-vertex dunce hat: a triangle whose sides, 1 -> 2 -> 3 -> 1
+    each, are glued a, a, a^-1, with interior vertices 4..8 (a..e
+    below). It is contractible, so acyclic with Euler characteristic 1,
+    but every edge lies in two triangles or three, so it has no free
+    face and is not collapsible."""
+    a, b, c, d, e = 4, 5, 6, 7, 8
+    return SimplicialComplex.from_maximal([
+        (a, 1, 2), (a, 2, 3), (b, 3, 1), (b, 1, 2), (c, 2, 3), (c, 3, 1),
+        (d, 1, 3), (d, 3, 2), (e, 2, 1), (a, b, 3), (b, c, 2), (c, d, 1),
+        (d, e, 2), (e, a, 1), (a, b, c), (a, c, d), (a, d, e),
+    ])
+
+
+# -- the any-order deletion test and the order gap -------------------------------
+
+
+def reference_any_order(g: Graph) -> bool:
+    """contract.is_strong_contractible_any_order as it ran recursively,
+    one level of Python recursion per deletion: whether some deletion
+    order takes g to a single vertex, verdicts memoized by vertex mask."""
+    adj = g._adj
+    memo: dict[int, bool] = {}
+
+    def search(mask: int) -> bool:
+        if mask & (mask - 1) == 0:
+            return mask != 0
+        if mask not in memo:
+            memo[mask] = any(search(adj[v] & mask) and search(mask ^ 1 << v) for v in iter_bits(mask))
+        return memo[mask]
+
+    return search(g._vmask)
+
+
+def reference_deletion_order_gap(census) -> tuple[str, ...]:
+    """census.deletion_order_gap without its homology gate: the forms of
+    every graph the census's greedy flags reject that reference_any_order
+    accepts."""
+    return tuple(
+        e.form.hex() for e in census.entries() if not e.in_strong and reference_any_order(graph_from_canonical(e.form))
+    )
 
 
 # -- Vietoris-Rips entry stages by brute force --------------------------------

@@ -27,7 +27,13 @@ from graphcollapse.errors import GraphFormatError, InputError, InternalInconsist
 from graphcollapse.factories import complete, cycle, octahedron, path
 from graphcollapse.graphs import _component_masks
 
-from helpers import brute_canonical_key, connected_count_brute, gstar, reference_levels
+from helpers import (
+    brute_canonical_key,
+    connected_count_brute,
+    gstar,
+    reference_deletion_order_gap,
+    reference_levels,
+)
 
 
 class TestGeneration:
@@ -192,6 +198,29 @@ class TestConjectureReport:
     def test_no_order_dependence_up_to_five(self):
         cen = build_census(CensusConfig(max_n=5))
         assert deletion_order_gap(cen) == ()
+
+    def test_order_gap_equals_the_plain_search_through_seven(self, census7):
+        assert deletion_order_gap(census7) == reference_deletion_order_gap(census7) == ()
+
+    def test_order_gap_searches_no_graph_through_eight(self, census8, monkeypatch):
+        # every graph the deletion test rejects through n=8 has Euler
+        # characteristic other than 1 or a nonzero reduced Betti number
+        searched = []
+        monkeypatch.setattr(census, "is_strong_contractible_any_order", lambda g: searched.append(g) or True)
+        assert deletion_order_gap(census8) == ()
+        assert searched == []
+
+    def test_order_gap_reads_the_graph_not_the_stored_flags(self, monkeypatch):
+        # a tree marked rejected, and not collapsible, passes the gate and
+        # lands in the gap; a 4-cycle marked collapsible never reaches the
+        # search
+        searched = []
+        search = census.is_strong_contractible_any_order
+        monkeypatch.setattr(census, "is_strong_contractible_any_order", lambda g: searched.append(g) or search(g))
+        tree, square = canonical_form(path(4)), canonical_form(cycle(4))
+        cen = Census({4: (CensusEntry(tree, 4, False, False), CensusEntry(square, 4, False, True))})
+        assert deletion_order_gap(cen) == (tree.hex(),)
+        assert searched == [graph_from_canonical(tree)]
 
 
 class TestPersistenceOfLevels:

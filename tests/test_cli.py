@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from graphcollapse import cli
+from graphcollapse import CanonicalForm, cli, graph_from_canonical
 from graphcollapse.cli import main
 from graphcollapse.contract import ReductionTrace
 from graphcollapse.factories import complete, cycle, path
@@ -42,6 +42,19 @@ class TestCheck:
             ["check", "--any-order", write_graph(tmp_path, path(4))]
         ) == 0
         assert capsys.readouterr().out == "IS: yes\n"
+
+    def test_any_order_on_a_long_path(self, tmp_path, capsys):
+        assert main(["check", "--any-order", write_graph(tmp_path, path(1200))]) == 0
+        assert capsys.readouterr().out == "IS: yes\n"
+
+    def test_with_collapse_settled_by_homology_within_any_budget(self, tmp_path, capsys):
+        # Euler characteristic 1 and a nonzero reduced Betti number: no
+        # search, so a budget of 1 does not run out
+        g = graph_from_canonical(CanonicalForm.from_hex("0008021edfe0"))
+        assert main(["check", "--with-collapse", "--budget", "1", write_graph(tmp_path, g)]) == 0
+        assert capsys.readouterr().out == "IS: no\nC: no\n"
+        assert main(["collapse", "--budget", "1", write_graph(tmp_path, g)]) == 0
+        assert capsys.readouterr().out == "collapsible: no\n"
 
     def test_with_collapse(self, tmp_path, capsys):
         assert main(

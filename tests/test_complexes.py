@@ -11,6 +11,7 @@ from graphcollapse import (
     contractible_reduction,
     edge_extended_reduction,
     enumerate_cliques,
+    graph_from_canonical,
     is_collapsible,
     is_strong_contractible,
 )
@@ -28,15 +29,21 @@ from graphcollapse.graphs import Graph
 
 from helpers import (
     arbitrary_graphs,
+    brute_betti_gf2,
     brute_cliques,
+    brute_complex_betti_gf2,
+    brute_euler,
     brute_free_pairs,
     brute_maximal_faces,
     connected_graphs,
+    dunce_hat,
     g8,
     gstar,
+    is_point_betti,
     mixed_complexes,
     reference_collapse_search,
     replayed,
+    rp2_subdivision,
 )
 
 
@@ -288,15 +295,67 @@ class TestIsCollapsible:
         assert (v.status, witness, v.nodes_expanded) == reference_collapse_search(list(cx.faces), budget)
 
     def test_search_matches_reference_past_dead_states(self):
-        # a point beside a 4-cycle with a triangle and a whisker hung on
-        # it: Euler characteristic 1, so the gate passes and the search
+        # the dunce hat with a triangle and a whisker hung on it: acyclic
+        # with Euler characteristic 1, so the gate passes and the search
         # must try every order of the free collapses, meeting dead states
         # again on the way
-        g = Graph(range(8), [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (3, 5), (0, 6)])
-        cx = clique_complex(g)
+        cx = SimplicialComplex.from_maximal(list(dunce_hat().maximal_faces) + [(1, 9, 10), (2, 11)])
         v = is_collapsible(cx)
         assert (v.status, v.nodes_expanded) == (NOT_COLLAPSIBLE, 14)
         assert reference_collapse_search(list(cx.faces), 10**6) == (NOT_COLLAPSIBLE, None, 14)
+        # a point beside a 4-cycle with a triangle and a whisker hung on
+        # it: Euler characteristic 1, but H_0 and H_1 have rank 2 and 1,
+        # so the gate settles it, where the Euler characteristic alone
+        # leaves 14 nodes of search
+        g = Graph(range(8), [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (3, 5), (0, 6)])
+        cx = clique_complex(g)
+        v = is_collapsible(cx)
+        assert (v.status, v.nodes_expanded) == (NOT_COLLAPSIBLE, 0)
+        assert reference_collapse_search(list(cx.faces), 10**6) == (NOT_COLLAPSIBLE, None, 0)
+        assert reference_collapse_search(list(cx.faces), 10**6, homology_gate=False) == (NOT_COLLAPSIBLE, None, 14)
+
+    def test_dunce_hat_passes_the_gate_and_has_no_free_face(self):
+        cx = dunce_hat()
+        faces = list(cx.faces)
+        assert (brute_euler(faces), brute_complex_betti_gf2(faces), brute_free_pairs(faces)) == (1, (1, 0, 0), [])
+        v = is_collapsible(cx)
+        assert (v.status, v.nodes_expanded) == (NOT_COLLAPSIBLE, 1)
+
+    @given(mixed_complexes(max_n=7))
+    @settings(max_examples=40)
+    def test_gate_turns_away_no_complex_the_search_collapses(self, cx):
+        # whenever the search the Euler characteristic alone lets through
+        # finds a collapse, the gate lets the complex through too
+        faces = list(cx.faces)
+        ungated = reference_collapse_search(faces, 40, homology_gate=False)
+        if ungated[0] == COLLAPSIBLE:
+            assert reference_collapse_search(faces, 40) == ungated
+
+    def test_projective_plane_is_settled_without_search(self):
+        # Euler characteristic 1, but H_1 and H_2 over GF(2) have rank 1
+        cx = clique_complex(rp2_subdivision())
+        assert cx.euler_characteristic() == 1
+        v = is_collapsible(cx)
+        assert (v.status, v.witness, v.nodes_expanded) == (NOT_COLLAPSIBLE, None, 0)
+
+    def test_rejected_census_graphs_with_euler_one_are_settled_without_search(self, census8):
+        # through n=8, the graphs the deletion test rejects whose clique
+        # complex has Euler characteristic 1 all have a nonzero reduced
+        # Betti number, so none takes a search node, whatever the budget
+        found = []
+        for e in census8.entries():
+            if e.in_strong:
+                continue
+            g = graph_from_canonical(e.form)
+            faces = [c for cs in brute_cliques(g).values() for c in cs]
+            if brute_euler(faces) == 1:
+                assert not is_point_betti(brute_betti_gf2(g))
+                found.append(e.vertex_count)
+                cx = clique_complex(g)
+                for budget in (1, 10**6):
+                    v = is_collapsible(cx, budget=budget)
+                    assert (v.status, v.witness, v.nodes_expanded) == (NOT_COLLAPSIBLE, None, 0)
+        assert sorted(found) == [7] + [8] * 39
 
     def test_long_path_without_deep_recursion(self):
         # one search node per collapsed edge, 1,199 deep

@@ -15,7 +15,7 @@ from graphcollapse import (
     is_strong_contractible,
     is_strong_contractible_any_order,
 )
-from graphcollapse import clique_complex, collapse_via_trace
+from graphcollapse import clique_complex, collapse_via_trace, graph_from_canonical
 from graphcollapse.complexes import FreePair
 from graphcollapse.contract import Step, _contractible, _is_cone
 from graphcollapse.errors import GraphFormatError
@@ -25,12 +25,17 @@ from graphcollapse.factories import complete, cycle, edgeless, octahedron, path
 from helpers import (
     arbitrary_graphs,
     brute_betti_gf2,
+    brute_cliques,
+    brute_euler,
     connected_graphs,
     g8,
     greedy_contractible,
     greedy_reduction,
     gstar,
+    is_point_betti,
+    reference_any_order,
     replayed,
+    rp2_subdivision,
     sparse_connected_graphs,
 )
 
@@ -113,6 +118,18 @@ class TestGreedyOrder:
         if is_strong_contractible(g):
             assert is_strong_contractible_any_order(g)
 
+    def test_any_order_on_a_long_path_without_deep_recursion(self):
+        # one search frame per deletion, 1,199 deep
+        assert is_strong_contractible_any_order(path(1200))
+        with pytest.raises(RecursionError):
+            reference_any_order(path(1200))
+
+    @given(st.one_of(arbitrary_graphs(max_n=9), sparse_connected_graphs(max_n=8)))
+    @example(octahedron())
+    @example(rp2_subdivision())
+    def test_any_order_matches_recursive_reference(self, g):
+        assert is_strong_contractible_any_order(g) == reference_any_order(g)
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_no_order_gap_up_to_five_vertices(self, n):
         from graphcollapse import generate_connected, graph_from_canonical
@@ -120,6 +137,12 @@ class TestGreedyOrder:
         for form in generate_connected(n)[n]:
             g = graph_from_canonical(form)
             assert is_strong_contractible(g) == is_strong_contractible_any_order(g)
+
+
+def _has_point_homology(g):
+    """Euler characteristic 1 and a point's GF(2) Betti numbers, by brute force."""
+    faces = [c for cs in brute_cliques(g).values() for c in cs]
+    return brute_euler(faces) == 1 and is_point_betti(brute_betti_gf2(g))
 
 
 class TestHomologyOfAccepted:
@@ -130,6 +153,24 @@ class TestHomologyOfAccepted:
             betti = brute_betti_gf2(g)
             assert betti[0] == 1
             assert all(b == 0 for b in betti[1:])
+
+    # The census's order-gap gate rests on these: a graph that some
+    # deletion order takes to a point has a collapsible clique complex,
+    # hence Euler characteristic 1 and zero reduced homology.
+
+    def test_any_order_acceptance_implies_point_homology_through_seven(self, census7):
+        accepted = 0
+        for e in census7.entries():
+            g = graph_from_canonical(e.form)
+            if is_strong_contractible_any_order(g):
+                accepted += 1
+                assert _has_point_homology(g), e.form.hex()
+        assert accepted == 496
+
+    @given(st.one_of(arbitrary_graphs(max_n=9), connected_graphs(max_n=9)))
+    def test_any_order_acceptance_implies_point_homology(self, g):
+        if is_strong_contractible_any_order(g):
+            assert _has_point_homology(g)
 
 
 class TestEdgeExtended:
