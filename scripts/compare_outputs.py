@@ -47,8 +47,8 @@ relation that the reduction builds by summing columns. Its threshold_grid
 section gives the entry lists, in insertion order, and the barcodes of
 seeded 1-, 2- and 3-D clouds cut at explicit thresholds before any
 other read of the cloud, with rational coordinates, repeated points and
-pairs on the grid's cell boundaries. It uses only the standard library,
-numpy and long-standing public API, and runs in well under a minute.
+pairs on the grid's cell boundaries. It uses only the standard library
+and long-standing public API, and runs in well under a minute.
 """
 
 from __future__ import annotations
@@ -65,8 +65,6 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
-
-import numpy as np
 
 from graphcollapse import exactla
 from graphcollapse.canon import canonical_labelling
@@ -108,22 +106,23 @@ def linear_algebra(rng: random.Random) -> list:
     out = []
     for _ in range(150):
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
-        a = np.array([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
+        a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         p = rng.choice(PRIMES)
         if rng.random() < 0.5:
-            b = a @ np.array([rng.randint(-3, 3) for _ in range(cols)], dtype=np.int64)
+            y = [rng.randint(-3, 3) for _ in range(cols)]
+            b = [sum(c * yj for c, yj in zip(row, y)) for row in a]
         else:
-            b = np.array([rng.randint(-9, 9) for _ in range(rows)], dtype=np.int64)
-        sparse = [{i: c for i, c in enumerate(col) if c} for col in a.T.tolist()]
+            b = [rng.randint(-9, 9) for _ in range(rows)]
+        sparse = [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(cols)]
         ech = exactla.Echelon(p, sparse)
-        x = exactla.solve_columns(sparse, dict(enumerate(b.tolist())), p)
+        x = exactla.solve_columns(sparse, dict(enumerate(b)), p)
         out.append({
             "p": p,
-            "a": a.tolist(),
-            "b": b.tolist(),
+            "a": a,
+            "b": b,
             "rank": ech.rank,
-            "solve": None if x is None else exactla.dense([x], cols).reshape(-1).tolist(),
-            "nullspace": exactla.dense(ech.relations, cols).tolist(),
+            "solve": None if x is None else [x.get(j, 0) for j in range(cols)],
+            "nullspace": [[rel.get(j, 0) for rel in ech.relations] for j in range(cols)],
             "invariant_factors": list(exactla.invariant_factors_of_columns(sparse)),
         })
     return out
@@ -155,8 +154,7 @@ def homology_class(z: ChainVector, reduced: Graph, coeffs: Coefficients):
     compared even where the pushed chain differs."""
     grp = homology(reduced, coeffs, max_dim=z.dim).group(z.dim)
     reps = grp.representatives if grp else ()
-    coords = express_in_homology_basis(z.reduce(coeffs), reps, reduced, z.dim, coeffs)
-    return None if coords is None else coords.tolist()
+    return express_in_homology_basis(z.reduce(coeffs), reps, reduced, z.dim, coeffs)
 
 
 def integer_cycle(g: Graph, dim: int, rng: random.Random):
@@ -216,7 +214,7 @@ def graph_outputs(g: Graph, rng: random.Random) -> dict:
                 "dim": dim,
                 "domain": [chain(c) for c in m.domain_basis],
                 "codomain": [chain(c) for c in m.codomain_basis],
-                "matrix": m.matrix.tolist(),
+                "matrix": m.matrix,
             })
     out["induced"] = {"subgraph_edges": [list(e) for e in kept], "maps": maps}
     return out

@@ -10,33 +10,23 @@ homology representatives over odd primes are read. Columns added
 without one keep only the vector and its pivot row: the clearing kernel
 over odd primes, for Betti numbers without representatives and
 barcodes, reads nothing else. `check_prime` caps the modulus below
-2**31, so every residue fits the int64 matrices `dense` builds.
+2**31, which bounds its trial division at about 46,000 divisors.
 Integer invariant factors come from the same `{row: coeff}` columns:
 sparse elimination splits off every ±1 pivot it can find, each a unit
 factor, and Smith normal form runs only on the block the unit pivots
 leave, which is empty on most boundary matrices. That Smith normal form
 is plain row/column reduction on lists of Python ints with
 smallest-magnitude pivoting, and keeps only the diagonal.
-
-numpy is the output format only. It is imported inside `dense`, which
-builds the int64 matrices of `homology.boundary_matrix`,
-`express_in_homology_basis` and `induced_map`. Everything else works on
-`{row: coeff}` columns and never loads it, so neither do homology over
-any coefficients nor the command line.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, KeysView, Mapping, Optional
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Hashable, KeysView, Mapping, Optional
 
 __all__ = [
     "check_prime",
     "Echelon",
     "solve_columns",
-    "dense",
     "invariant_factors_of_columns",
 ]
 
@@ -134,17 +124,6 @@ def solve_columns(cols, rhs: Mapping[int, int], p: int) -> Optional[dict[int, in
     columns independent of the ones before them, or None."""
     rel = Echelon(p, cols).add(rhs, -1)
     return None if rel is None else {j: p - c for j, c in rel.items() if j != -1}
-
-
-def dense(cols, rows: int) -> np.ndarray:
-    """The int64 matrix with the given sparse columns."""
-    import numpy as np
-
-    mat = np.zeros((rows, len(cols)), dtype=np.int64)
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            mat[i, j] = c
-    return mat
 
 
 # -- integer Smith normal form ---------------------------------------------

@@ -34,7 +34,7 @@ class Graph:
     __slots__ = ("_vertices", "_vmask", "_adj", "_edges", "_hash")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
-        vs = sorted({int(v) for v in vertices})
+        vs = sorted({v if type(v) is int else _exact_int(v, "vertex id") for v in vertices})
         if vs and vs[0] < 0:
             raise ValueError(f"vertex id {vs[0]} is negative")
         vmask = 0
@@ -43,7 +43,8 @@ class Graph:
         adj = {v: 0 for v in vs}
         for e in edges:
             u, w = e
-            u, w = int(u), int(w)
+            if type(u) is not int or type(w) is not int:
+                u, w = _exact_int(u, "edge endpoint"), _exact_int(w, "edge endpoint")
             if u == w:
                 raise ValueError(f"self-loop on vertex {u}")
             if u not in adj:
@@ -161,13 +162,14 @@ class Graph:
 
     def glue_vertex(self, v: int, neighbor_ids: Iterable[int]) -> "Graph":
         """Add a fresh vertex v adjacent to exactly neighbor_ids."""
-        v = int(v)
+        v = _exact_int(v, "vertex id")
         if v < 0:
             raise ValueError(f"vertex id {v} is negative")
         if self.has_vertex(v):
             raise ValueError(f"cannot glue vertex {v}: id already in use")
         nmask = 0
         for u in neighbor_ids:
+            u = _exact_int(u, "glue_vertex neighbor")
             if not self.has_vertex(u):
                 raise ValueError(f"glue_vertex neighbor {u} is not in the graph")
             nmask |= 1 << u
@@ -233,6 +235,16 @@ class Graph:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._vertices)
+
+
+def _exact_int(x, what: str) -> int:
+    """int(x), or ValueError naming x if int() would change its value.
+    Hot callers skip it for plain ints: the call would more than double the
+    cost of building a large graph."""
+    i = int(x)
+    if i != x:
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return i
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -18,27 +18,21 @@ bases and induced-map matrices require a prime field.
 
 Everything here computes on sparse `{index: coeff}` columns of Python
 ints, except the cleared reduction over GF(2), whose columns are int
-bit sets. The three results that are int64 ndarrays
-(`BoundaryMatrix.matrix`, the coordinates from
-`express_in_homology_basis` and `InducedMap.matrix`) are built at the
-end by `exactla.dense`, which alone imports numpy; `homology()` and
-cycle pushing never load it.
+bit sets. Results are Python ints too: a matrix is a tuple of row
+tuples, and homology coordinates are one tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import exactla
 from .complexes import DEFAULT_FACE_BUDGET, Simplex, enumerate_cliques
 from .contract import ReductionTrace, _contractible, _first_hit_deletions, _is_cone, _walk
 from .errors import InternalInconsistencyError
-from .graphs import Graph
-
-if TYPE_CHECKING:
-    import numpy as np
+from .graphs import Graph, _exact_int
 
 __all__ = [
     "Coefficients",
@@ -119,7 +113,9 @@ class ChainVector:
                 if any(simplex[i] >= simplex[i + 1] for i in range(len(simplex) - 1)):
                     raise ValueError(f"simplex {simplex} is not strictly increasing")
                 if coeff:
-                    clean[simplex] = clean.get(simplex, 0) + int(coeff)
+                    if type(coeff) is not int:
+                        coeff = _exact_int(coeff, "coefficient")
+                    clean[simplex] = clean.get(simplex, 0) + coeff
         object.__setattr__(self, "_dim", dim)
         object.__setattr__(self, "_terms", {s: c for s, c in clean.items() if c})
 
@@ -302,12 +298,13 @@ def clique_basis(g: Graph, dim: int, max_faces: int = DEFAULT_FACE_BUDGET) -> tu
 @dataclass(frozen=True)
 class BoundaryMatrix:
     """Matrix of the boundary map from dim-chains to (dim-1)-chains in
-    the given ordered clique bases. Entries are signed integers."""
+    the given ordered clique bases: matrix[i][j], a signed integer, is
+    the coefficient of codomain[i] in the boundary of domain[j]."""
 
     dim: int
     domain: tuple[Simplex, ...]
     codomain: tuple[Simplex, ...]
-    matrix: np.ndarray
+    matrix: tuple[tuple[int, ...], ...]
 
 
 def _boundary_columns(
@@ -326,6 +323,11 @@ def _boundary_columns(
             col[i] = 1 if k % 2 == 0 else -1
         cols.append(col)
     return cols
+
+
+def _rows(cols: Sequence[Mapping[int, int]], rows: int) -> tuple[tuple[int, ...], ...]:
+    """The matrix with these sparse columns, as a tuple of row tuples."""
+    return tuple(tuple(col.get(i, 0) for col in cols) for i in range(rows))
 
 
 def _bit_columns(domain: Sequence[Simplex], codomain: Sequence[Simplex]) -> Iterator[int]:
@@ -348,7 +350,7 @@ def boundary_matrix(g: Graph, dim: int, max_faces: int = DEFAULT_FACE_BUDGET) ->
     by_size = enumerate_cliques(g, max_size=dim + 1, max_faces=max_faces)
     domain = tuple(by_size.get(dim + 1, ()))
     codomain = tuple(by_size.get(dim, ()))
-    return BoundaryMatrix(dim, domain, codomain, exactla.dense(_boundary_columns(domain, codomain), len(codomain)))
+    return BoundaryMatrix(dim, domain, codomain, _rows(_boundary_columns(domain, codomain), len(codomain)))
 
 
 def _chain_to_column(chain: ChainVector, basis: tuple[Simplex, ...], coeffs: Coefficients) -> dict[int, int]:
@@ -652,14 +654,14 @@ def express_in_homology_basis(
     g: Graph,
     dim: int,
     coeffs: Coefficients,
-) -> Optional[np.ndarray]:
+) -> Optional[tuple[int, ...]]:
     """Coordinates of the class of z in the given homology basis of the
     clique complex of g, or None if z is not a combination of the reps
     modulo boundaries. Field coefficients only."""
     if not coeffs.is_field:
         raise ValueError("homology coordinates need field coefficients")
     coords = _coordinates(z, reps, g, dim, coeffs)
-    return None if coords is None else exactla.dense([coords], len(reps)).reshape(-1)
+    return None if coords is None else tuple(coords.get(j, 0) for j in range(len(reps)))
 
 
 def _coordinates(
@@ -677,7 +679,9 @@ def _coordinates(
 @dataclass(frozen=True)
 class InducedMap:
     """Matrix of the map on homology induced by a subgraph inclusion,
-    written in the representative bases of the two reduced complexes."""
+    written in the representative bases of the two reduced complexes:
+    matrix[i][j] is the coordinate on codomain_basis[i] of the image of
+    domain_basis[j]."""
 
     dim: int
     coefficients: Coefficients
@@ -685,7 +689,7 @@ class InducedMap:
     codomain_graph: Graph
     domain_basis: tuple[ChainVector, ...]
     codomain_basis: tuple[ChainVector, ...]
-    matrix: np.ndarray
+    matrix: tuple[tuple[int, ...], ...]
 
 
 def induced_map(
@@ -730,4 +734,4 @@ def induced_map(
                 "pushed cycle is not expressible in the reduced homology basis"
             )
         cols.append(coords)
-    return InducedMap(dim, coeffs, g0, g1, reps0, reps1, exactla.dense(cols, len(reps1)))
+    return InducedMap(dim, coeffs, g0, g1, reps0, reps1, _rows(cols, len(reps1)))

@@ -34,6 +34,18 @@ def columns(rows):
     return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))]
 
 
+def vectors(cols, n):
+    """The sparse `{row: coeff}` columns as lists of length n; a row out
+    of range raises IndexError."""
+    out = []
+    for col in cols:
+        vec = [0] * n
+        for i, c in col.items():
+            vec[i] = c
+        out.append(vec)
+    return out
+
+
 class TestPrimes:
     def test_accepts_primes(self):
         for p in (2, 3, 5, 7, 11, 101):
@@ -69,7 +81,7 @@ class TestSolveModP:
         b = (a @ x) % p
         got = exactla.solve_columns(columns(a.tolist()), dict(enumerate(b.tolist())), p)
         assert got is not None
-        assert ((a @ exactla.dense([got], a.shape[1]).reshape(-1) - b) % p == 0).all()
+        assert ((a @ np.array(vectors([got], a.shape[1])[0], dtype=np.int64) - b) % p == 0).all()
 
     def test_unsolvable(self):
         assert exactla.solve_columns([{0: 1, 1: 1}], {1: 1}, 3) is None
@@ -77,11 +89,11 @@ class TestSolveModP:
     @given(int_matrices(), st.sampled_from([2, 3, 5]))
     def test_nullspace(self, a, p):
         ech = exactla.Echelon(p, columns(a.tolist()))
-        ns = exactla.dense(ech.relations, a.shape[1])
-        assert ns.shape[1] == a.shape[1] - ech.rank
-        if ns.shape[1]:
-            assert ((a @ ns) % p == 0).all()
-            assert exactla.Echelon(p, columns(ns.tolist())).rank == ns.shape[1]
+        ns = vectors(ech.relations, a.shape[1])
+        assert len(ns) == a.shape[1] - ech.rank
+        if ns:
+            assert ((a @ np.array(ns, dtype=np.int64).T) % p == 0).all()
+            assert exactla.Echelon(p, ech.relations).rank == len(ns)
 
 
 class TestAgainstReferenceElimination:
@@ -106,16 +118,15 @@ class TestAgainstReferenceElimination:
         if want is None:
             assert got is None
         else:
-            x = exactla.dense([got], a.shape[1]).reshape(-1)
-            assert x.dtype == np.int64
-            assert x.tolist() == want
+            x = vectors([got], a.shape[1])[0]
+            assert all(type(c) is int for c in x)
+            assert x == want
 
     @given(int_matrices(max_dim=6), PRIMES)
     def test_nullspace(self, a, p):
-        got = exactla.dense(exactla.Echelon(p, columns(a.tolist())).relations, a.shape[1])
+        got = vectors(exactla.Echelon(p, columns(a.tolist())).relations, a.shape[1])
         want = reference_nullspace(a.tolist(), p)
-        assert got.shape == (a.shape[1], len(want))
-        assert got.T.tolist() == want
+        assert got == want
 
     def test_modulus_checked(self):
         # the modulus is checked where it enters, in the coefficient ring

@@ -1,3 +1,7 @@
+import re
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +15,7 @@ from graphcollapse import (
     to_edge_list_text,
 )
 from graphcollapse.factories import complete, cycle, edgeless, path
+from graphcollapse.homology import ChainVector
 
 from helpers import arbitrary_graphs, gstar
 
@@ -47,6 +52,30 @@ class TestConstruction:
     def test_negative_id_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             Graph([-1, 0], [])
+
+    def test_non_integral_numbers_rejected_not_truncated(self):
+        # Graph, glue_vertex and ChainVector take any number int() keeps
+        exact = [True, 2.0, Fraction(3, 1), np.int64(4), np.int32(5)]
+        g = Graph([0, *exact], [(0, True), (2.0, Fraction(3)), (np.int64(4), np.int32(5))])
+        assert g == Graph(range(6), [(0, 1), (2, 3), (4, 5)])
+        assert all(type(v) is int for v in g.vertices)
+        assert g.glue_vertex(6.0, [Fraction(0), np.int64(5)]) == Graph(range(7), [*g.edges, (0, 6), (5, 6)])
+        terms = {(0,): True, (1,): 2.0, (2,): Fraction(-3, 1), (3,): np.int64(4)}
+        items = ChainVector(0, terms).items()
+        assert items == [((0,), 1), ((1,), 2), ((2,), -3), ((3,), 4)]
+        assert all(type(c) is int for _, c in items)
+        # and name any number it would change
+        for bad in (1.7, Fraction(1, 2), np.float64(2.5)):
+            with pytest.raises(ValueError, match=re.escape(f"vertex id {bad!r} is not an integer")):
+                Graph([0, bad, 2])
+            with pytest.raises(ValueError, match=re.escape(f"edge endpoint {bad!r} is not an integer")):
+                Graph([0, 1, 2], [(0, bad)])
+            with pytest.raises(ValueError, match=re.escape(f"vertex id {bad!r} is not an integer")):
+                g.glue_vertex(bad, [])
+            with pytest.raises(ValueError, match=re.escape(f"glue_vertex neighbor {bad!r} is not an integer")):
+                g.glue_vertex(6, [bad])
+            with pytest.raises(ValueError, match=re.escape(f"coefficient {bad!r} is not an integer")):
+                ChainVector(0, {(0,): bad})
 
 
 class TestAccessors:

@@ -257,7 +257,7 @@ class TestBoundaryMatrix:
         assert bm.dim == 1
         assert bm.domain == clique_basis(complete(3), 1)
         assert bm.codomain == clique_basis(complete(3), 0)
-        assert bm.matrix.shape == (3, 3)
+        assert [len(row) for row in bm.matrix] == [3, 3, 3]
 
     def test_columns_are_simplex_boundaries(self):
         g = gstar()
@@ -269,7 +269,7 @@ class TestBoundaryMatrix:
                 col = [0] * len(bm.codomain)
                 for face, coeff in b.items():
                     col[index[face]] = coeff
-                assert bm.matrix[:, j].tolist() == col
+                assert [row[j] for row in bm.matrix] == col
 
     @given(arbitrary_graphs(max_n=6))
     def test_rank_mod_two_matches_bitmask_oracle(self, g):
@@ -281,7 +281,7 @@ class TestBoundaryMatrix:
         for j, (u, v) in enumerate(bm.domain):
             rows.append((1 << index[(u,)]) | (1 << index[(v,)]))
         # oracle treats columns as bitmask rows of the transpose
-        assert len(reference_rref(bm.matrix.tolist(), 2)[1]) == gf2_rank(rows)
+        assert len(reference_rref(bm.matrix, 2)[1]) == gf2_rank(rows)
 
 
 # ----------------------------------------------------------------- betti/homology
@@ -314,11 +314,9 @@ class TestBetti:
             basis = clique_basis(g, dim)
             if not basis:
                 continue
-            down = boundary_matrix(g, dim).matrix if dim else None
+            down = boundary_matrix(g, dim).matrix if dim else ()
             up = boundary_matrix(g, dim + 1).matrix
-            r_down = rational_rank(down.tolist()) if down is not None and down.size else 0
-            r_up = rational_rank(up.tolist()) if up.size else 0
-            betti_q = len(basis) - r_down - r_up
+            betti_q = len(basis) - rational_rank(down) - rational_rank(up)
             assert betti_numbers(g, GF2, max_dim=dim)[dim] >= betti_q
             assert betti_numbers(g, GF3, max_dim=dim)[dim] >= betti_q
 
@@ -453,8 +451,8 @@ class TestHomologyGroups:
             if n == 0:
                 kernel = [[int(i == j) for i in range(len(basis))] for j in range(len(basis))]
             else:
-                kernel = reference_nullspace(boundary_matrix(g, n).matrix.tolist(), p)
-            span = up.matrix.T.tolist()
+                kernel = reference_nullspace(boundary_matrix(g, n).matrix, p)
+            span = [list(col) for col in zip(*up.matrix)]
 
             def rank(cols):
                 return len(reference_rref([list(r) for r in zip(*cols)], p)[1]) if cols else 0
@@ -739,7 +737,7 @@ class TestPushCycle:
             assert pushed.supported_on_cliques(reduced)
             coords = express_in_homology_basis(pushed, reps_down, reduced, 1, coeffs)
             assert coords is not None
-            rows.append(coords.tolist())
+            rows.append(list(coords))
         assert len(reference_rref(rows, coeffs.modulus)[1]) == len(reps_up) == 2
 
 
@@ -748,14 +746,14 @@ class TestExpress:
         c4 = cycle(4)
         reps = homology(c4).group(1).representatives
         coords = express_in_homology_basis(reps[0], reps, c4, 1, GF2)
-        assert list(coords) == [1]
+        assert coords == (1,)
 
     def test_zero_for_boundaries(self):
         g = Graph(range(5), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4)])
         reps = homology(g).group(1).representatives
         b = boundary(ChainVector(2, {(0, 1, 4): 1}), g)
         coords = express_in_homology_basis(b.reduce(GF2), reps, g, 1, GF2)
-        assert list(coords) == [0]
+        assert coords == (0,)
 
     def test_none_for_non_cycles(self):
         c4 = cycle(4)
@@ -772,7 +770,7 @@ class TestInducedMap:
         c4 = cycle(4)
         t = ReductionTrace(())
         im = induced_map(c4, c4, t, t, 1)
-        assert im.matrix.tolist() == [[1]]
+        assert im.matrix == ((1,),)
         assert im.dim == 1
 
     def test_filling_the_square_kills_its_class(self):
@@ -781,7 +779,8 @@ class TestInducedMap:
         _, t0 = contractible_reduction(c4)
         _, t1 = contractible_reduction(chord)
         im = induced_map(c4, chord, t0, t1, 1)
-        assert im.matrix.shape == (0, 1)
+        assert im.matrix == ()
+        assert len(im.domain_basis) == 1
 
     def test_chord_preserving_the_class(self):
         c6 = cycle(6)
@@ -792,7 +791,7 @@ class TestInducedMap:
         _, t0 = contractible_reduction(c6)
         _, t1 = contractible_reduction(chord)
         im = induced_map(c6, chord, t0, t1, 1)
-        assert im.matrix.tolist() == [[1]]
+        assert im.matrix == ((1,),)
 
     def test_rank_matches_inclusion_oracle(self):
         rng = random.Random(2718)
@@ -837,7 +836,7 @@ class TestInducedMap:
             _, t0 = contractible_reduction(g0)
             _, t1 = contractible_reduction(g1)
             im = induced_map(g0, g1, t0, t1, 1)
-            got = len(reference_rref(im.matrix.tolist(), 2)[1]) if im.matrix.size else 0
+            got = len(reference_rref(im.matrix, 2)[1]) if im.matrix else 0
             assert got == inclusion_rank_gf2(g0, g1, 1)
 
     def test_rejects_integer_coefficients(self):

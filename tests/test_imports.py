@@ -1,7 +1,9 @@
-"""numpy and the process pool are loaded only where they are used.
+"""The package runs without numpy, and loads the process pool only
+where it is used.
 
-Each test runs a fresh interpreter, because this suite's own process
-has long since imported numpy.
+The command test runs a fresh interpreter with numpy blocked, because
+this suite's own process has long since imported numpy and the process
+pool.
 """
 
 import json
@@ -10,8 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from graphcollapse.factories import octahedron
+from graphcollapse.contract import ReductionTrace
+from graphcollapse.factories import cycle, octahedron
 from graphcollapse.graphs import to_edge_list_text
+from graphcollapse.homology import boundary_matrix, induced_map
 
 from helpers import gstar, rp2_subdivision
 
@@ -21,8 +25,13 @@ COMMANDS_SCRIPT = """
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
 
+sys.modules["numpy"] = None
+
 import graphcollapse
 from graphcollapse import cli
+from graphcollapse.contract import ReductionTrace
+from graphcollapse.factories import cycle
+from graphcollapse.homology import Coefficients, boundary_matrix, express_in_homology_basis, homology, induced_map
 
 runs = []
 for argv in json.loads(sys.argv[1]):
@@ -30,29 +39,23 @@ for argv in json.loads(sys.argv[1]):
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         rc = cli.main(argv)
     runs.append([rc, out.getvalue()])
-loaded = sorted(m for m in ("numpy", "concurrent.futures") if m in sys.modules)
-print(json.dumps({"runs": runs, "loaded": loaded}))
-"""
-
-ARRAYS_SCRIPT = """
-import json
-import numpy as np
-
-from graphcollapse.contract import ReductionTrace
-from graphcollapse.factories import cycle
-from graphcollapse.homology import boundary_matrix, induced_map
-
 c4 = cycle(4)
 t = ReductionTrace(())
-arrays = {
-    "boundary": boundary_matrix(c4, 1).matrix,
-    "induced": induced_map(c4, c4, t, t, 1).matrix,
-}
+reps = homology(c4).group(1).representatives
+results = [
+    boundary_matrix(c4, 1).matrix,
+    express_in_homology_basis(reps[0], reps, c4, 1, Coefficients(2)),
+    induced_map(c4, c4, t, t, 1).matrix,
+]
 print(json.dumps({
-    k: [isinstance(a, np.ndarray) and a.dtype == np.int64, list(a.shape), a.tolist()]
-    for k, a in arrays.items()
+    "runs": runs,
+    "results": [repr(r) for r in results],
+    "pool_loaded": "concurrent.futures" in sys.modules,
 }))
 """
+
+# C4's edges (0,1) (0,3) (1,2) (2,3) onto its vertices 0..3
+C4_BOUNDARY = ((-1, -1, 0, 0), (1, 0, -1, 0), (0, 0, 1, -1), (0, 1, 0, 1))
 
 
 def _run(script, *args):
@@ -74,6 +77,7 @@ def test_commands_load_neither_numpy_nor_the_process_pool(tmp_path):
     rp2.write_text(to_edge_list_text(rp2_subdivision()))
     points = tmp_path / "pts.txt"
     points.write_text("0 0\n1 0\n1 1\n0 1\n2 3\n")
+    witness = tmp_path / "witness.txt"
     argvs = [
         ["check", str(graph), "--with-collapse"],
         ["reduce", str(graph), "--edges"],
@@ -81,19 +85,36 @@ def test_commands_load_neither_numpy_nor_the_process_pool(tmp_path):
         ["vr", "--points", str(points), "--oracle", "--max-dim", "2"],
         ["census", "--max-n", "5"],
         ["homology", str(rp2), "--integers"],
+        ["collapse", str(graph), "--witness", str(witness)],
     ]
     result = _run(COMMANDS_SCRIPT, json.dumps(argvs))
     assert [rc for rc, _ in result["runs"]] == [0] * len(argvs)
     assert "oracle: MATCH" in result["runs"][3][1]
     assert "n 5 21" in result["runs"][4][1]
     assert "H_1 0 [2]" in result["runs"][5][1]
-    assert result["loaded"] == []
+    assert result["runs"][6][1] == "collapsible: yes\n"
+    assert "0 2 4 < 0 2 4 5" in witness.read_text()
+    assert result["results"] == [repr(C4_BOUNDARY), repr((1,)), repr(((1,),))]
+    assert not result["pool_loaded"]
 
 
-def test_array_results_are_still_int64_ndarrays():
-    result = _run(ARRAYS_SCRIPT)
-    assert result == {
-        # edges (0,1) (0,3) (1,2) (2,3) onto vertices 0..3
-        "boundary": [True, [4, 4], [[-1, -1, 0, 0], [1, 0, -1, 0], [0, 0, 1, -1], [0, 1, 0, 1]]],
-        "induced": [True, [1, 1], [[1]]],
+def test_matrix_results_are_tuples_of_int_rows():
+    c4 = cycle(4)
+    t = ReductionTrace(())
+    results = {
+        "boundary": boundary_matrix(c4, 1).matrix,
+        "induced": induced_map(c4, c4, t, t, 1).matrix,
+        # 4 vertices and no triangles: shape (4, 0)
+        "no columns": boundary_matrix(c4, 2).matrix,
+        # C4's class dies in a filled square: shape (0, 1)
+        "no rows": induced_map(c4, c4.glue_edge(0, 2), t, t, 1).matrix,
     }
+    assert results == {
+        "boundary": C4_BOUNDARY,
+        "induced": ((1,),),
+        "no columns": ((), (), (), ()),
+        "no rows": (),
+    }
+    for m in results.values():
+        assert type(m) is tuple
+        assert all(type(row) is tuple and all(type(x) is int for x in row) for row in m)

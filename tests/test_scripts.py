@@ -22,10 +22,20 @@ COMPARE_SECTIONS = {
 COMPARE_DIGEST = "6175b05934a3e9cd5d335108b46c106ef1fce2506fed2fbe24c9a26c2cc5210b"
 
 
+# Runs the script given as its first argument with numpy blocked, so an
+# import of numpy by the script or the package fails.
+WITHOUT_NUMPY = """
+import runpy, sys
+sys.modules["numpy"] = None
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
 def run_script(name):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name)],
+        [sys.executable, "-c", WITHOUT_NUMPY, str(ROOT / "scripts" / name)],
         capture_output=True,
         text=True,
         env=env,
